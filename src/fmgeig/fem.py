@@ -4,6 +4,11 @@ Stiffness with a constant SPD diffusion matrix, mass, weighted mass for
 the potential and the frozen nonlinearity, the nonlinear residual, and
 the energy / L2 norms.  All systems are reduced to interior degrees of
 freedom unless a full matrix is requested explicitly.
+
+Each mesh computes its checked cell measures and its CSR pattern (with the
+map from every local entry to its data slot) once, on first use, and keeps
+them on the MeshLevel instance; every later assembly on that mesh only sums
+local values into a fresh data array.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import MeshLevel
+from .mesh import MeshLevel, cell_measures
 
 __all__ = [
     "ProblemSpec",
@@ -35,7 +40,7 @@ __all__ = [
     "dump_matrix",
 ]
 
-_ASSEMBLY_CHUNK = 200_000
+_FIELD_BLOCK = 1 << 16
 
 
 def harmonic_potential(points):
@@ -143,92 +148,155 @@ def quadrature_rule(dim, degree=4) -> QuadratureRule:
     return rule
 
 
-def _cell_geometry(mesh: MeshLevel):
-    """Barycentric gradients (nc, d+1, d) and unsigned measures (nc,)."""
-    d = mesh.dim
-    coords = mesh.vertices[mesh.cells]
-    B = np.empty((mesh.n_cells, d + 1, d + 1))
-    B[:, :, 0] = 1.0
-    B[:, :, 1:] = coords
-    det = np.linalg.det(B)
-    measures = np.abs(det) / factorial(d)
-    bad = np.flatnonzero(measures < 1e-14 * mesh.mesh_size ** d)
+def _cached(mesh: MeshLevel, key, build):
+    """build(mesh), memoized in the instance dict of the (frozen) mesh so the
+    value lives exactly as long as the mesh does."""
+    cache = mesh.__dict__
+    if key not in cache:
+        cache[key] = build(mesh)
+    return cache[key]
+
+
+def _checked_measures(mesh):
+    measures = cell_measures(mesh)
+    bad = np.flatnonzero(measures < 1e-14 * mesh.mesh_size ** mesh.dim)
     if bad.size:
         raise AssemblyError(f"degenerate cell {int(bad[0])}")
-    C = np.linalg.inv(B)
-    grads = np.transpose(C[:, 1:, :], (0, 2, 1))
-    return grads, measures
+    return measures
 
 
-def _restrict(A, mesh, interior_only):
-    if not interior_only:
-        return A
-    idx = mesh.interior_indices
-    return A[idx][:, idx].tocsr()
+def _measures(mesh: MeshLevel):
+    """Unsigned cell measures (nc,), checked for degenerate cells once per mesh."""
+    return _cached(mesh, "_fem_measures", _checked_measures)
 
 
-def _scatter(mesh, local, rows_range):
-    """COO scatter of local (nc, d+1, d+1) matrices for the given cell slice."""
+def _measures_and_pattern(mesh: MeshLevel, interior_only):
+    """Cell measures and the CSR pattern of the mesh, each built once per mesh.
+    The cell check runs first, so a degenerate cell is reported before any
+    pattern is built; callers fetch both before computing local matrices so
+    the pattern's one-time temporaries never coexist with them."""
+    measures = _measures(mesh)
+    key = "_fem_pattern_interior" if interior_only else "_fem_pattern_full"
+    return measures, _cached(mesh, key, lambda m: _build_pattern(m, interior_only))
+
+
+def _build_pattern(mesh, interior_only):
+    """CSR pattern (indptr, indices) over the interior (or all) vertices and
+    the data slot of every local entry (cell, i, j), flattened in that
+    order.  Entries coupling to an excluded vertex go to the extra slot nnz."""
+    if interior_only:
+        n = mesh.n_interior
+        dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
+        dof[mesh.interior_indices] = np.arange(n)
+    else:
+        n = mesh.n_vertices
+        dof = np.arange(n, dtype=np.int64)
+    cell_dofs = dof[mesh.cells]
+    # stored entries: both orientations of every mesh edge, then the diagonal
     n_loc = mesh.dim + 1
-    cells = mesh.cells[rows_range]
-    rows = np.repeat(cells, n_loc, axis=1).ravel()
-    cols = np.tile(cells, (1, n_loc)).ravel()
-    return sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
-    ).tocsr()
+    i, j = np.triu_indices(n_loc, 1)
+    a, b = cell_dofs[:, i], cell_dofs[:, j]
+    lo = np.minimum(a, b)
+    inner = lo >= 0
+    edges, edge_of = np.unique((lo * n + np.maximum(a, b))[inner], return_inverse=True)
+    n_e = edges.size
+    e_lo, e_hi = np.divmod(edges, n)
+    keys = np.concatenate([edges, e_hi * n + e_lo, np.arange(n) * (n + 1)])
+    order = np.argsort(keys)
+    nnz = keys.size
+    idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    # rank[k]: CSR slot of keys[k]; the extra last entry is the dump slot
+    rank = np.empty(nnz + 1, dtype=idx)
+    rank[order] = np.arange(nnz, dtype=idx)
+    rank[nnz] = nnz
+    keys = keys[order]
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+
+    slot = np.empty((len(cell_dofs), n_loc, n_loc), dtype=idx)
+    diag = np.arange(n_loc)
+    slot[:, diag, diag] = rank[np.where(cell_dofs >= 0, 2 * n_e + cell_dofs, nnz)]
+    edge = np.full(a.shape, nnz, dtype=np.intp)
+    edge[inner] = edge_of
+    forward = rank[edge]          # slot of (lo, hi)
+    edge[inner] += n_e
+    backward = rank[edge]         # slot of (hi, lo)
+    swap = a > b
+    slot[:, i, j] = np.where(swap, backward, forward)
+    slot[:, j, i] = np.where(swap, forward, backward)
+    return indptr, (keys % n).astype(idx), slot.ravel()
 
 
-def _assemble(mesh, local_fn, interior_only, work=None):
-    n_loc = mesh.dim + 1
-    total = None
-    for start in range(0, mesh.n_cells, _ASSEMBLY_CHUNK):
-        stop = min(start + _ASSEMBLY_CHUNK, mesh.n_cells)
-        sl = slice(start, stop)
-        local = local_fn(sl)
-        local = 0.5 * (local + np.transpose(local, (0, 2, 1)))
-        part = _scatter(mesh, local, sl)
-        total = part if total is None else total + part
+def _assemble(pattern, local, work=None):
+    """Sum local (nc, d+1, d+1) matrices into a CSR matrix on a cached
+    pattern.  ``local`` is symmetrized in place first; the sums then visit
+    (i, j) and (j, i) in the same cell order, so the result is exactly
+    symmetric."""
+    local += np.transpose(local, (0, 2, 1))
+    local *= 0.5
+    indptr, indices, slot = pattern
+    nnz = indices.size
+    data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+    n = indptr.size - 1
+    # copies of the cached index arrays: the caller owns the matrix
+    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()
     if work is not None:
-        work.count_assembly(mesh.n_cells * n_loc * n_loc)
-    A = (total + total.T) * 0.5
-    A = A.tocsr()
-    A.sort_indices()
-    return _restrict(A, mesh, interior_only)
+        work.count_assembly(local.size)
+    return A
+
+
+def _scaled_gradients(mesh):
+    """det(x_1 - x_0, ..., x_d - x_0) times the barycentric gradients
+    (nc, d+1, d): rows 1..d are the cofactor rows of the edge matrix, row 0
+    is minus their sum."""
+    coords = mesh.vertices[mesh.cells]
+    e = coords[:, 1:, :] - coords[:, :1, :]
+    if mesh.dim == 2:
+        cof = np.stack([np.stack([e[:, 1, 1], -e[:, 1, 0]], axis=-1),
+                        np.stack([-e[:, 0, 1], e[:, 0, 0]], axis=-1)], axis=1)
+    else:
+        cof = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]),
+                        np.cross(e[:, 0], e[:, 1])], axis=1)
+    return np.concatenate([-cof.sum(axis=1, keepdims=True), cof], axis=1)
 
 
 def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, work=None):
     """Matrix of (A grad w, grad v); exact for P1 since gradients are
-    cellwise constant."""
-    grads, measures = _cell_geometry(mesh)
-    D = spec.diffusion_matrix
-
-    def local_fn(sl):
-        g = grads[sl]
-        return np.einsum("c,cid,de,cje->cij", measures[sl], g, D, g, optimize=True)
-
-    return _assemble(mesh, local_fn, interior_only, work)
+    cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
+    G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here."""
+    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    G = _scaled_gradients(mesh)
+    local = G @ spec.diffusion_matrix @ np.transpose(G, (0, 2, 1))
+    local /= (factorial(mesh.dim) ** 2 * measures)[:, None, None]
+    return _assemble(pattern, local, work)
 
 
 def assemble_mass(mesh: MeshLevel, interior_only=True, work=None):
     """Matrix of (w, v); exact closed form for P1."""
-    _, measures = _cell_geometry(mesh)
     d = mesh.dim
     base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-
-    def local_fn(sl):
-        return measures[sl, None, None] * base[None, :, :]
-
-    return _assemble(mesh, local_fn, interior_only, work)
+    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    return _assemble(pattern, measures[:, None, None] * base[None, :, :], work)
 
 
-def _weight_values_at_qpoints(mesh, weight, rule, sl):
-    """Weight evaluated at the quadrature points of the cell slice."""
-    cells = mesh.cells[sl]
+def _field_at_qpoints(mesh, func, rule):
+    """Analytic field evaluated at the quadrature points of every cell (nc, nq).
+    Blocks of cells bound the (cells, nq, d) point array and the field's own
+    temporaries, which over a whole fine mesh would set the peak memory of a
+    solve."""
+    vals = np.empty((mesh.n_cells, len(rule.points)))
+    for start in range(0, mesh.n_cells, _FIELD_BLOCK):
+        block = slice(start, start + _FIELD_BLOCK)
+        phys = rule.points @ mesh.vertices[mesh.cells[block]]
+        vals[block] = np.asarray(func(phys.reshape(-1, mesh.dim)), dtype=float).reshape(len(phys), -1)
+    return vals
+
+
+def _weight_values_at_qpoints(mesh, weight, rule):
+    """Weight evaluated at the quadrature points of every cell (nc, nq)."""
     if callable(weight):
-        coords = mesh.vertices[cells]
-        phys = np.einsum("qi,cid->cqd", rule.points, coords)
-        vals = np.asarray(weight(phys.reshape(-1, mesh.dim)), dtype=float)
-        return vals.reshape(len(cells), -1)
+        return _field_at_qpoints(mesh, weight, rule)
     if isinstance(weight, FeFunction):
         if weight.level_index != mesh.level_index:
             raise ValueError(
@@ -241,7 +309,7 @@ def _weight_values_at_qpoints(mesh, weight, rule, sl):
         elif vertex_vals.shape != (mesh.n_vertices,):
             raise ValueError("weight vector length matches neither the interior "
                              "nor the full vertex count")
-    return vertex_vals[cells] @ rule.points.T
+    return vertex_vals[mesh.cells] @ rule.points.T
 
 
 def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True, work=None):
@@ -253,28 +321,23 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
         raise AssemblyError(
             f"weighted mass with P1 weight^{power} needs a degree {power + 2} rule; "
             f"only degree {rule.degree} is available")
-    _, measures = _cell_geometry(mesh)
-    wq = rule.weights
+    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    vals = _weight_values_at_qpoints(mesh, weight, rule)
+    if power != 1:
+        vals = vals ** power
     pts = rule.points
-
-    def local_fn(sl):
-        vals = _weight_values_at_qpoints(mesh, weight, rule, sl)
-        if power != 1:
-            vals = vals ** power
-        return np.einsum("c,cq,q,qi,qj->cij", measures[sl], vals, wq, pts, pts,
-                         optimize=True)
-
-    return _assemble(mesh, local_fn, interior_only, work)
+    # (nq, (d+1)^2) table of w_q phi_i(q) phi_j(q); one matrix product per assembly
+    table = (rule.weights[:, None, None] * pts[:, :, None] * pts[:, None, :]).reshape(len(pts), -1)
+    n_loc = mesh.dim + 1
+    local = ((measures[:, None] * vals) @ table).reshape(-1, n_loc, n_loc)
+    return _assemble(pattern, local, work)
 
 
 def assemble_load(mesh: MeshLevel, func, interior_only=True):
     """Vector of (f, v) for an analytic f, by the built-in volume rule."""
     rule = _RULES[mesh.dim]
-    _, measures = _cell_geometry(mesh)
-    coords = mesh.vertices[mesh.cells]
-    phys = np.einsum("qi,cid->cqd", rule.points, coords)
-    vals = np.asarray(func(phys.reshape(-1, mesh.dim)), dtype=float).reshape(mesh.n_cells, -1)
-    local = np.einsum("c,cq,q,qi->ci", measures, vals, rule.weights, rule.points)
+    vals = _field_at_qpoints(mesh, func, rule)
+    local = np.einsum("c,cq,q,qi->ci", _measures(mesh), vals, rule.weights, rule.points)
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.cells.ravel(), local.ravel())
     return out[mesh.interior_indices] if interior_only else out
@@ -296,13 +359,8 @@ def integrate_power(mesh: MeshLevel, vertex_values, exponent):
     rule = _RULES[mesh.dim]
     if exponent > rule.degree:
         raise AssemblyError(f"integrating u^{exponent} needs a degree {exponent} rule")
-    _, measures = _cell_geometry(mesh)
-    total = 0.0
-    for start in range(0, mesh.n_cells, _ASSEMBLY_CHUNK):
-        sl = slice(start, min(start + _ASSEMBLY_CHUNK, mesh.n_cells))
-        vals = vertex_values[mesh.cells[sl]] @ rule.points.T
-        total += float(np.einsum("c,cq,q->", measures[sl], vals ** exponent, rule.weights))
-    return total
+    vals = vertex_values[mesh.cells] @ rule.points.T
+    return float(np.einsum("c,cq,q->", _measures(mesh), vals ** exponent, rule.weights))
 
 
 def _coeff_array(u):

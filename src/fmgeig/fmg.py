@@ -62,6 +62,7 @@ class CorrectionRecord:
     lambda_after: float
     varpi: int
     work_units: int
+    converged: bool          # False: the augmented solve stopped at the varpi cap
     err_a_before: float = np.nan
     err_a_after: float = np.nan
 
@@ -182,6 +183,7 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
         lambda_after=float(res.pair.lam),
         varpi=res.iterations,
         work_units=ws.work.snapshot() - start,
+        converged=res.converged,
     )
     return float(res.pair.lam), u_new, record
 

@@ -123,8 +123,10 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("problem.dim", "must be 2 or 3")
     if p.zeta < 0:
         raise ConfigError("problem.zeta", "must be nonnegative")
-    if p.sigma < 1:
-        raise ConfigError("problem.sigma", "must be a positive integer")
+    if p.sigma != 1:
+        # the frozen nonlinearity u^(2 sigma) needs a rule of degree
+        # 2 sigma + 2; the built-in rules stop at degree 4
+        raise ConfigError("problem.sigma", "only sigma = 1 is supported")
     if p.potential not in POTENTIALS:
         raise ConfigError("problem.potential", f"must be one of {POTENTIALS}")
     if m.divisions_per_axis < 1:
@@ -133,6 +135,14 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("mesh.n_levels", "must be >= 1")
     if m.coarse_space_level < 0:
         raise ConfigError("mesh.coarse_space_level", "must be >= 0")
+    # the first nonlinear solve runs on the first level (FMG studies) or the
+    # finest one (single-solve); with fewer than 2 cells per axis it has no
+    # interior vertex and inverse iteration has nothing to work on
+    solve_refinements = m.coarse_space_level + (
+        m.n_levels - 1 if cfg.study == "single-solve" else 0)
+    if m.divisions_per_axis * 2 ** solve_refinements < 2:
+        raise ConfigError("mesh.divisions_per_axis",
+                          "the first solve level has no interior vertex; use >= 2")
     if a.m < 1:
         raise ConfigError("algorithm.m", "must be >= 1")
     if a.p < 1:
@@ -329,6 +339,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     result = full_multigrid(run_h, spec, params)
     traces = result.traces
 
+    meta["augmented_converged"] = [[r.converged for r in t.records] for t in traces]
     rows = [LevelRow(level=t.level_index + 1, n_elements=t.n_elements, n_dofs=t.n_dofs,
                      lam=t.lam, work_units=t.work_units, wall_seconds=t.wall_seconds,
                      varpi_max=t.varpi_max, gamma_obs=t.gamma_obs)
@@ -415,7 +426,7 @@ def report_to_string(report: ErrorReport, fmt="csv"):
                 else:
                     row[name] = float(_fmt(v))
             rows.append(row)
-        return json.dumps({"rows": rows}, indent=2) + "\n"
+        return json.dumps({"rows": rows, "meta": report.meta}, indent=2) + "\n"
     raise ConfigError("format", f"must be one of {FORMATS}")
 
 

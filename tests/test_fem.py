@@ -3,8 +3,10 @@ from math import factorial, pi
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from fmgeig import fem
 from fmgeig.errors import AssemblyError
 from fmgeig.fem import (
     FeFunction,
@@ -22,7 +24,7 @@ from fmgeig.fem import (
     l2_norm,
     quadrature_rule,
 )
-from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh
+from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, refine
 
 
 LAPLACE_2D = ProblemSpec(dim=2, potential=None, zeta=0.0)
@@ -305,3 +307,154 @@ def test_dump_matrix_roundtrip(tmp_path):
     import scipy.sparse as sp
     B = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).toarray()
     assert np.array_equal(B, A.toarray())
+
+
+# --- fixed-pattern assembly against an independent plain-COO reference ------
+
+def _reference_geometry(mesh):
+    """Barycentric gradients (nc, d+1, d) and measures by inverting the
+    homogeneous vertex matrix of every cell."""
+    coords = mesh.vertices[mesh.cells]
+    B = np.concatenate([np.ones((mesh.n_cells, mesh.dim + 1, 1)), coords], axis=2)
+    grads = np.transpose(np.linalg.inv(B)[:, 1:, :], (0, 2, 1))
+    return grads, np.abs(np.linalg.det(B)) / factorial(mesh.dim)
+
+
+def _moment_tensor(dim, order):
+    """T[k1..k_order] = int over a unit-measure simplex of prod lambda_k,
+    from int lambda^alpha = alpha! d! |K| / (|alpha| + d)!."""
+    n_loc = dim + 1
+    T = np.empty((n_loc,) * order)
+    for ks in product(range(n_loc), repeat=order):
+        alpha = np.bincount(ks, minlength=n_loc)
+        T[ks] = (np.prod([factorial(a) for a in alpha]) * factorial(dim)
+                 / factorial(order + dim))
+    return T
+
+
+def _coo_reference(mesh, local, interior_only):
+    """Dense matrix summed from plain COO triplets, then restricted."""
+    n_loc = mesh.dim + 1
+    rows = np.repeat(mesh.cells, n_loc, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, n_loc)).ravel()
+    A = sp.coo_matrix((local.ravel(), (rows, cols)),
+                      shape=(mesh.n_vertices, mesh.n_vertices)).toarray()
+    if interior_only:
+        idx = mesh.interior_indices
+        A = A[np.ix_(idx, idx)]
+    return A
+
+
+def _assert_matches(assembled, reference):
+    """Every entry within 1e-14 of the largest reference entry: the local
+    matrices come from other formulas and are summed in another order, so
+    the two agree to rounding, not bit for bit."""
+    assert assembled.shape == reference.shape
+    err = np.abs(assembled.toarray() - reference).max()
+    assert err <= 1e-14 * np.abs(reference).max()
+
+
+_DIFFUSION = {2: np.array([[2.0, 0.5], [0.5, 1.0]]),
+              3: np.array([[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.0]])}
+
+
+def _test_mesh(dim):
+    return refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
+
+
+@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stiffness_and_mass_match_coo_reference(dim, interior_only):
+    m = _test_mesh(dim)
+    grads, meas = _reference_geometry(m)
+    D = _DIFFUSION[dim]
+    spec = ProblemSpec(dim=dim, diffusion=D)
+    local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
+    _assert_matches(assemble_stiffness(m, spec, interior_only=interior_only),
+                    _coo_reference(m, local_a, interior_only))
+    local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
+    _assert_matches(assemble_mass(m, interior_only=interior_only),
+                    _coo_reference(m, local_m, interior_only))
+
+
+@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weighted_mass_matches_coo_reference(dim, interior_only, monkeypatch):
+    m = _test_mesh(dim)
+    # analytic weights are evaluated in blocks of cells; cover several blocks
+    # and a ragged last one
+    monkeypatch.setattr(fem, "_FIELD_BLOCK", 17)
+    assert m.n_cells % 17 != 0 and m.n_cells > 2 * 17
+    _, meas = _reference_geometry(m)
+    # analytic weight |x|^2 = sum_kl (x_k . x_l) lambda_k lambda_l on a cell
+    coords = m.vertices[m.cells]
+    gram = np.einsum("ckd,cld->ckl", coords, coords)
+    local = np.einsum("c,ckl,klij->cij", meas, gram, _moment_tensor(dim, 4))
+    _assert_matches(assemble_weighted_mass(m, harmonic_potential, 1,
+                                           interior_only=interior_only),
+                    _coo_reference(m, local, interior_only))
+    # P1 weight, nonzero on the boundary too, at powers 1 and 2
+    w = np.random.default_rng(11).uniform(-1.0, 2.0, m.n_vertices)
+    wc = w[m.cells]
+    local1 = np.einsum("c,ck,kij->cij", meas, wc, _moment_tensor(dim, 3))
+    local2 = np.einsum("c,ck,cl,klij->cij", meas, wc, wc, _moment_tensor(dim, 4))
+    for power, local in ((1, local1), (2, local2)):
+        _assert_matches(assemble_weighted_mass(m, w, power, interior_only=interior_only),
+                        _coo_reference(m, local, interior_only))
+
+
+def _scale_data(A):
+    A.data *= 2.0
+
+
+def _overwrite_indices(A):
+    A.indices[:] = 0
+
+
+def _overwrite_indptr(A):
+    A.indptr[1:] = 0
+
+
+def _zero_then_prune(A):
+    # pruning compacts indices and indptr in place
+    A.data[::3] = 0.0
+    A.eliminate_zeros()
+
+
+@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("mutate", [_scale_data, _overwrite_indices, _overwrite_indptr,
+                                    _zero_then_prune])
+def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, interior_only):
+    m = build_initial_mesh(2, 4)
+    w = np.random.default_rng(2).standard_normal(m.n_vertices)
+    spec = ProblemSpec(dim=2)
+    assemblers = [lambda: assemble_stiffness(m, spec, interior_only=interior_only),
+                  lambda: assemble_mass(m, interior_only=interior_only),
+                  lambda: assemble_weighted_mass(m, w, 2, interior_only=interior_only)]
+    for assemble in assemblers:
+        first = assemble()
+        expected = first.toarray()
+        mutate(first)
+        again = assemble()
+        assert np.array_equal(again.toarray(), expected)
+        assert again.has_sorted_indices
+
+
+def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
+    # after the first assembly on a mesh, a nonlinear reassembly only
+    # refills values: no determinant, inverse, sort-unique or COO->CSR pass
+    m = _test_mesh(3)
+    w = FeFunction(m.level_index, np.random.default_rng(4).standard_normal(m.n_interior))
+    expected = assemble_weighted_mass(m, w, 2).toarray()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("repeated on reassembly")
+
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    monkeypatch.setattr(sp.coo_matrix, "tocsr", forbidden)
+    monkeypatch.setattr(sp.coo_array, "tocsr", forbidden)
+    assert np.array_equal(assemble_weighted_mass(m, w, 2).toarray(), expected)
+    assemble_mass(m)
+    assemble_stiffness(m, ProblemSpec(dim=3))

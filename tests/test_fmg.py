@@ -164,3 +164,15 @@ def test_work_report_shared_and_monotone():
     assert res.work.assemblies > 0
     assert res.work.coarse_solves > 0
     assert res.work.matvec_nonzeros >= sum(t.work_units for t in res.traces)
+
+
+def test_correction_records_tell_converged_from_capped():
+    # with the default cap of 3 sweeps varpi == 3 cannot say whether the
+    # augmented solve converged on its last sweep or stopped at the cap
+    h = build_hierarchy(2, 8, 3)
+    capped = full_multigrid(h, GPE, FmgParams(varpi=1))
+    loose = full_multigrid(h, GPE, FmgParams(varpi=30))
+    for t in capped.traces[1:]:
+        assert [(r.varpi, r.converged) for r in t.records] == [(1, False)]
+    for t in loose.traces[1:]:
+        assert all(r.converged and 1 < r.varpi < 30 for r in t.records)

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmgeig
 from fmgeig import cli
 from fmgeig.errors import ConfigError, SolverError
 from fmgeig.harness import (
@@ -187,6 +190,24 @@ def test_json_roundtrip_bit_for_bit(tmp_path):
     assert row["lambda"] == float(f"{rep.rows[0].lam:.12g}")
 
 
+def test_json_meta_reports_augmented_convergence(tmp_path):
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 8, "n_levels": 3},
+        "algorithm": {"p": 2, "varpi": 30},
+        "study": "work-scaling",
+        "format": "json",
+        "output": str(tmp_path / "out.json"),
+    })
+    run_experiment(cfg)
+    meta = json.loads((tmp_path / "out.json").read_text())["meta"]
+    assert meta["study"] == "work-scaling"
+    assert meta["config"]["algorithm"]["varpi"] == 30
+    # one flag per correction record; level 1 holds the first nonlinear
+    # solve and has none
+    assert meta["augmented_converged"] == [[], [True, True], [True, True]]
+
+
 def test_determinism_ten_digits():
     cfg_dict = {
         "problem": {"dim": 2, "zeta": 1.0},
@@ -251,6 +272,33 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "none.json")]) == 2
 
 
+@pytest.mark.parametrize("config,field", [
+    # the P1 weight^4 of sigma = 2 needs a degree-6 rule
+    ({"problem": {"sigma": 2}}, "problem.sigma"),
+    # one division per axis: the first FMG level has no interior vertex
+    ({"mesh": {"divisions_per_axis": 1}}, "mesh.divisions_per_axis"),
+    ({"mesh": {"divisions_per_axis": 1, "n_levels": 1}, "study": "single-solve"},
+     "mesh.divisions_per_axis"),
+])
+def test_cli_unsolvable_config_exit_2(tmp_path, capsys, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"study": "work-scaling", **config}))
+    assert cli.main(["--config", str(cfg)]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"mesh": {"divisions_per_axis": 1, "n_levels": 2}, "study": "single-solve"},
+    {"mesh": {"divisions_per_axis": 1, "n_levels": 2, "coarse_space_level": 1},
+     "study": "work-scaling"},
+])
+def test_cli_one_division_solvable_exit_0(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.startswith("level,")
+
+
 def test_cli_solver_failure_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise SolverError("forced failure")
@@ -266,7 +314,10 @@ def test_module_entry_point(tmp_path):
         "mesh": {"divisions_per_axis": 4, "n_levels": 1},
         "study": "single-solve",
     }))
+    # the child imports the package under test, however this process found it
+    src = str(Path(fmgeig.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fmgeig", "--config", str(cfg)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("level,")
