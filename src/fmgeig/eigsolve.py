@@ -31,6 +31,7 @@ from .linalg import MgContext, counted_matvec, galerkin_chain, mg_solve_to_tol
 __all__ = [
     "ScfSettings",
     "EigenPair",
+    "ScfSweep",
     "ScfResult",
     "LevelSpace",
     "AugmentedSpace",
@@ -43,6 +44,13 @@ __all__ = [
 
 # above this many dofs the inner linear solves go through Galerkin multigrid
 MG_MIN_DOFS = 30_000
+
+# inexact SCF with iterative inner solves: a sweep's eigensolve tolerance
+# follows the previous sweep's step du as min(FORCING_CAP, FORCING * du),
+# never below the full tolerance (the forcing terms of inexact Newton
+# methods, Eisenstat & Walker, SISC 17, 1996)
+FORCING = 1e-3
+FORCING_CAP = 1e-4
 
 
 @dataclass
@@ -70,12 +78,23 @@ class EigenPair:
 
 
 @dataclass
+class ScfSweep:
+    """One SCF sweep: the eigenvalue change, the M-norm step, and the
+    tolerance its inner eigensolve ran at."""
+
+    delta_lambda: float
+    delta_u: float
+    eig_tol: float
+
+
+@dataclass
 class ScfResult:
     pair: EigenPair
     converged: bool
     iterations: int
     delta_lambda: float = np.nan
     delta_u: float = np.nan
+    history: list = field(default_factory=list)    # one ScfSweep per sweep
 
 
 def apply_sign_convention(x):
@@ -420,9 +439,16 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     Each sweep assembles the frozen-nonlinearity matrix, solves the
     linearized pencil for its smallest pair, damps, and renormalizes; the
     reported eigenvalue is the fully nonlinear Rayleigh quotient of the
-    final iterate.  Hitting max_iter returns converged=False (the augmented
-    solves are capped at 3 sweeps by design); a sustained eigenvalue rise
-    raises SolverError.
+    final iterate.  When the space's inner solves are iterative (multigrid),
+    the SCF is inexact: each sweep's eigensolve tolerance is
+    max(eig_tol, min(FORCING_CAP, FORCING * du)) with du the previous
+    step (FORCING_CAP before the first step), and a sweep that meets the
+    stopping rule counts only if it ran at the full eig_tol, so the
+    converged iterate is as accurate as an exact SCF's.  Direct solves run
+    every sweep at eig_tol.  `history` holds one ScfSweep per sweep.
+    Hitting max_iter returns converged=False (the augmented solves are
+    capped at 3 sweeps by design); a sustained eigenvalue rise raises
+    SolverError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
@@ -432,13 +458,19 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     # below the SCF tolerances, but above the rounding floor of the residual,
     # which grows like sqrt(n) through cancellation in A x - rho M x
     floor = 3e-14 * np.sqrt(M.shape[0])
-    eig_tol = min(1e-10, max(0.01 * settings.tol_lambda, floor))
+    eig_tol = float(min(1e-10, max(0.01 * settings.tol_lambda, floor)))
 
-    def eigensolve(A_lin, warm):
+    def eigensolve(A_lin, warm, forcing_tol=None):
+        """(lambda, x, tolerance used); forcing_tol applies to iterative
+        inner solves only."""
         factory = space.eig_solver_factory(A_lin, work)
-        return smallest_eigpair(A_lin, M, tol=eig_tol, x0=warm,
-                                solver_factory=factory, lower_bound=0.0, work=work,
-                                shift_cap=0.9 if factory is not None else None)
+        tol = eig_tol
+        if factory is not None and forcing_tol is not None:
+            tol = max(eig_tol, forcing_tol)
+        lam, x = smallest_eigpair(A_lin, M, tol=tol, x0=warm,
+                                  solver_factory=factory, lower_bound=0.0, work=work,
+                                  shift_cap=0.9 if factory is not None else None)
+        return lam, x, tol
 
     def make_pair(lam, coeffs):
         level = getattr(space, "fine_level", None)
@@ -449,16 +481,17 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     if zeta == 0.0:
         # the linearized operator does not depend on the iterate: one solve
         warm = _b_normalize(np.asarray(initial, dtype=float), M) if initial is not None else None
-        lam, x = eigensolve(L, warm)
+        lam, x, _ = eigensolve(L, warm)
         if work is not None:
             work.scf_iterations += 1
         return ScfResult(make_pair(lam, x), converged=True, iterations=1,
-                         delta_lambda=0.0, delta_u=0.0)
+                         delta_lambda=0.0, delta_u=0.0,
+                         history=[ScfSweep(0.0, 0.0, eig_tol)])
 
     if initial is not None:
         w = _b_normalize(np.asarray(initial, dtype=float), M)
     else:
-        _, w = eigensolve(L, None)
+        _, w, _ = eigensolve(L, None, FORCING_CAP)
 
     def rayleigh_and_energy(v, Mnl_v):
         quartic = float(v @ (Mnl_v @ v))
@@ -474,11 +507,13 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     converged = False
     iterations = 0
     dlam = du = np.nan
+    history = []
+    forcing_tol = FORCING_CAP
     max_backtracks = 8
 
     for _ in range(settings.max_iter):
         A_lin = L + zeta * Mnl
-        _, x = eigensolve(A_lin, w)
+        _, x, tol = eigensolve(A_lin, w, forcing_tol)
         if float(x @ (M @ w)) < 0:
             x = -x
         # line search on the constrained energy functional (the quantity the
@@ -512,13 +547,18 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         dvec = v - w
         du = float(np.sqrt(max(dvec @ (M @ dvec), 0.0)))
         iterations += 1
+        history.append(ScfSweep(dlam, du, tol))
         if work is not None:
             work.scf_iterations += 1
         w, Mnl, lam, merit = v, Mnl_v, lam_v, merit_v
         if dlam <= settings.tol_lambda and du <= settings.tol_u:
-            converged = True
-            break
+            if tol == eig_tol:
+                converged = True
+                break
+            forcing_tol = eig_tol
+        else:
+            forcing_tol = min(FORCING_CAP, FORCING * du)
 
     w = apply_sign_convention(w)
     return ScfResult(make_pair(lam, w), converged=converged, iterations=iterations,
-                     delta_lambda=dlam, delta_u=du)
+                     delta_lambda=dlam, delta_u=du, history=history)

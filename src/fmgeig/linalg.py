@@ -12,6 +12,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
+_EPS = np.finfo(float).eps
+
 __all__ = [
     "WorkReport",
     "MgContext",
@@ -85,17 +87,24 @@ def direct_solve(A, b, work=None):
     return x
 
 
-def cg_smooth(A, b, x0, steps, work=None):
-    """`steps` plain conjugate gradient steps from x0.
+def cg_smooth(A, b, x0, steps, work=None, r0=None):
+    """`steps` plain conjugate gradient steps from x0; returns the iterate
+    and its recursively updated residual.
 
-    The A-norm error is nonincreasing step by step.  On breakdown (zero
+    x0=None starts from zero, so the first residual is b itself; a caller
+    that already holds r0 = b - A x0 passes it to skip that matvec.  The
+    A-norm error is nonincreasing step by step.  On breakdown (zero
     curvature) the current iterate is returned and the report flagged.
     """
-    x = np.array(x0, dtype=float)
-    r = b - counted_matvec(A, x, work)
+    if x0 is None:
+        x = np.zeros_like(b, dtype=float)
+        r = np.array(b, dtype=float)
+    else:
+        x = np.array(x0, dtype=float)
+        r = np.array(r0, dtype=float) if r0 is not None else b - counted_matvec(A, x, work)
     rr = float(r @ r)
     if rr == 0.0:
-        return x
+        return x, r
     p = r.copy()
     for _ in range(steps):
         Ap = counted_matvec(A, p, work)
@@ -103,16 +112,18 @@ def cg_smooth(A, b, x0, steps, work=None):
         if pAp <= 0.0:
             if work is not None:
                 work.cg_breakdowns += 1
-            return x
+            return x, r
         alpha = rr / pAp
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
         rr_new = float(r @ r)
         if rr_new == 0.0:
-            return x
-        p = r + (rr_new / rr) * p
+            return x, r
+        p *= rr_new / rr
+        p += r
         rr = rr_new
-    return x
+    return x, r
 
 
 @dataclass
@@ -127,6 +138,7 @@ class MgContext:
     post_steps: int = 3
     work: WorkReport = field(default_factory=WorkReport)
     _coarse_lu: object = field(default=None, repr=False)
+    _inf_norms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.matrices) < 1:
@@ -145,6 +157,14 @@ class MgContext:
         self.work.add(self._coarse_lu.L.nnz + self._coarse_lu.U.nnz)
         return self._coarse_lu.solve(b)
 
+    def inf_norm(self, level):
+        """||A||_inf of a level matrix, computed on first use."""
+        if level not in self._inf_norms:
+            A = self.matrices[level]
+            self._inf_norms[level] = float(abs(A).sum(axis=1).max())
+            self.work.add(A.nnz)
+        return self._inf_norms[level]
+
 
 def galerkin_chain(A_fine, prolongations, work=None):
     """Coarsen A recursively with P' A P down the transfer chain; returns the
@@ -160,21 +180,20 @@ def galerkin_chain(A_fine, prolongations, work=None):
     return mats
 
 
-def v_cycle(ctx: MgContext, level, b, x0):
-    """One V-cycle on `level`: pre-smooth, restrict the residual, recurse,
-    prolongate-correct, post-smooth."""
+def v_cycle(ctx: MgContext, level, b, x0=None, r0=None):
+    """One V-cycle on `level`: pre-smooth, restrict the smoother's residual,
+    recurse from a zero guess, prolongate-correct, post-smooth.  x0=None is
+    a zero initial guess; r0, when given, is b - A x0."""
     if level == 0:
         return ctx.coarse_solve(b)
     A = ctx.matrices[level]
     P = ctx.prolongations[level - 1]
-    x = cg_smooth(A, b, x0, ctx.pre_steps, ctx.work)
-    r = b - counted_matvec(A, x, ctx.work)
+    x, r = cg_smooth(A, b, x0, ctx.pre_steps, ctx.work, r0)
     rc = P.T @ r
     ctx.work.add(P.nnz)
-    ec = v_cycle(ctx, level - 1, rc, np.zeros(P.shape[1]))
-    x = x + P @ ec
+    x += P @ v_cycle(ctx, level - 1, rc)
     ctx.work.add(P.nnz)
-    return cg_smooth(A, b, x, ctx.post_steps, ctx.work)
+    return cg_smooth(A, b, x, ctx.post_steps, ctx.work)[0]
 
 
 def mg_solve(ctx: MgContext, level, b, x0, m):
@@ -188,11 +207,13 @@ def mg_solve(ctx: MgContext, level, b, x0, m):
 
 
 def mg_solve_to_tol(ctx: MgContext, level, b, x0, rel_tol, max_cycles=60, strict=True):
-    """V-cycles until ||b - Ax|| <= rel_tol ||b|| (or x0's residual when b=0).
+    """V-cycles until ||b - Ax|| <= rel_tol ||b||; a zero b returns zero.
 
     With strict=False a stagnating iteration returns its best iterate instead
     of raising; callers embedding this in an outer iteration (e.g. inexact
-    inverse iteration) recover the lost accuracy there.
+    inverse iteration) recover the lost accuracy there.  Stagnation is four
+    cycles that fail to halve the residual, or one such cycle once the
+    residual is inside its rounding floor eps ||A||_inf ||x||.
     """
     A = ctx.matrices[level]
     x = np.array(x0, dtype=float)
@@ -201,13 +222,17 @@ def mg_solve_to_tol(ctx: MgContext, level, b, x0, rel_tol, max_cycles=60, strict
         return np.zeros_like(x)
     history = []
     for _ in range(max_cycles):
-        r = np.linalg.norm(b - counted_matvec(A, x, ctx.work))
-        history.append(r)
-        if r <= rel_tol * bnorm:
+        r = b - counted_matvec(A, x, ctx.work)
+        history.append(np.linalg.norm(r))
+        if history[-1] <= rel_tol * bnorm:
             return x
-        if not strict and len(history) >= 5 and history[-1] > 0.5 * history[-5]:
-            return x
-        x = v_cycle(ctx, level, b, x)
+        if not strict and len(history) >= 2:
+            if len(history) >= 5 and history[-1] > 0.5 * history[-5]:
+                return x
+            if (history[-1] > 0.5 * history[-2]
+                    and history[-1] <= _EPS * ctx.inf_norm(level) * np.linalg.norm(x)):
+                return x
+        x = v_cycle(ctx, level, b, x, r)
     r = np.linalg.norm(b - A @ x)
     if r <= rel_tol * bnorm or not strict:
         return x

@@ -23,6 +23,8 @@ from fmgeig.harness import (
 )
 from fmgeig.mesh import build_hierarchy
 
+pytestmark = pytest.mark.slow
+
 GPE = ProblemSpec(dim=2, zeta=1.0)
 LAPLACE = ProblemSpec(dim=2, potential=None, zeta=0.0)
 

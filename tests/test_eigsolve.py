@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fmgeig import eigsolve
 from fmgeig.errors import SolverError
 from fmgeig.eigsolve import (
+    FORCING,
+    FORCING_CAP,
     LevelSpace,
     ScfSettings,
     build_augmented_space,
@@ -282,3 +285,54 @@ def test_scf_strong_nonlinearity_with_damping_fallback():
     res = scf_solve(space, spec, ScfSettings(tol_lambda=1e-10, tol_u=1e-8, max_iter=300))
     assert res.converged
     assert res.pair.lam > 100  # strong repulsion pushes the level well up
+
+
+def test_scf_direct_path_runs_every_sweep_at_full_tolerance():
+    mesh = build_initial_mesh(2, 8)
+    space = LevelSpace.build(mesh, GPE_2D)
+    res = scf_solve(space, GPE_2D, ScfSettings(tol_lambda=1e-12, tol_u=1e-10))
+    assert res.converged
+    assert len(res.history) == res.iterations > 1
+    eig_tol = res.history[-1].eig_tol
+    assert eig_tol < FORCING_CAP
+    assert all(sweep.eig_tol == eig_tol for sweep in res.history)
+    assert res.history[-1].delta_lambda == res.delta_lambda
+    assert res.history[-1].delta_u == res.delta_u
+
+
+def mg_path_scf(monkeypatch, zeta):
+    """SCF on the 64x64 level of build_hierarchy(2, 8, 4) with Galerkin
+    multigrid inner solves, and the same solve with direct inner solves."""
+    spec = ProblemSpec(dim=2, zeta=zeta)
+    h = build_hierarchy(2, 8, 4)
+    prols = [h.interior_prolongation(j) for j in range(h.n_levels - 1)]
+    space = LevelSpace.build(h.levels[-1], spec, prolongations=prols)
+    settings = ScfSettings(tol_lambda=1e-12, tol_u=1e-10, max_iter=300)
+    direct = scf_solve(space, spec, settings)
+    monkeypatch.setattr(eigsolve, "MG_MIN_DOFS", 100)
+    assert space.eig_solver_factory(space.linear_matrix) is not None
+    return scf_solve(space, spec, settings), direct
+
+
+def test_scf_multigrid_path_matches_direct_path(monkeypatch):
+    mg, direct = mg_path_scf(monkeypatch, zeta=10.0)
+    assert mg.converged and direct.converged
+    assert abs(mg.pair.lam - direct.pair.lam) <= 1e-11 * direct.pair.lam
+    # inexact sweeps while the iterate still moves, the full tolerance at the end
+    tols = [sweep.eig_tol for sweep in mg.history]
+    assert tols[0] == FORCING_CAP
+    assert tols[-1] == min(tols) == direct.history[-1].eig_tol
+    for prev, tol in zip(mg.history[:-1], tols[1:]):
+        assert tol == max(tols[-1], min(FORCING_CAP, FORCING * prev.delta_u))
+
+
+def test_scf_converging_sweep_runs_at_full_tolerance(monkeypatch):
+    # a nearly linear problem: the inexact first sweep barely moves the
+    # iterate and meets the stopping rule, which counts only at full tolerance
+    mg, direct = mg_path_scf(monkeypatch, zeta=1e-9)
+    first = mg.history[0]
+    assert first.eig_tol == FORCING_CAP
+    assert first.delta_lambda <= 1e-12 and first.delta_u <= 1e-10
+    assert mg.converged and mg.iterations > 1
+    assert mg.history[-1].eig_tol == direct.history[-1].eig_tol
+    assert abs(mg.pair.lam - direct.pair.lam) <= 1e-11 * direct.pair.lam

@@ -54,7 +54,7 @@ def test_cg_smooth_zero_residual_fixed_point():
     A = ctx.matrices[1]
     rng = np.random.default_rng(2)
     xstar = rng.standard_normal(A.shape[0])
-    out = cg_smooth(A, A @ xstar, xstar, 5)
+    out, _ = cg_smooth(A, A @ xstar, xstar, 5)
     assert np.array_equal(out, xstar)
 
 
@@ -64,7 +64,7 @@ def test_cg_finite_termination():
     A = sp.csr_matrix(B @ B.T + 12 * np.eye(12))
     xstar = rng.standard_normal(12)
     b = A @ xstar
-    out = cg_smooth(A, b, np.zeros(12), 12)
+    out, _ = cg_smooth(A, b, np.zeros(12), 12)
     assert np.linalg.norm(out - xstar) <= 1e-10 * np.linalg.norm(xstar)
 
 
@@ -77,7 +77,7 @@ def test_cg_energy_error_strictly_decreases():
     xstar = direct_solve(A, b)
     errs = [energy(A, xstar)]
     for steps in (1, 2, 3):
-        x = cg_smooth(A, b, np.zeros(9), steps)
+        x, _ = cg_smooth(A, b, np.zeros(9), steps)
         errs.append(energy(A, x - xstar))
     assert all(errs[i + 1] < errs[i] for i in range(3))
 
@@ -203,7 +203,7 @@ def test_work_report_counts_breakdown():
     # indefinite matrix forces a zero/negative curvature direction
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     work = WorkReport()
-    out = cg_smooth(A, np.array([0.0, 1.0]), np.zeros(2), 3, work)
+    out, _ = cg_smooth(A, np.array([0.0, 1.0]), np.zeros(2), 3, work)
     assert work.cg_breakdowns == 1
     assert out.shape == (2,)
 
@@ -211,3 +211,63 @@ def test_work_report_counts_breakdown():
 def test_direct_solve_zero_rhs():
     A = sp.identity(4, format="csr")
     assert np.array_equal(direct_solve(A, np.zeros(4)), np.zeros(4))
+
+
+def test_cg_smooth_zero_start_skips_the_first_matvec():
+    ctx = poisson_context()
+    A = ctx.matrices[2]
+    b = np.random.default_rng(15).standard_normal(A.shape[0])
+    runs = []
+    for x0 in (np.zeros_like(b), None):
+        work = WorkReport()
+        runs.append((cg_smooth(A, b, x0, 3, work), work.work_units))
+    (x_zero, r_zero), w_zero = runs[0]
+    (x_none, r_none), w_none = runs[1]
+    assert np.array_equal(x_none, x_zero) and np.array_equal(r_none, r_zero)
+    assert w_zero - w_none == A.nnz
+
+
+def test_cg_smooth_given_residual_matches_and_is_updated():
+    ctx = poisson_context()
+    A = ctx.matrices[2]
+    rng = np.random.default_rng(16)
+    b = rng.standard_normal(A.shape[0])
+    x0 = rng.standard_normal(A.shape[0])
+    r0 = b - A @ x0
+    x_a, r_a = cg_smooth(A, b, x0, 3)
+    x_b, r_b = cg_smooth(A, b, x0, 3, r0=r0)
+    assert np.array_equal(x_a, x_b) and np.array_equal(r_a, r_b)
+    assert np.array_equal(r0, b - A @ x0)          # inputs are not modified
+    # the recursively updated residual tracks the true one to rounding level
+    assert np.linalg.norm(r_a - (b - A @ x_a)) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_v_cycle_one_coarse_solve_and_zero_start():
+    ctx = poisson_context()
+    A = ctx.matrices[2]
+    b = np.random.default_rng(17).standard_normal(A.shape[0])
+    x_none = v_cycle(ctx, 2, b)
+    assert ctx.work.coarse_solves == 1
+    x_zero = v_cycle(ctx, 2, b, np.zeros_like(b))
+    assert np.array_equal(x_none, x_zero)
+    assert ctx.work.coarse_solves == 2
+
+
+def test_mg_solve_to_tol_stops_at_rounding_floor():
+    ctx = poisson_context()
+    A = ctx.matrices[2]
+    b = np.random.default_rng(14).standard_normal(A.shape[0])
+    eps = np.finfo(float).eps
+    # plain cycling: the residual falls to its rounding floor and stays there
+    y, history = np.zeros_like(b), []
+    for _ in range(25):
+        history.append(np.linalg.norm(b - A @ y))
+        y = v_cycle(ctx, 2, b, y)
+    four_cycle_rule = next(k for k in range(4, 25) if history[k] > 0.5 * history[k - 4])
+    floor = min(history)
+    ctx.work.coarse_solves = 0
+    x = mg_solve_to_tol(ctx, 2, b, np.zeros_like(b), 1e-20, strict=False)
+    res = np.linalg.norm(b - A @ x)
+    assert res <= eps * ctx.inf_norm(2) * np.linalg.norm(x)
+    assert res <= 2 * floor
+    assert ctx.work.coarse_solves < four_cycle_rule
