@@ -32,7 +32,6 @@ def main(argv=None):
         "problem": {"dim": args.dim, "zeta": args.zeta},
         "mesh": {"divisions_per_axis": args.divisions, "n_levels": args.levels},
         "study": "contraction",
-        "seed": args.seed,
         "output": args.out,
     })
     report = run_experiment(cfg)

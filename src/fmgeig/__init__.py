@@ -23,7 +23,7 @@ from .fem import (
     a_norm,
     l2_norm,
 )
-from .linalg import WorkReport, MgContext, cg_smooth, v_cycle, mg_solve, direct_solve
+from .linalg import WorkReport, MgContext, cg_smooth, v_cycle, mg_solve
 from .eigsolve import (
     ScfSettings,
     EigenPair,
@@ -69,7 +69,6 @@ __all__ = [
     "cg_smooth",
     "v_cycle",
     "mg_solve",
-    "direct_solve",
     "ScfSettings",
     "EigenPair",
     "ScfResult",

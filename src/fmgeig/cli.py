@@ -1,7 +1,7 @@
 """Command line entry point.
 
     solve --config cfg.json [--study NAME] [--levels N] [--zeta X] [--dim D]
-          [--out PATH] [--format csv|json] [--seed S]
+          [--out PATH] [--format csv|json]
 
 Flags override config fields.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure.
@@ -34,7 +34,6 @@ def build_parser():
     parser.add_argument("--dim", type=int, help="override problem.dim")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--seed", type=int, help="random seed for sampled studies")
     return parser
 
 
@@ -51,8 +50,6 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.output = args.out
     if args.format is not None:
         cfg.format = args.format
-    if args.seed is not None:
-        cfg.seed = args.seed
     validate_config(cfg)
     return cfg
 

@@ -2,11 +2,12 @@
 
 The self-consistent field (SCF) iteration freezes the nonlinearity at the
 current iterate, solves the linearized generalized eigenproblem for its
-smallest pair, and repeats.  The inner eigensolve is a shifted inverse
-power iteration; systems are factored directly on small spaces and solved
-by Galerkin multigrid above ``MG_MIN_DOFS`` interior dofs.  The augmented
-space (coarse space plus the span of one fine function) reduces every
-matrix through its sparse basis map.
+smallest pair, and repeats.  The augmented space (coarse space plus
+the span of one fine function) reduces every matrix through its sparse
+basis map to a small dense pencil, which LAPACK solves.  On a mesh level
+the inner eigensolve is shifted inverse power iteration; its systems are
+factored directly by sparse LU, or solved by Galerkin multigrid above
+``MG_MIN_DOFS`` interior dofs.
 """
 
 from __future__ import annotations
@@ -104,96 +105,58 @@ def apply_sign_convention(x):
 
 
 def _factorized_pencil_solver(A, M, work=None):
-    dense = isinstance(A, np.ndarray)
-
     def factory(mu):
-        if dense:
-            lu_piv = scipy.linalg.lu_factor(A - mu * M)
+        lu = spla.splu(sp.csc_matrix(A - mu * M))
 
-            def solve(rhs, x0=None, rel_tol=None):
-                if work is not None:
-                    work.add(A.shape[0] ** 2)
-                return scipy.linalg.lu_solve(lu_piv, rhs)
-        else:
-            lu = spla.splu(sp.csc_matrix(A - mu * M))
-
-            def solve(rhs, x0=None, rel_tol=None):
-                if work is not None:
-                    work.add(lu.L.nnz + lu.U.nnz)
-                return lu.solve(rhs)
+        def solve(rhs, x0=None, rel_tol=None):
+            if work is not None:
+                work.add(lu.L.nnz + lu.U.nnz)
+            return lu.solve(rhs)
 
         return solve
 
     return factory
 
 
-def _spectral_bounds(A, M, work=None):
-    """Power-iteration estimates of the extreme pencil eigenvalues; used only
-    when the caller cannot certify a lower bound."""
-    n = A.shape[0]
-    if isinstance(M, np.ndarray):
-        M_lu = scipy.linalg.lu_factor(M)
-        m_solve = lambda r: scipy.linalg.lu_solve(M_lu, r)
-    else:
-        lu = spla.splu(sp.csc_matrix(M))
-        m_solve = lu.solve
-    rng = np.random.default_rng(1234)
-
-    def dominant(op):
-        x = rng.standard_normal(n)
-        x /= np.sqrt(abs(x @ (M @ x)))
-        val = 0.0
-        for _ in range(50):
-            y = op(x)
-            nrm = np.sqrt(abs(y @ (M @ y)))
-            if nrm == 0.0:
-                return 0.0
-            x = y / nrm
-            val = float(x @ (M @ op(x))) / float(x @ (M @ x))
-        return val
-
-    radius = abs(dominant(lambda v: m_solve(counted_matvec(A, v, work))))
-    shifted = dominant(lambda v: radius * v - m_solve(counted_matvec(A, v, work)))
-    lam_min = radius - shifted
-    return lam_min, radius
-
-
 def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, solver_factory=None,
                      lower_bound=None, work=None, shift_cap=None):
     """Algebraically smallest eigenpair of A x = lambda M x (A symmetric,
-    M SPD) by shifted inverse power iteration.
+    M SPD), returned as (lambda, x) with x' M x = 1 and the largest-magnitude
+    entry of x positive.
 
-    Returns (lambda, x) with x' M x = 1, the largest-magnitude entry of x
-    positive, and ||A x - lambda M x|| <= tol ||A x||.  `solver_factory(mu)`
+    Dense pencils (the augmented spaces) are solved by LAPACK through
+    scipy.linalg.eigh, counted as A.size + M.size work units; the remaining
+    arguments do not apply to them.  Sparse pencils run shifted inverse
+    power iteration until ||A x - lambda M x|| <= tol ||A x||, starting
+    from the shift `lower_bound`, which the caller must certify as
+    <= lambda_min (all SPD PDE pencils here pass 0).  `solver_factory(mu)`
     must return a callable solving (A - mu M) y = rhs; the default factors
-    the shifted matrix directly.  `lower_bound` certifies lambda_min >= value
-    and skips the spectral probe (all SPD PDE pencils here pass 0).
-    `shift_cap` limits the shift to that fraction of the Rayleigh quotient;
-    iterative inner solvers need it to keep the shifted system well away
-    from singular.
+    the shifted matrix by sparse LU.  `shift_cap` limits the shift to that
+    fraction of the Rayleigh quotient; iterative inner solvers need it to
+    keep the shifted system well away from singular.
     """
-    n = A.shape[0]
     if M.shape != A.shape:
         raise ValueError("pencil matrices must have equal shape")
-    if n == 1:
-        m00 = M[0, 0] if isinstance(M, np.ndarray) else M.toarray()[0, 0]
-        a00 = A[0, 0] if isinstance(A, np.ndarray) else A.toarray()[0, 0]
-        return a00 / m00, np.array([1.0 / np.sqrt(m00)])
+    if not sp.issparse(A):
+        if work is not None:
+            work.add(A.size + M.size)
+        lam, vecs = scipy.linalg.eigh(A, M, subset_by_index=[0, 0])
+        return float(lam[0]), apply_sign_convention(vecs[:, 0])
+    if lower_bound is None:
+        raise ValueError("sparse pencils need a certified lower_bound on the smallest eigenvalue")
 
     if solver_factory is None:
         solver_factory = _factorized_pencil_solver(A, M, work)
-    if lower_bound is None:
-        lam_min_est, radius = _spectral_bounds(A, M, work)
-        mu = lam_min_est - 0.1 * max(radius - lam_min_est, abs(lam_min_est), 1e-30)
-    else:
-        mu = float(lower_bound)
-
-    x = np.array(x0, dtype=float) if x0 is not None else np.ones(n)
-    nrm = np.sqrt(x @ (M @ x))
+    mu = float(lower_bound)
+    x = np.array(x0, dtype=float) if x0 is not None else np.ones(A.shape[0])
+    Mx = counted_matvec(M, x, work)
+    nrm = np.sqrt(x @ Mx)
     if nrm == 0.0:
-        x = np.ones(n)
-        nrm = np.sqrt(x @ (M @ x))
+        x = np.ones(A.shape[0])
+        Mx = counted_matvec(M, x, work)
+        nrm = np.sqrt(x @ Mx)
     x = x / nrm
+    Mx = Mx / nrm
 
     solve = solver_factory(mu)
     rho = float(x @ counted_matvec(A, x, work))
@@ -201,17 +164,17 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, solver_factory=None
     res_at_last_shift = np.inf
 
     for _ in range(max_iter):
-        Mx = counted_matvec(M, x, work)
         scale = max(rho - mu, 1e-300)
         y = solve(Mx, x0=x / scale, rel_tol=max(0.02 * tol, min(1e-2, 0.1 * best_res)))
         if y @ Mx < 0:
             y = -y
-        nrm = np.sqrt(max(y @ (M @ y), 0.0))
+        My = counted_matvec(M, y, work)
+        nrm = np.sqrt(max(y @ My, 0.0))
         if nrm == 0.0 or not np.isfinite(nrm):
             raise SolverError("inverse iteration produced a null vector", residual=best_res)
         x = y / nrm
+        Mx = My / nrm
         Ax = counted_matvec(A, x, work)
-        Mx = counted_matvec(M, x, work)
         rho = float(x @ Ax)
         res = float(np.linalg.norm(Ax - rho * Mx))
         axn = float(np.linalg.norm(Ax))

@@ -31,13 +31,10 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_weighted_mass",
-    "assemble_load",
     "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
-    "integrate_power",
     "full_values",
-    "dump_matrix",
 ]
 
 _FIELD_BLOCK = 1 << 16
@@ -158,6 +155,7 @@ def _cached(mesh: MeshLevel, key, build):
 
 
 def _checked_measures(mesh):
+    """Unsigned cell measures (nc,); a degenerate cell raises AssemblyError."""
     measures = cell_measures(mesh)
     bad = np.flatnonzero(measures < 1e-14 * mesh.mesh_size ** mesh.dim)
     if bad.size:
@@ -165,17 +163,12 @@ def _checked_measures(mesh):
     return measures
 
 
-def _measures(mesh: MeshLevel):
-    """Unsigned cell measures (nc,), checked for degenerate cells once per mesh."""
-    return _cached(mesh, "_fem_measures", _checked_measures)
-
-
 def _measures_and_pattern(mesh: MeshLevel, interior_only):
     """Cell measures and the CSR pattern of the mesh, each built once per mesh.
     The cell check runs first, so a degenerate cell is reported before any
     pattern is built; callers fetch both before computing local matrices so
     the pattern's one-time temporaries never coexist with them."""
-    measures = _measures(mesh)
+    measures = _cached(mesh, "_fem_measures", _checked_measures)
     key = "_fem_pattern_interior" if interior_only else "_fem_pattern_full"
     return measures, _cached(mesh, key, lambda m: _build_pattern(m, interior_only))
 
@@ -333,16 +326,6 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
     return _assemble(pattern, local, work)
 
 
-def assemble_load(mesh: MeshLevel, func, interior_only=True):
-    """Vector of (f, v) for an analytic f, by the built-in volume rule."""
-    rule = _RULES[mesh.dim]
-    vals = _field_at_qpoints(mesh, func, rule)
-    local = np.einsum("c,cq,q,qi->ci", _measures(mesh), vals, rule.weights, rule.points)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.cells.ravel(), local.ravel())
-    return out[mesh.interior_indices] if interior_only else out
-
-
 def full_values(mesh: MeshLevel, interior_coeffs):
     """Zero-extend interior coefficients to all vertices."""
     interior_coeffs = np.asarray(interior_coeffs, dtype=float)
@@ -351,16 +334,6 @@ def full_values(mesh: MeshLevel, interior_coeffs):
     out = np.zeros(mesh.n_vertices)
     out[mesh.interior_indices] = interior_coeffs
     return out
-
-
-def integrate_power(mesh: MeshLevel, vertex_values, exponent):
-    """Integral of u^exponent for P1 u given by full vertex values; exact for
-    exponent <= 4 with the built-in rules."""
-    rule = _RULES[mesh.dim]
-    if exponent > rule.degree:
-        raise AssemblyError(f"integrating u^{exponent} needs a degree {exponent} rule")
-    vals = vertex_values[mesh.cells] @ rule.points.T
-    return float(np.einsum("c,cq,q->", _measures(mesh), vals ** exponent, rule.weights))
 
 
 def _coeff_array(u):
@@ -395,11 +368,3 @@ def l2_norm(u, mass):
     if mass.shape[1] != c.shape[0]:
         raise ValueError("dimension mismatch between vector and matrix")
     return float(np.sqrt(max(c @ (mass @ c), 0.0)))
-
-
-def dump_matrix(A, path):
-    """Coordinate text dump, one `row col value` line per stored nonzero."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w") as f:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{int(r)} {int(c)} {repr(float(v))}\n")

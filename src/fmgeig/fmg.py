@@ -120,12 +120,12 @@ class FmgWorkspace:
         self.level_spaces = []
         self.setup_work = []
         for k, mesh in enumerate(hierarchy.levels):
-            before = self.work.snapshot()
+            before = self.work.work_units
             prols = [hierarchy.interior_prolongation(j) for j in range(k)]
             self.level_spaces.append(
                 LevelSpace.build(mesh, spec, work=self.work, prolongations=prols,
                                  pre_steps=params.pre_smooth, post_steps=params.post_smooth))
-            self.setup_work.append(self.work.snapshot() - before)
+            self.setup_work.append(self.work.work_units - before)
         self.mg = MgContext(
             matrices=[ls.stiffness for ls in self.level_spaces],
             prolongations=[hierarchy.interior_prolongation(k)
@@ -165,7 +165,7 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
         raise ValueError("corrections run on levels 1 .. n-1")
     params = ws.params
     ops = ws.level_spaces[level]
-    start = ws.work.snapshot()
+    start = ws.work.work_units
 
     rhs = _aux_rhs(ws, level, lam, u)
     u_tilde = mg_solve(ws.mg, level, rhs, u, params.m)
@@ -182,7 +182,7 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
         lambda_before=float(lam),
         lambda_after=float(res.pair.lam),
         varpi=res.iterations,
-        work_units=ws.work.snapshot() - start,
+        work_units=ws.work.work_units - start,
         converged=res.converged,
     )
     return float(res.pair.lam), u_new, record
@@ -212,7 +212,7 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
     direct = {}
 
     t0 = time.perf_counter()
-    mark = ws.work.snapshot()
+    mark = ws.work.work_units
     res1 = scf_solve(ws.level_spaces[0], spec, params.scf, work=ws.work)
     lam, u = res1.pair.lam, res1.pair.u.coefficients
     if params.record_diagnostics:
@@ -223,7 +223,7 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
         n_dofs=hierarchy.levels[0].n_interior,
         lam=lam,
         records=[],
-        work_units=ws.work.snapshot() - mark + ws.setup_work[0],
+        work_units=ws.work.work_units - mark + ws.setup_work[0],
         wall_seconds=time.perf_counter() - t0,
         coefficients=u,
         direct_lambda=direct[0][0] if params.record_diagnostics else np.nan,
@@ -231,7 +231,7 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
 
     for k in range(1, hierarchy.n_levels):
         t0 = time.perf_counter()
-        mark = ws.work.snapshot()
+        mark = ws.work.work_units
         u = counted_matvec(ws.hierarchy.interior_prolongation(k - 1), u, ws.work)
         if params.record_diagnostics:
             warm = direct.get(k - 1)
@@ -252,7 +252,7 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
             n_dofs=hierarchy.levels[k].n_interior,
             lam=lam,
             records=records,
-            work_units=ws.work.snapshot() - mark + ws.setup_work[k],
+            work_units=ws.work.work_units - mark + ws.setup_work[k],
             wall_seconds=time.perf_counter() - t0,
             coefficients=u,
             direct_lambda=direct[k][0] if params.record_diagnostics else np.nan,

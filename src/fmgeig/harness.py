@@ -37,8 +37,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-CSV_HEADER = ("level,n_elements,n_dofs,lambda,err_lambda,err_a,err_l2,"
-              "rate_lambda,rate_a,rate_l2,work_units,wall_seconds,varpi_max,gamma_obs")
+_COLUMNS = ("level", "n_elements", "n_dofs", "lambda", "err_lambda", "err_a",
+            "err_l2", "rate_lambda", "rate_a", "rate_l2", "work_units",
+            "wall_seconds", "varpi_max", "gamma_obs")
+CSV_HEADER = ",".join(_COLUMNS)
 
 STUDIES = ("convergence", "contraction", "work-scaling", "single-solve")
 POTENTIALS = ("none", "harmonic")
@@ -86,7 +88,6 @@ class ExperimentConfig:
     reference_tol: float = 1e-12
     output: str | None = None
     format: str = "csv"
-    seed: int = 0
 
 
 def _fill_section(cls, data, path):
@@ -399,34 +400,15 @@ def _fmt(value):
     return f"{v:.12g}"
 
 
-_COLUMNS = ("level", "n_elements", "n_dofs", "lambda", "err_lambda", "err_a",
-            "err_l2", "rate_lambda", "rate_a", "rate_l2", "work_units",
-            "wall_seconds", "varpi_max", "gamma_obs")
-
-
 def report_to_string(report: ErrorReport, fmt="csv"):
+    rows = list(zip(*(report.column(name) for name in _COLUMNS)))
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in report.rows:
-            vals = [r.level, r.n_elements, r.n_dofs, r.lam, r.err_lambda, r.err_a,
-                    r.err_l2, r.rate_lambda, r.rate_a, r.rate_l2, r.work_units,
-                    r.wall_seconds, r.varpi_max, r.gamma_obs]
-            lines.append(",".join(_fmt(v) for v in vals))
+        lines = [CSV_HEADER] + [",".join(_fmt(v) for v in vals) for vals in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        rows = []
-        for r in report.rows:
-            vals = [r.level, r.n_elements, r.n_dofs, r.lam, r.err_lambda, r.err_a,
-                    r.err_l2, r.rate_lambda, r.rate_a, r.rate_l2, r.work_units,
-                    r.wall_seconds, r.varpi_max, r.gamma_obs]
-            row = {}
-            for name, v in zip(_COLUMNS, vals):
-                if isinstance(v, (int, np.integer)):
-                    row[name] = int(v)
-                else:
-                    row[name] = float(_fmt(v))
-            rows.append(row)
-        return json.dumps({"rows": rows, "meta": report.meta}, indent=2) + "\n"
+        records = [{name: int(v) if isinstance(v, (int, np.integer)) else float(_fmt(v))
+                    for name, v in zip(_COLUMNS, vals)} for vals in rows]
+        return json.dumps({"rows": records, "meta": report.meta}, indent=2) + "\n"
     raise ConfigError("format", f"must be one of {FORMATS}")
 
 

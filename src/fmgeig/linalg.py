@@ -18,7 +18,6 @@ __all__ = [
     "WorkReport",
     "MgContext",
     "counted_matvec",
-    "direct_solve",
     "cg_smooth",
     "v_cycle",
     "mg_solve",
@@ -31,60 +30,30 @@ __all__ = [
 class WorkReport:
     """Counters for the linear-complexity bookkeeping.
 
-    ``matvec_nonzeros`` is the single work-unit tally; every traversal of a
-    stored nonzero (matvec, transfer, triple product, factor application)
-    and every generated local assembly entry adds to it.  The remaining
-    fields count events.
+    ``work_units`` is the single work tally; every traversal of a stored
+    nonzero (matvec, transfer, triple product, factor application) and
+    every generated local assembly entry adds to it.  The remaining fields
+    count events.
     """
 
-    matvec_nonzeros: int = 0
+    work_units: int = 0
     assemblies: int = 0
     coarse_solves: int = 0
     scf_iterations: int = 0
     cg_breakdowns: int = 0
 
     def add(self, n):
-        self.matvec_nonzeros += int(n)
+        self.work_units += int(n)
 
     def count_assembly(self, entries):
-        self.matvec_nonzeros += int(entries)
+        self.work_units += int(entries)
         self.assemblies += 1
-
-    @property
-    def work_units(self):
-        return self.matvec_nonzeros
-
-    def snapshot(self):
-        return self.matvec_nonzeros
 
 
 def counted_matvec(A, x, work=None):
     if work is not None:
         work.add(A.nnz if sp.issparse(A) else A.size)
     return A @ x
-
-
-def direct_solve(A, b, work=None):
-    """Sparse factorization solve with one refinement step; the residual
-    contract ||Ax - b|| <= 1e-12 ||b|| is checked and enforced."""
-    b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    lu = spla.splu(sp.csc_matrix(A))
-    x = lu.solve(b)
-    r = b - A @ x
-    if np.linalg.norm(r) > 1e-13 * bnorm:
-        x = x + lu.solve(r)
-        r = b - A @ x
-    if work is not None:
-        work.add(lu.L.nnz + lu.U.nnz + 2 * A.nnz)
-    res = np.linalg.norm(r)
-    if res > 1e-12 * bnorm:
-        raise SolverError(
-            f"direct solve residual {res:.3e} above 1e-12 * ||b|| = {1e-12 * bnorm:.3e}",
-            residual=res)
-    return x
 
 
 def cg_smooth(A, b, x0, steps, work=None, r0=None):

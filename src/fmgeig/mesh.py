@@ -27,7 +27,6 @@ __all__ = [
     "prolongation",
     "interior_prolongation",
     "cell_measures",
-    "dump_mesh",
 ]
 
 BOUNDARY_TOL = 1e-12
@@ -375,14 +374,3 @@ def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0, box=None
         coarse_chain=transfers[:coarse_offset],
         coarse_intermediates=chain[1:coarse_offset],
     )
-
-
-def dump_mesh(mesh: MeshLevel, path):
-    """Plain-text dump: one vertex per line, then one cell per line (0-based)."""
-    with open(path, "w") as f:
-        f.write(f"# vertices {mesh.n_vertices}\n")
-        for v in mesh.vertices:
-            f.write(" ".join(repr(float(x)) for x in v) + "\n")
-        f.write(f"# cells {mesh.n_cells}\n")
-        for c in mesh.cells:
-            f.write(" ".join(str(int(i)) for i in c) + "\n")

@@ -3,6 +3,7 @@ from math import pi
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from fmgeig import eigsolve
 from fmgeig.errors import SolverError
@@ -56,29 +57,46 @@ def test_smallest_eigpair_identity_pencil():
 
 
 def test_smallest_eigpair_matches_dense_oracle():
-    # dense full-spectrum oracle built first; implementation must match to 1e-8
+    # dense full-spectrum oracle built first; the dense pencil (LAPACK) and a
+    # sparse SPD pencil (inverse iteration from the bound 0) must match to 1e-8
     for seed in range(8):
         A, M = random_pencil(seed, 20)
-        target = scipy.linalg.eigh(A, M, eigvals_only=True)[0]
-        lam, x = smallest_eigpair(A, M, tol=1e-10)
-        assert lam == pytest.approx(target, abs=1e-8)
-        assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
-        res = np.linalg.norm(A @ x - lam * (M @ x))
-        assert res <= 1e-10 * np.linalg.norm(A @ x)
+        for A_k, sparse in ((A, False), (A @ A.T + np.eye(20), True)):
+            target = scipy.linalg.eigh(A_k, M, eigvals_only=True)[0]
+            if sparse:
+                lam, x = smallest_eigpair(sp.csr_matrix(A_k), sp.csr_matrix(M), tol=1e-10,
+                                          lower_bound=0.0)
+            else:
+                lam, x = smallest_eigpair(A_k, M, tol=1e-10)
+            assert lam == pytest.approx(target, abs=1e-8)
+            assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
+            res = np.linalg.norm(A_k @ x - lam * (M @ x))
+            assert res <= 1e-10 * np.linalg.norm(A_k @ x)
 
 
 def test_smallest_eigpair_sparse_input():
-    import scipy.sparse as sp
     A, M = random_pencil(77, 30)
     target = scipy.linalg.eigh(A, M, eigvals_only=True)[0]
-    lam, _ = smallest_eigpair(sp.csr_matrix(A), sp.csr_matrix(M), tol=1e-10)
+    # M = QQ' + 30 I, so x'Ax / x'Mx >= -||A||_2 / 30 certifies the bound
+    bound = -np.linalg.norm(A, 2) / 30
+    lam, _ = smallest_eigpair(sp.csr_matrix(A), sp.csr_matrix(M), tol=1e-10,
+                              lower_bound=bound)
     assert lam == pytest.approx(target, abs=1e-8)
 
 
+def test_smallest_eigpair_sparse_needs_lower_bound():
+    A, M = random_pencil(3, 25)
+    with pytest.raises(ValueError, match="lower_bound"):
+        smallest_eigpair(sp.csr_matrix(A @ A.T), sp.csr_matrix(M))
+
+
 def test_smallest_eigpair_nonconvergence_raises():
+    # LAPACK does not iterate; the sparse inverse iteration reports its
+    # best residual when it runs out of steps
     A, M = random_pencil(3, 25)
     with pytest.raises(SolverError) as err:
-        smallest_eigpair(A, M, tol=1e-14, max_iter=1)
+        smallest_eigpair(sp.csr_matrix(A @ A.T), sp.csr_matrix(M), tol=1e-14,
+                         max_iter=1, lower_bound=0.0)
     assert err.value.residual is not None
 
 

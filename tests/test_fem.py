@@ -13,18 +13,15 @@ from fmgeig.fem import (
     ProblemSpec,
     a_norm,
     apply_nonlinear_residual,
-    assemble_load,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    dump_matrix,
     full_values,
     harmonic_potential,
-    integrate_power,
     l2_norm,
     quadrature_rule,
 )
-from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, refine
+from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, cell_measures, refine
 
 
 LAPLACE_2D = ProblemSpec(dim=2, potential=None, zeta=0.0)
@@ -271,12 +268,26 @@ def test_assumption_a_witness_bounded():
     assert worst <= 0.01
 
 
+def _integrate_power(mesh, vertex_values, exponent):
+    """Integral of u^exponent for P1 u given by full vertex values, by the
+    degree-4 volume rule: exact for exponent <= 4."""
+    rule = quadrature_rule(mesh.dim)
+    vals = vertex_values[mesh.cells] @ rule.points.T
+    return float(np.einsum("c,cq,q->", cell_measures(mesh), vals ** exponent, rule.weights))
+
+
 def test_integrate_power_against_analytic():
-    # u = x on [0,1]^2: int x^2 = 1/3, int x^4 = 1/5, both exact for P1.
+    # u = x on [0,1]^2 over all vertices: int x^2 = 1/3 and int x^4 = 1/5,
+    # both exact for P1 with the degree-4 rule, by quadrature and through
+    # the quadratic forms u'Mu and u'M_{u^2}u
     m = build_initial_mesh(2, 3)
-    vals = m.vertices[:, 0]
-    assert integrate_power(m, vals, 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
-    assert integrate_power(m, vals, 4) == pytest.approx(1.0 / 5.0, rel=1e-13)
+    u = m.vertices[:, 0]
+    assert _integrate_power(m, u, 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert _integrate_power(m, u, 4) == pytest.approx(1.0 / 5.0, rel=1e-13)
+    M = assemble_mass(m, interior_only=False)
+    Mu2 = assemble_weighted_mass(m, u, 2, interior_only=False)
+    assert u @ (M @ u) == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert u @ (Mu2 @ u) == pytest.approx(1.0 / 5.0, rel=1e-13)
 
 
 def test_integrate_power_matches_weighted_mass_quadratic_form():
@@ -284,29 +295,7 @@ def test_integrate_power_matches_weighted_mass_quadratic_form():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(m.n_interior)
     Mu2 = assemble_weighted_mass(m, FeFunction(0, u), 2)
-    assert u @ (Mu2 @ u) == pytest.approx(integrate_power(m, full_values(m, u), 4), rel=1e-12)
-
-
-def test_assemble_load_constant():
-    m = build_initial_mesh(2, 2)
-    f = assemble_load(m, lambda x: np.ones(len(x)), interior_only=False)
-    assert f.sum() == pytest.approx(1.0, rel=1e-13)
-
-
-def test_dump_matrix_roundtrip(tmp_path):
-    m = build_initial_mesh(2, 3)
-    A = assemble_stiffness(m, LAPLACE_2D)
-    path = tmp_path / "mat.txt"
-    dump_matrix(A, path)
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    import scipy.sparse as sp
-    B = sp.coo_matrix((vals, (rows, cols)), shape=A.shape).toarray()
-    assert np.array_equal(B, A.toarray())
+    assert u @ (Mu2 @ u) == pytest.approx(_integrate_power(m, full_values(m, u), 4), rel=1e-12)
 
 
 # --- fixed-pattern assembly against an independent plain-COO reference ------

@@ -163,7 +163,7 @@ def test_work_report_shared_and_monotone():
     assert res.work.scf_iterations > 0
     assert res.work.assemblies > 0
     assert res.work.coarse_solves > 0
-    assert res.work.matvec_nonzeros >= sum(t.work_units for t in res.traces)
+    assert res.work.work_units >= sum(t.work_units for t in res.traces)
 
 
 def test_correction_records_tell_converged_from_capped():

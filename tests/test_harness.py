@@ -321,3 +321,29 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("level,")
+
+
+def test_public_names_and_benchmark_span_targets_resolve(monkeypatch):
+    # every exported name exists, and every function and method that the
+    # benchmark's tracer (perfbench/spans.py) wraps is still defined where
+    # the tracer looks for it, so a deletion cannot break traced runs
+    import importlib.util
+    from fmgeig import eigsolve, fem, fmg, harness, linalg, mesh
+
+    for module in (fmgeig, eigsolve, fem, fmg, harness, linalg, mesh):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    found = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(found)
+    monkeypatch.setitem(sys.modules, found.name, spans)
+    found.loader.exec_module(spans)
+    for home, attr, _, _ in spans._function_targets(fmgeig):
+        assert callable(getattr(home, attr, None)), f"{home.__name__}.{attr}"
+    for cls, attr, _ in spans._method_targets(fmgeig):
+        assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+    original = eigsolve.smallest_eigpair
+    with spans.Tracer(fmgeig):
+        assert eigsolve.smallest_eigpair is not original
+    assert eigsolve.smallest_eigpair is original

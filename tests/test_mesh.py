@@ -7,7 +7,6 @@ from fmgeig.mesh import (
     build_hierarchy,
     build_initial_mesh,
     cell_measures,
-    dump_mesh,
     interior_prolongation,
     prolongation,
     refine,
@@ -279,16 +278,3 @@ def test_coarse_offset_hierarchy():
     full = np.zeros(h.coarse.n_vertices)
     full[coarse_int] = vals
     assert np.allclose(lifted, (P_full @ full)[fine_int])
-
-
-def test_dump_mesh_roundtrip(tmp_path):
-    m = build_initial_mesh(2, 2)
-    path = tmp_path / "mesh.txt"
-    dump_mesh(m, path)
-    lines = path.read_text().strip().splitlines()
-    vert_lines = [l for l in lines if not l.startswith("#")][: m.n_vertices]
-    verts = np.array([[float(x) for x in l.split()] for l in vert_lines])
-    assert np.array_equal(verts, m.vertices)
-    cell_lines = [l for l in lines if not l.startswith("#")][m.n_vertices:]
-    cells = np.array([[int(x) for x in l.split()] for l in cell_lines])
-    assert np.array_equal(cells, m.cells)
