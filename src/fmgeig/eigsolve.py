@@ -2,7 +2,8 @@
 
 The self-consistent field (SCF) iteration freezes the nonlinearity at the
 current iterate, solves the linearized generalized eigenproblem for its
-smallest pair, and repeats.  The augmented space (coarse space plus
+smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
+under an energy line search.  The augmented space (coarse space plus
 the span of one fine function) reduces every matrix through its sparse
 basis map to a small dense pencil, which LAPACK solves.  On a mesh level
 the inner eigensolve is shifted inverse power iteration; its systems are
@@ -53,6 +54,11 @@ MG_MIN_DOFS = 30_000
 FORCING = 1e-3
 FORCING_CAP = 1e-4
 
+# full-level SCFs mix each step with the last ANDERSON_DEPTH differences of
+# iterates and fixed-point residuals (Anderson mixing: Pulay, Chem. Phys.
+# Lett. 73, 1980; Walker & Ni, SINUM 49, 2011)
+ANDERSON_DEPTH = 5
+
 
 @dataclass
 class ScfSettings:
@@ -80,11 +86,13 @@ class EigenPair:
 
 @dataclass
 class ScfSweep:
-    """One SCF sweep: the eigenvalue change, the M-norm step, and the
-    tolerance its inner eigensolve ran at."""
+    """One SCF sweep: the eigenvalue change, the M-norm step, the M-norm
+    fixed-point residual ||x - w|| the stopping rule and the forcing read,
+    and the tolerance its inner eigensolve ran at."""
 
     delta_lambda: float
     delta_u: float
+    residual: float
     eig_tol: float
 
 
@@ -399,19 +407,32 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
               initial=None, work=None) -> ScfResult:
     """Self-consistent field iteration on a level or augmented space.
 
-    Each sweep assembles the frozen-nonlinearity matrix, solves the
-    linearized pencil for its smallest pair, damps, and renormalizes; the
-    reported eigenvalue is the fully nonlinear Rayleigh quotient of the
-    final iterate.  When the space's inner solves are iterative (multigrid),
-    the SCF is inexact: each sweep's eigensolve tolerance is
-    max(eig_tol, min(FORCING_CAP, FORCING * du)) with du the previous
-    step (FORCING_CAP before the first step), and a sweep that meets the
-    stopping rule counts only if it ran at the full eig_tol, so the
-    converged iterate is as accurate as an exact SCF's.  Direct solves run
-    every sweep at eig_tol.  `history` holds one ScfSweep per sweep.
-    Hitting max_iter returns converged=False (the augmented solves are
-    capped at 3 sweeps by design); a sustained eigenvalue rise raises
-    SolverError.
+    Each sweep assembles the frozen-nonlinearity matrix at the iterate w,
+    solves the linearized pencil for its smallest pair x, and takes a step
+    towards x; the reported eigenvalue is the fully nonlinear Rayleigh
+    quotient of the final iterate.  The step is safeguarded by the energy
+    functional: a damped step w + alpha (x - w), renormalized in M, is
+    halved until the energy stops rising.  On a mesh level (LevelSpace) the
+    sweep first tries an Anderson-mixed step built from the fixed-point
+    residual f = x - w and the last ANDERSON_DEPTH differences of iterates
+    and residuals (a least-squares fit of f); it is accepted only if the
+    energy does not rise, and otherwise the mixing history is cleared and
+    the damped step runs.  Augmented spaces take the damped step only.
+
+    The stopping rule reads the plain residual ||x - w||_M of the sweep,
+    not the accepted (mixed or damped) step: the SCF stops once the
+    eigenvalue change is below tol_lambda and the residual below tol_u on
+    a sweep whose inner eigensolve ran at the full eig_tol.  When the
+    space's inner solves are iterative (multigrid), the SCF is inexact:
+    each sweep's eigensolve tolerance is max(eig_tol, min(FORCING_CAP,
+    FORCING * r)) with r the previous sweep's residual (FORCING_CAP before
+    the first sweep), and a sweep that meets the stopping rule below the
+    full tolerance is followed by one at eig_tol, with the mixing history
+    cleared.  Direct solves run every
+    sweep at eig_tol.  `history` holds one ScfSweep per sweep.  Hitting
+    max_iter returns converged=False (the augmented solves are capped at 3
+    sweeps by design); an energy that rises on three consecutive sweeps
+    raises SolverError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
@@ -449,7 +470,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
             work.scf_iterations += 1
         return ScfResult(make_pair(lam, x), converged=True, iterations=1,
                          delta_lambda=0.0, delta_u=0.0,
-                         history=[ScfSweep(0.0, 0.0, eig_tol)])
+                         history=[ScfSweep(0.0, 0.0, 0.0, eig_tol)])
 
     if initial is not None:
         w = _b_normalize(np.asarray(initial, dtype=float), M)
@@ -473,29 +494,57 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     history = []
     forcing_tol = FORCING_CAP
     max_backtracks = 8
+    mixing = isinstance(space, LevelSpace)
+    if mixing:
+        # ring buffer of the last differences of iterates and residuals
+        dW = np.empty((w.shape[0], ANDERSON_DEPTH))
+        dF = np.empty_like(dW)
+    stored = slot = 0
+    w_prev = f_prev = None
 
     for _ in range(settings.max_iter):
         A_lin = L + zeta * Mnl
         _, x, tol = eigensolve(A_lin, w, forcing_tol)
         if float(x @ (M @ w)) < 0:
             x = -x
-        # line search on the constrained energy functional (the quantity the
-        # ground state minimizes; the Rayleigh value may dip below its limit
-        # and is no merit function): halve the step until the energy stops
-        # rising, which tames the overshoot of strong nonlinearities
+        f = x - w
+        residual = float(np.sqrt(max(f @ (M @ f), 0.0)))
+        # the energy functional (which the ground state minimizes; the
+        # Rayleigh value may dip below its limit and is no merit function)
+        # guards every step
         guard = max(10 * settings.tol_lambda, 1e-13 * abs(merit))
-        step = alpha
         best = None
-        for _bt in range(max_backtracks):
-            v = x if step == 1.0 else w + step * (x - w)
-            v = _b_normalize(v, M)
-            Mnl_v = space.nonlinear_matrix(v, work)
-            lam_v, merit_v = rayleigh_and_energy(v, Mnl_v)
-            if best is None or merit_v < best[1]:
-                best = (lam_v, merit_v, v, Mnl_v, step)
-            if merit_v <= merit + guard:
-                break
-            step /= 2
+        if mixing:
+            if w_prev is not None:
+                dW[:, slot] = w - w_prev
+                dF[:, slot] = f - f_prev
+                slot = (slot + 1) % ANDERSON_DEPTH
+                stored = min(stored + 1, ANDERSON_DEPTH)
+            w_prev, f_prev = w, f
+            if stored:
+                gamma = np.linalg.lstsq(dF[:, :stored], f, rcond=None)[0]
+                v = w + alpha * f - dW[:, :stored] @ gamma - alpha * (dF[:, :stored] @ gamma)
+                v = _b_normalize(v, M)
+                Mnl_v = space.nonlinear_matrix(v, work)
+                lam_v, merit_v = rayleigh_and_energy(v, Mnl_v)
+                if merit_v <= merit + guard:
+                    best = (lam_v, merit_v, v, Mnl_v, alpha)
+                else:
+                    stored = slot = 0
+        if best is None:
+            # line search on the plain step: halve it until the energy stops
+            # rising, which tames the overshoot of strong nonlinearities
+            step = alpha
+            for _bt in range(max_backtracks):
+                v = x if step == 1.0 else w + step * f
+                v = _b_normalize(v, M)
+                Mnl_v = space.nonlinear_matrix(v, work)
+                lam_v, merit_v = rayleigh_and_energy(v, Mnl_v)
+                if best is None or merit_v < best[1]:
+                    best = (lam_v, merit_v, v, Mnl_v, step)
+                if merit_v <= merit + guard:
+                    break
+                step /= 2
         lam_v, merit_v, v, Mnl_v, accepted_step = best
         if merit_v > merit + max(guard, 1e-9 * abs(merit)):
             rises += 1
@@ -510,17 +559,21 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         dvec = v - w
         du = float(np.sqrt(max(dvec @ (M @ dvec), 0.0)))
         iterations += 1
-        history.append(ScfSweep(dlam, du, tol))
+        history.append(ScfSweep(dlam, du, residual, tol))
         if work is not None:
             work.scf_iterations += 1
         w, Mnl, lam, merit = v, Mnl_v, lam_v, merit_v
-        if dlam <= settings.tol_lambda and du <= settings.tol_u:
+        if dlam <= settings.tol_lambda and residual <= settings.tol_u:
             if tol == eig_tol:
                 converged = True
                 break
+            # the loose inner solve hid the residual: recheck at eig_tol, and
+            # keep this sweep's residual out of the mixing differences
             forcing_tol = eig_tol
+            stored = slot = 0
+            w_prev = None
         else:
-            forcing_tol = min(FORCING_CAP, FORCING * du)
+            forcing_tol = min(FORCING_CAP, FORCING * residual)
 
     w = apply_sign_convention(w)
     return ScfResult(make_pair(lam, w), converged=converged, iterations=iterations,

@@ -34,7 +34,6 @@ __all__ = [
     "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
-    "full_values",
 ]
 
 _FIELD_BLOCK = 1 << 16
@@ -294,11 +293,11 @@ def _weight_values_at_qpoints(mesh, weight, rule):
         if weight.level_index != mesh.level_index:
             raise ValueError(
                 f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
-        vertex_vals = full_values(mesh, weight.coefficients)
+        vertex_vals = _full_values(mesh, weight.coefficients)
     else:
         vertex_vals = np.asarray(weight, dtype=float)
         if vertex_vals.shape == (mesh.n_interior,):
-            vertex_vals = full_values(mesh, vertex_vals)
+            vertex_vals = _full_values(mesh, vertex_vals)
         elif vertex_vals.shape != (mesh.n_vertices,):
             raise ValueError("weight vector length matches neither the interior "
                              "nor the full vertex count")
@@ -326,7 +325,7 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
     return _assemble(pattern, local, work)
 
 
-def full_values(mesh: MeshLevel, interior_coeffs):
+def _full_values(mesh: MeshLevel, interior_coeffs):
     """Zero-extend interior coefficients to all vertices."""
     interior_coeffs = np.asarray(interior_coeffs, dtype=float)
     if interior_coeffs.shape != (mesh.n_interior,):

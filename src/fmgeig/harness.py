@@ -249,13 +249,15 @@ def fitted_rate(errors, beta, window=3):
 @dataclass
 class SurrogateReference:
     """High-accuracy direct solution on the extra-fine level, together with
-    the matrices needed to evaluate errors there."""
+    the matrices needed to evaluate errors there and the SCF history of the
+    solve (one ScfSweep per sweep)."""
 
     hierarchy: object
     level: int
     space: LevelSpace
     lam: float
     coefficients: np.ndarray
+    history: list
 
     def errors(self, level, lam, coefficients):
         """(err_lambda, err_a, err_l2) of a level iterate, evaluated on the
@@ -289,7 +291,7 @@ def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=N
         raise SolverError("reference solve did not converge")
     return SurrogateReference(hierarchy=hierarchy_full, level=ref_level,
                               space=ref_space, lam=ref.pair.lam,
-                              coefficients=ref.pair.u.coefficients)
+                              coefficients=ref.pair.u.coefficients, history=ref.history)
 
 
 def _reference_errors(hierarchy_full, run_levels, spec, cfg, traces):
@@ -301,7 +303,7 @@ def _reference_errors(hierarchy_full, run_levels, spec, cfg, traces):
         errs["lambda"].append(el)
         errs["a"].append(ea)
         errs["l2"].append(e2)
-    return errs, reference.lam
+    return errs, reference
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
@@ -332,6 +334,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                        wall_seconds=time.perf_counter() - t0,
                        varpi_max=float(res.iterations))
         meta["converged"] = res.converged
+        meta["scf_history"] = [asdict(sweep) for sweep in res.history]
         report = ErrorReport(rows=[row], meta=meta)
         return _maybe_emit(report, cfg)
 
@@ -348,8 +351,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     if cfg.study == "convergence":
         if cfg.reference == "extra-level":
-            errs, lam_ref = _reference_errors(hierarchy_full, n, spec, cfg, traces)
-            meta["reference_lambda"] = lam_ref
+            errs, reference = _reference_errors(hierarchy_full, n, spec, cfg, traces)
+            meta["reference_lambda"] = reference.lam
+            meta["reference_scf_history"] = [asdict(sweep) for sweep in reference.history]
             for row, ea, el, e2 in zip(rows, errs["a"], errs["lambda"], errs["l2"]):
                 row.err_a, row.err_lambda, row.err_l2 = ea, el, e2
         else:

@@ -305,6 +305,68 @@ def test_scf_strong_nonlinearity_with_damping_fallback():
     assert res.pair.lam > 100  # strong repulsion pushes the level well up
 
 
+def test_scf_anderson_mixing_converges_fast_at_strong_nonlinearity():
+    # the plain damped SCF takes 150 sweeps here; the mixed one reaches the
+    # ground state of the slow oracle, which needs damping 0.1 here (at its
+    # default 0.3 it stalls at a higher eigenvalue)
+    spec = ProblemSpec(dim=2, zeta=100.0)
+    mesh = build_initial_mesh(2, 8)
+    lam_oracle, _ = brute_force_gpe(mesh, spec, damping=0.1)
+    space = LevelSpace.build(mesh, spec)
+    res = scf_solve(space, spec, ScfSettings(tol_lambda=1e-12, tol_u=1e-10, max_iter=300))
+    assert res.converged
+    assert res.iterations <= 60
+    assert abs(res.pair.lam - lam_oracle) <= 1e-10 * lam_oracle
+
+
+def test_scf_energy_never_rises_across_accepted_sweeps(monkeypatch):
+    # every sweep warm-starts its eigensolve from the accepted iterate
+    spec = ProblemSpec(dim=2, zeta=100.0)
+    space = LevelSpace.build(build_initial_mesh(2, 8), spec)
+    iterates = []
+
+    def recording_eigpair(A, M, **kwargs):
+        if kwargs["x0"] is not None:
+            iterates.append(np.array(kwargs["x0"]))
+        return smallest_eigpair(A, M, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "smallest_eigpair", recording_eigpair)
+    settings = ScfSettings(tol_lambda=1e-12, tol_u=1e-10, max_iter=300)
+    res = scf_solve(space, spec, settings)
+    assert res.converged
+    iterates.append(res.pair.u.coefficients)
+    assert len(iterates) == res.iterations + 1
+
+    def energy(u):
+        quartic = u @ (space.nonlinear_matrix(u) @ u)
+        return u @ (space.linear_matrix @ u) + spec.zeta / (spec.sigma + 1) * quartic
+
+    energies = [energy(u) for u in iterates]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + max(10 * settings.tol_lambda, 1e-13 * abs(before))
+
+
+def test_augmented_scf_keeps_the_plain_step():
+    # mixing is for full levels only: an augmented solve takes the plain
+    # damped step, and the pinned values are those of the plain SCF, bit for bit
+    h = build_hierarchy(2, 8, 2)
+    level = h.levels[1]
+    x = level.vertices[level.interior_indices]
+    u_t = np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * (1 + x[:, 0])
+    aug = build_augmented_space(h, 1, LevelSpace.build(level, GPE_2D), u_t)
+    assert not aug.degenerate
+    res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
+    assert res.iterations == 3 and not res.converged
+    assert res.pair.lam == 22.759942149863075
+    assert [(s.delta_lambda, s.delta_u) for s in res.history] == [
+        (0.5185516695211305, 0.12375769593401599),
+        (0.0033432843376246524, 0.010960949342497216),
+        (7.974957610556999e-05, 0.0010712931975686373),
+    ]
+    u = res.pair.u.coefficients
+    assert float(u @ np.arange(1, u.size + 1)) == 146.8449344903075
+
+
 def test_scf_direct_path_runs_every_sweep_at_full_tolerance():
     mesh = build_initial_mesh(2, 8)
     space = LevelSpace.build(mesh, GPE_2D)
@@ -341,7 +403,7 @@ def test_scf_multigrid_path_matches_direct_path(monkeypatch):
     assert tols[0] == FORCING_CAP
     assert tols[-1] == min(tols) == direct.history[-1].eig_tol
     for prev, tol in zip(mg.history[:-1], tols[1:]):
-        assert tol == max(tols[-1], min(FORCING_CAP, FORCING * prev.delta_u))
+        assert tol == max(tols[-1], min(FORCING_CAP, FORCING * prev.residual))
 
 
 def test_scf_converging_sweep_runs_at_full_tolerance(monkeypatch):
@@ -353,4 +415,8 @@ def test_scf_converging_sweep_runs_at_full_tolerance(monkeypatch):
     assert first.delta_lambda <= 1e-12 and first.delta_u <= 1e-10
     assert mg.converged and mg.iterations > 1
     assert mg.history[-1].eig_tol == direct.history[-1].eig_tol
+    # the recheck drops the inexact residual from the mixing history and
+    # takes the plain step (delta_u equals its residual), so no sweeps stall
+    assert mg.history[1].delta_u == mg.history[1].residual
+    assert mg.iterations <= 4
     assert abs(mg.pair.lam - direct.pair.lam) <= 1e-11 * direct.pair.lam

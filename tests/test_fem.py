@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fmgeig import fem
 from fmgeig.errors import AssemblyError
 from fmgeig.fem import (
+    _full_values,
     FeFunction,
     ProblemSpec,
     a_norm,
@@ -16,7 +17,6 @@ from fmgeig.fem import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
-    full_values,
     harmonic_potential,
     l2_norm,
     quadrature_rule,
@@ -295,7 +295,7 @@ def test_integrate_power_matches_weighted_mass_quadratic_form():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(m.n_interior)
     Mu2 = assemble_weighted_mass(m, FeFunction(0, u), 2)
-    assert u @ (Mu2 @ u) == pytest.approx(_integrate_power(m, full_values(m, u), 4), rel=1e-12)
+    assert u @ (Mu2 @ u) == pytest.approx(_integrate_power(m, _full_values(m, u), 4), rel=1e-12)
 
 
 # --- fixed-pattern assembly against an independent plain-COO reference ------

@@ -208,6 +208,36 @@ def test_json_meta_reports_augmented_convergence(tmp_path):
     assert meta["augmented_converged"] == [[], [True, True], [True, True]]
 
 
+@pytest.mark.parametrize("study, key", [("single-solve", "scf_history"),
+                                        ("convergence", "reference_scf_history")])
+def test_json_meta_holds_one_entry_per_scf_sweep(tmp_path, monkeypatch, study, key):
+    # single-solve reports its level SCF, a convergence study its reference solve
+    from fmgeig import harness
+    from fmgeig.eigsolve import scf_solve
+
+    results = []
+
+    def recording_scf(*args, **kwargs):
+        results.append(scf_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "scf_solve", recording_scf)
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 8, "n_levels": 2},
+        "study": study,
+        "format": "json",
+        "output": str(tmp_path / "out.json"),
+    })
+    run_experiment(cfg)
+    history = json.loads((tmp_path / "out.json").read_text())["meta"][key]
+    (res,) = results
+    assert len(history) == res.iterations > 1
+    for entry, sweep in zip(history, res.history):
+        assert entry == {"delta_lambda": sweep.delta_lambda, "delta_u": sweep.delta_u,
+                         "residual": sweep.residual, "eig_tol": sweep.eig_tol}
+
+
 def test_determinism_ten_digits():
     cfg_dict = {
         "problem": {"dim": 2, "zeta": 1.0},
