@@ -6,9 +6,9 @@ smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
 under an energy line search.  The augmented space (coarse space plus
 the span of one fine function) reduces every matrix through its sparse
 basis map to a small dense pencil, which LAPACK solves.  On a mesh level
-the inner eigensolve is shifted inverse power iteration; its systems are
-factored directly by sparse LU, or solved by Galerkin multigrid above
-``MG_MIN_DOFS`` interior dofs.
+the inner eigensolve is LOBPCG preconditioned by one Galerkin multigrid
+V-cycle, with no shifts; a level without coarser levels is preconditioned
+by a sparse LU solve.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 from .fem import (
@@ -28,7 +27,7 @@ from .fem import (
     assemble_stiffness,
     assemble_weighted_mass,
 )
-from .linalg import MgContext, counted_matvec, galerkin_chain, mg_solve_to_tol
+from .linalg import MgContext, WorkReport, counted_matvec, galerkin_chain, v_cycle
 
 __all__ = [
     "ScfSettings",
@@ -41,11 +40,9 @@ __all__ = [
     "scf_solve",
     "build_augmented_space",
     "apply_sign_convention",
-    "MG_MIN_DOFS",
 ]
 
-# above this many dofs the inner linear solves go through Galerkin multigrid
-MG_MIN_DOFS = 30_000
+_EPS = np.finfo(float).eps
 
 # inexact SCF with iterative inner solves: a sweep's eigensolve tolerance
 # follows the previous sweep's step du as min(FORCING_CAP, FORCING * du),
@@ -112,36 +109,21 @@ def apply_sign_convention(x):
     return -x if x[i] < 0 else x
 
 
-def _factorized_pencil_solver(A, M, work=None):
-    def factory(mu):
-        lu = spla.splu(sp.csc_matrix(A - mu * M))
-
-        def solve(rhs, x0=None, rel_tol=None):
-            if work is not None:
-                work.add(lu.L.nnz + lu.U.nnz)
-            return lu.solve(rhs)
-
-        return solve
-
-    return factory
-
-
-def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, solver_factory=None,
-                     lower_bound=None, work=None, shift_cap=None):
+def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None):
     """Algebraically smallest eigenpair of A x = lambda M x (A symmetric,
     M SPD), returned as (lambda, x) with x' M x = 1 and the largest-magnitude
     entry of x positive.
 
     Dense pencils (the augmented spaces) are solved by LAPACK through
     scipy.linalg.eigh, counted as A.size + M.size work units; the remaining
-    arguments do not apply to them.  Sparse pencils run shifted inverse
-    power iteration until ||A x - lambda M x|| <= tol ||A x||, starting
-    from the shift `lower_bound`, which the caller must certify as
-    <= lambda_min (all SPD PDE pencils here pass 0).  `solver_factory(mu)`
-    must return a callable solving (A - mu M) y = rhs; the default factors
-    the shifted matrix by sparse LU.  `shift_cap` limits the shift to that
-    fraction of the Rayleigh quotient; iterative inner solvers need it to
-    keep the shifted system well away from singular.
+    arguments do not apply to them.  Sparse pencils (A SPD) run LOBPCG with
+    block size 1 (Knyazev, SISC 23, 2001) from x0 (default all ones),
+    counting every product in `work`.  Each step takes the smallest Ritz
+    pair of span{x, T r, p}, with r = A x - rho M x, p the previous step and
+    T one V-cycle of `mg`, a multigrid context on A (by default a one-level
+    one, whose V-cycle is a sparse LU solve).  It stops once
+    ||r|| <= tol ||A x||, or once r fails to halve inside its rounding floor
+    eps ||A||_inf ||x||.
     """
     if M.shape != A.shape:
         raise ValueError("pencil matrices must have equal shape")
@@ -150,85 +132,70 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, solver_factory=None
             work.add(A.size + M.size)
         lam, vecs = scipy.linalg.eigh(A, M, subset_by_index=[0, 0])
         return float(lam[0]), apply_sign_convention(vecs[:, 0])
-    if lower_bound is None:
-        raise ValueError("sparse pencils need a certified lower_bound on the smallest eigenvalue")
+    if mg is None:
+        mg = MgContext([A.tocsr()], [], work=work if work is not None else WorkReport())
+    top = mg.n_levels - 1
 
-    if solver_factory is None:
-        solver_factory = _factorized_pencil_solver(A, M, work)
-    mu = float(lower_bound)
     x = np.array(x0, dtype=float) if x0 is not None else np.ones(A.shape[0])
     Mx = counted_matvec(M, x, work)
-    nrm = np.sqrt(x @ Mx)
-    if nrm == 0.0:
+    if not x @ Mx > 0.0:
         x = np.ones(A.shape[0])
         Mx = counted_matvec(M, x, work)
-        nrm = np.sqrt(x @ Mx)
-    x = x / nrm
-    Mx = Mx / nrm
-
-    solve = solver_factory(mu)
-    rho = float(x @ counted_matvec(A, x, work))
+    nrm = np.sqrt(x @ Mx)
+    x, Mx = x / nrm, Mx / nrm
+    Ax = counted_matvec(A, x, work)
+    rho = float(x @ Ax)
+    basis = np.empty((3, 3, A.shape[0]))      # basis[:, j] = v, A v, M v for v = x, w, p
+    have_p = False
+    prev_res = floor = np.inf
     best_res = np.inf
-    res_at_last_shift = np.inf
-
     for _ in range(max_iter):
-        scale = max(rho - mu, 1e-300)
-        y = solve(Mx, x0=x / scale, rel_tol=max(0.02 * tol, min(1e-2, 0.1 * best_res)))
-        if y @ Mx < 0:
-            y = -y
-        My = counted_matvec(M, y, work)
-        nrm = np.sqrt(max(y @ My, 0.0))
-        if nrm == 0.0 or not np.isfinite(nrm):
-            raise SolverError("inverse iteration produced a null vector", residual=best_res)
-        x = y / nrm
-        Mx = My / nrm
-        Ax = counted_matvec(A, x, work)
-        rho = float(x @ Ax)
-        res = float(np.linalg.norm(Ax - rho * Mx))
-        axn = float(np.linalg.norm(Ax))
-        best_res = min(best_res, res / max(axn, 1e-300))
-        if res <= tol * max(axn, 1e-300):
+        r = Ax - rho * Mx
+        res = float(np.linalg.norm(r))
+        axn = max(float(np.linalg.norm(Ax)), 1e-300)
+        best_res = min(best_res, res / axn)
+        if res <= tol * axn:
             return rho, apply_sign_convention(x)
-        # sharpen the shift once the iterate is close; each update moves mu a
-        # fixed fraction of the remaining distance, so rho stays above it
-        if res <= 1e-2 * axn and res <= 0.01 * res_at_last_shift:
-            proposed = rho - 0.1 * max(rho - mu, 1e-3 * abs(rho) + 1e-300)
-            if shift_cap is not None:
-                proposed = min(proposed, shift_cap * rho)
-            if proposed > mu:
-                mu = proposed
-                solve = solver_factory(mu)
-                res_at_last_shift = res
-    raise SolverError(
-        f"inverse iteration did not reach tol={tol:.1e} in {max_iter} iterations "
-        f"(best relative residual {best_res:.3e})", residual=best_res)
-
-
-def _mg_pencil_factory(A, M, prolongations, pre_steps, post_steps, work=None,
-                       mass_chain=None):
-    """Inner-solver factory backed by Galerkin multigrid on (A - mu M)."""
-    a_chain = galerkin_chain(A, prolongations, work)
-    m_chain = mass_chain if mass_chain is not None else galerkin_chain(M, prolongations, work)
-    top = len(a_chain) - 1
-
-    def factory(mu):
-        if mu == 0.0:
-            mats = a_chain
+        if res > 0.5 * prev_res:
+            if floor == np.inf:
+                floor = _EPS * float(abs(A).sum(axis=1).max())
+                if work is not None:
+                    work.add(A.nnz)
+            if res <= floor * np.linalg.norm(x):
+                return rho, apply_sign_convention(x)
+        prev_res = res
+        w = v_cycle(mg, top, r)
+        Mw = counted_matvec(M, w, work)
+        nrm = np.sqrt(max(w @ Mw, 0.0))
+        if nrm == 0.0 or not np.isfinite(nrm):
+            raise SolverError("LOBPCG preconditioner returned a null vector", residual=best_res)
+        basis[:, 0] = x, Ax, Mx
+        basis[:, 1] = w / nrm, counted_matvec(A, w, work) / nrm, Mw / nrm
+        # Rayleigh-Ritz on span{x, w, p}.  A Gram matrix that has lost
+        # definiteness drops p, which restarts the recurrence; if even
+        # {x, w} is degenerate, T r is parallel to x, which for an SPD T
+        # leaves r = 0 up to rounding (x' r = 0): x is the eigenvector
+        for k in (3, 2) if have_p else (2,):
+            S, AS, MS = basis[0, :k], basis[1, :k], basis[2, :k]
+            try:
+                c = scipy.linalg.eigh(S @ AS.T, S @ MS.T, subset_by_index=[0, 0])[1][:, 0]
+                break
+            except np.linalg.LinAlgError:
+                continue
         else:
-            mats = [(a - mu * m).tocsr() for a, m in zip(a_chain, m_chain)]
-        ctx = MgContext(mats, prolongations, pre_steps=pre_steps,
-                        post_steps=post_steps)
-        if work is not None:
-            ctx.work = work
-
-        def solve(rhs, x0=None, rel_tol=None):
-            start = x0 if x0 is not None else np.zeros_like(rhs)
-            return mg_solve_to_tol(ctx, top, rhs, start, rel_tol or 1e-12,
-                                   max_cycles=120, strict=False)
-
-        return solve
-
-    return factory
+            return rho, apply_sign_convention(x)
+        step = np.tensordot(c[1:k], basis[:, 1:k], axes=(0, 1))
+        x, Ax, Mx = c[0] * basis[:, 0] + step
+        nrm = np.sqrt(x @ Mx)
+        x, Ax, Mx = x / nrm, Ax / nrm, Mx / nrm
+        rho = float(x @ Ax)
+        nrm = np.sqrt(max(step[0] @ step[2], 0.0))
+        have_p = nrm > 0.0
+        if have_p:
+            basis[:, 2] = step / nrm
+    raise SolverError(
+        f"LOBPCG did not reach tol={tol:.1e} in {max_iter} iterations "
+        f"(best relative residual {best_res:.3e})", residual=best_res)
 
 
 @dataclass
@@ -244,7 +211,6 @@ class LevelSpace:
     pre_steps: int = 3
     post_steps: int = 3
     _linear: sp.csr_matrix = field(default=None, repr=False)
-    _mass_chain: list = field(default=None, repr=False)
 
     @classmethod
     def build(cls, mesh, spec, work=None, prolongations=None, pre_steps=3, post_steps=3):
@@ -281,14 +247,13 @@ class LevelSpace:
         w = FeFunction(self.mesh.level_index, np.asarray(coeffs, dtype=float))
         return assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
 
-    def eig_solver_factory(self, A_lin, work=None):
-        if self.prolongations is None or self.n_dofs <= MG_MIN_DOFS or not self.prolongations:
-            return None
-        if self._mass_chain is None:
-            self._mass_chain = galerkin_chain(self.mass, self.prolongations, work)
-        return _mg_pencil_factory(A_lin, self.mass, self.prolongations,
-                                  self.pre_steps, self.post_steps, work,
-                                  mass_chain=self._mass_chain)
+    def multigrid(self, A, work=None):
+        """Galerkin multigrid context on A over the transfer chain; with no
+        prolongations it has one level, whose V-cycle is a sparse LU solve."""
+        prols = self.prolongations or []
+        return MgContext(galerkin_chain(A, prols, work), prols, pre_steps=self.pre_steps,
+                         post_steps=self.post_steps,
+                         work=work if work is not None else WorkReport())
 
 
 @dataclass
@@ -332,9 +297,6 @@ class AugmentedSpace:
         w = FeFunction(self.mesh.level_index, w_fine)
         Mw = assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
         return _reduce(Mw, self.basis_map, work)
-
-    def eig_solver_factory(self, A_lin, work=None):
-        return None
 
 
 def _reduce(X, B, work=None):
@@ -422,17 +384,18 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     The stopping rule reads the plain residual ||x - w||_M of the sweep,
     not the accepted (mixed or damped) step: the SCF stops once the
     eigenvalue change is below tol_lambda and the residual below tol_u on
-    a sweep whose inner eigensolve ran at the full eig_tol.  When the
-    space's inner solves are iterative (multigrid), the SCF is inexact:
-    each sweep's eigensolve tolerance is max(eig_tol, min(FORCING_CAP,
+    a sweep whose inner eigensolve ran at the full eig_tol.  On a mesh
+    level the inner eigensolve is iterative (LOBPCG preconditioned by one
+    V-cycle of the pencil's Galerkin chain) and the SCF is inexact: each
+    sweep's eigensolve tolerance is max(eig_tol, min(FORCING_CAP,
     FORCING * r)) with r the previous sweep's residual (FORCING_CAP before
     the first sweep), and a sweep that meets the stopping rule below the
     full tolerance is followed by one at eig_tol, with the mixing history
-    cleared.  Direct solves run every
-    sweep at eig_tol.  `history` holds one ScfSweep per sweep.  Hitting
-    max_iter returns converged=False (the augmented solves are capped at 3
-    sweeps by design); an energy that rises on three consecutive sweeps
-    raises SolverError.
+    cleared.  The dense augmented pencils are solved exactly, at eig_tol.
+    `history` holds one ScfSweep per sweep.  Hitting max_iter returns
+    converged=False (the augmented solves are capped at 3 sweeps by
+    design); an energy that rises on three consecutive sweeps raises
+    SolverError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
@@ -444,16 +407,16 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     floor = 3e-14 * np.sqrt(M.shape[0])
     eig_tol = float(min(1e-10, max(0.01 * settings.tol_lambda, floor)))
 
+    # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
+    level = isinstance(space, LevelSpace)
+
     def eigensolve(A_lin, warm, forcing_tol=None):
-        """(lambda, x, tolerance used); forcing_tol applies to iterative
-        inner solves only."""
-        factory = space.eig_solver_factory(A_lin, work)
-        tol = eig_tol
-        if factory is not None and forcing_tol is not None:
-            tol = max(eig_tol, forcing_tol)
+        """(lambda, x, tolerance used); forcing_tol applies on mesh levels."""
+        if not level:
+            return (*smallest_eigpair(A_lin, M, work=work), eig_tol)
+        tol = eig_tol if forcing_tol is None else max(eig_tol, forcing_tol)
         lam, x = smallest_eigpair(A_lin, M, tol=tol, x0=warm,
-                                  solver_factory=factory, lower_bound=0.0, work=work,
-                                  shift_cap=0.9 if factory is not None else None)
+                                  mg=space.multigrid(A_lin, work), work=work)
         return lam, x, tol
 
     def make_pair(lam, coeffs):
@@ -494,8 +457,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     history = []
     forcing_tol = FORCING_CAP
     max_backtracks = 8
-    mixing = isinstance(space, LevelSpace)
-    if mixing:
+    if level:
         # ring buffer of the last differences of iterates and residuals
         dW = np.empty((w.shape[0], ANDERSON_DEPTH))
         dF = np.empty_like(dW)
@@ -514,7 +476,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         # guards every step
         guard = max(10 * settings.tol_lambda, 1e-13 * abs(merit))
         best = None
-        if mixing:
+        if level:
             if w_prev is not None:
                 dW[:, slot] = w - w_prev
                 dF[:, slot] = f - f_prev

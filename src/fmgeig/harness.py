@@ -138,7 +138,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("mesh.coarse_space_level", "must be >= 0")
     # the first nonlinear solve runs on the first level (FMG studies) or the
     # finest one (single-solve); with fewer than 2 cells per axis it has no
-    # interior vertex and inverse iteration has nothing to work on
+    # interior vertex and the eigensolver has nothing to work on
     solve_refinements = m.coarse_space_level + (
         m.n_levels - 1 if cfg.study == "single-solve" else 0)
     if m.divisions_per_axis * 2 ** solve_refinements < 2:

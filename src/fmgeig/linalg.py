@@ -12,8 +12,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
-_EPS = np.finfo(float).eps
-
 __all__ = [
     "WorkReport",
     "MgContext",
@@ -107,7 +105,6 @@ class MgContext:
     post_steps: int = 3
     work: WorkReport = field(default_factory=WorkReport)
     _coarse_lu: object = field(default=None, repr=False)
-    _inf_norms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if len(self.matrices) < 1:
@@ -125,14 +122,6 @@ class MgContext:
         self.work.coarse_solves += 1
         self.work.add(self._coarse_lu.L.nnz + self._coarse_lu.U.nnz)
         return self._coarse_lu.solve(b)
-
-    def inf_norm(self, level):
-        """||A||_inf of a level matrix, computed on first use."""
-        if level not in self._inf_norms:
-            A = self.matrices[level]
-            self._inf_norms[level] = float(abs(A).sum(axis=1).max())
-            self.work.add(A.nnz)
-        return self._inf_norms[level]
 
 
 def galerkin_chain(A_fine, prolongations, work=None):
@@ -175,35 +164,21 @@ def mg_solve(ctx: MgContext, level, b, x0, m):
     return x
 
 
-def mg_solve_to_tol(ctx: MgContext, level, b, x0, rel_tol, max_cycles=60, strict=True):
+def mg_solve_to_tol(ctx: MgContext, level, b, x0, rel_tol, max_cycles=60):
     """V-cycles until ||b - Ax|| <= rel_tol ||b||; a zero b returns zero.
-
-    With strict=False a stagnating iteration returns its best iterate instead
-    of raising; callers embedding this in an outer iteration (e.g. inexact
-    inverse iteration) recover the lost accuracy there.  Stagnation is four
-    cycles that fail to halve the residual, or one such cycle once the
-    residual is inside its rounding floor eps ||A||_inf ||x||.
-    """
+    Raises SolverError if max_cycles cycles do not get there."""
     A = ctx.matrices[level]
     x = np.array(x0, dtype=float)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros_like(x)
-    history = []
     for _ in range(max_cycles):
         r = b - counted_matvec(A, x, ctx.work)
-        history.append(np.linalg.norm(r))
-        if history[-1] <= rel_tol * bnorm:
+        if np.linalg.norm(r) <= rel_tol * bnorm:
             return x
-        if not strict and len(history) >= 2:
-            if len(history) >= 5 and history[-1] > 0.5 * history[-5]:
-                return x
-            if (history[-1] > 0.5 * history[-2]
-                    and history[-1] <= _EPS * ctx.inf_norm(level) * np.linalg.norm(x)):
-                return x
         x = v_cycle(ctx, level, b, x, r)
     r = np.linalg.norm(b - A @ x)
-    if r <= rel_tol * bnorm or not strict:
+    if r <= rel_tol * bnorm:
         return x
     raise SolverError(
         f"multigrid stalled at relative residual {r / bnorm:.3e} (target {rel_tol:.1e})",

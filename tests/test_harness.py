@@ -329,6 +329,22 @@ def test_cli_one_division_solvable_exit_0(tmp_path, capsys, config):
     assert capsys.readouterr().out.startswith("level,")
 
 
+@pytest.mark.slow
+def test_cli_single_solve_at_zeta_1000_exits_0(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": {"dim": 2, "zeta": 1000.0},
+        "mesh": {"divisions_per_axis": 8, "n_levels": 4},
+        "algorithm": {"max_scf_iter": 300},
+        "study": "single-solve",
+        "format": "json",
+    }))
+    assert cli.main(["--config", str(cfg)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["meta"]["converged"]
+    assert report["rows"][0]["n_dofs"] == 63 ** 2
+
+
 def test_cli_solver_failure_exit_3(monkeypatch, capsys):
     def boom(cfg):
         raise SolverError("forced failure")
