@@ -65,13 +65,10 @@ class ScfSettings:
     tol_lambda: float = 1e-10
     tol_u: float = 1e-8
     max_iter: int = 100
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tol_lambda <= 0 or self.tol_u <= 0:
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -98,8 +95,6 @@ class ScfResult:
     pair: EigenPair
     converged: bool
     iterations: int
-    delta_lambda: float = np.nan
-    delta_u: float = np.nan
     history: list = field(default_factory=list)    # one ScfSweep per sweep
 
 
@@ -432,7 +427,6 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         if work is not None:
             work.scf_iterations += 1
         return ScfResult(make_pair(lam, x), converged=True, iterations=1,
-                         delta_lambda=0.0, delta_u=0.0,
                          history=[ScfSweep(0.0, 0.0, 0.0, eig_tol)])
 
     if initial is not None:
@@ -449,11 +443,10 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
 
     Mnl = space.nonlinear_matrix(w, work)
     lam, merit = rayleigh_and_energy(w, Mnl)
-    alpha = settings.damping
+    alpha = 1.0
     rises = 0
     converged = False
     iterations = 0
-    dlam = du = np.nan
     history = []
     forcing_tol = FORCING_CAP
     max_backtracks = 8
@@ -539,4 +532,4 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
 
     w = apply_sign_convention(w)
     return ScfResult(make_pair(lam, w), converged=converged, iterations=iterations,
-                     delta_lambda=dlam, delta_u=du, history=history)
+                     history=history)

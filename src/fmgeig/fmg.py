@@ -135,10 +135,6 @@ class FmgWorkspace:
             work=self.work,
         )
 
-    def augmented(self, level, u_tilde):
-        return build_augmented_space(self.hierarchy, level, self.level_spaces[level],
-                                     u_tilde, work=self.work)
-
 
 def build_workspace(hierarchy, spec, params=None, work=None) -> FmgWorkspace:
     return FmgWorkspace(hierarchy, spec, params or FmgParams(), work)
@@ -170,7 +166,7 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
     rhs = _aux_rhs(ws, level, lam, u)
     u_tilde = mg_solve(ws.mg, level, rhs, u, params.m)
 
-    aug = ws.augmented(level, u_tilde)
+    aug = build_augmented_space(ws.hierarchy, level, ops, u_tilde, work=ws.work)
     aug_settings = replace(params.scf, max_iter=params.varpi)
     res = scf_solve(aug, ws.spec, aug_settings, initial=aug.initial_coeffs, work=ws.work)
 
@@ -205,55 +201,43 @@ def _err_a(ws, level, u, u_star):
 def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None,
                    work=None) -> FmgResult:
     """Coarse nonlinear solve, then march the levels: prolongate the previous
-    pair as the initial value and apply p correction steps per level."""
+    pair as the initial value and apply p correction steps per level.  A
+    level's wall_seconds and work_units cover the ladder's own work; the
+    diagnostic direct solves and error norms run after its timer stops."""
     params = params or FmgParams()
     ws = build_workspace(hierarchy, spec, params, work)
     traces = []
     direct = {}
 
-    t0 = time.perf_counter()
-    mark = ws.work.work_units
-    res1 = scf_solve(ws.level_spaces[0], spec, params.scf, work=ws.work)
-    lam, u = res1.pair.lam, res1.pair.u.coefficients
-    if params.record_diagnostics:
-        direct[0] = _direct_level_solution(ws, 0, warm=u)
-    traces.append(LevelTrace(
-        level_index=0,
-        n_elements=hierarchy.levels[0].n_cells,
-        n_dofs=hierarchy.levels[0].n_interior,
-        lam=lam,
-        records=[],
-        work_units=ws.work.work_units - mark + ws.setup_work[0],
-        wall_seconds=time.perf_counter() - t0,
-        coefficients=u,
-        direct_lambda=direct[0][0] if params.record_diagnostics else np.nan,
-    ))
-
-    for k in range(1, hierarchy.n_levels):
+    for k, mesh in enumerate(hierarchy.levels):
         t0 = time.perf_counter()
         mark = ws.work.work_units
-        u = counted_matvec(ws.hierarchy.interior_prolongation(k - 1), u, ws.work)
-        if params.record_diagnostics:
-            warm = direct.get(k - 1)
-            warm_u = ws.hierarchy.interior_prolongation(k - 1) @ warm[1] if warm else u
-            direct[k] = _direct_level_solution(ws, k, warm=warm_u)
         records = []
-        for _ in range(params.p):
-            if params.record_diagnostics:
-                e_before = _err_a(ws, k, u, direct[k][1])
+        if k == 0:
+            res = scf_solve(ws.level_spaces[0], spec, params.scf, work=ws.work)
+            lam, u = res.pair.lam, res.pair.u.coefficients
+        else:
+            u = counted_matvec(ws.hierarchy.interior_prolongation(k - 1), u, ws.work)
+        iterates = [u]
+        for _ in range(params.p if k else 0):
             lam, u, rec = one_correction_step(ws, k, lam, u)
-            if params.record_diagnostics:
-                rec.err_a_before = e_before
-                rec.err_a_after = _err_a(ws, k, u, direct[k][1])
             records.append(rec)
+            iterates.append(u)
+        wall_seconds = time.perf_counter() - t0
+        if params.record_diagnostics:
+            warm = u if k == 0 else ws.hierarchy.interior_prolongation(k - 1) @ direct[k - 1][1]
+            direct[k] = _direct_level_solution(ws, k, warm=warm)
+            errs = [_err_a(ws, k, v, direct[k][1]) for v in iterates]
+            for rec, before, after in zip(records, errs, errs[1:]):
+                rec.err_a_before, rec.err_a_after = before, after
         traces.append(LevelTrace(
             level_index=k,
-            n_elements=hierarchy.levels[k].n_cells,
-            n_dofs=hierarchy.levels[k].n_interior,
+            n_elements=mesh.n_cells,
+            n_dofs=mesh.n_interior,
             lam=lam,
             records=records,
             work_units=ws.work.work_units - mark + ws.setup_work[k],
-            wall_seconds=time.perf_counter() - t0,
+            wall_seconds=wall_seconds,
             coefficients=u,
             direct_lambda=direct[k][0] if params.record_diagnostics else np.nan,
         ))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .eigsolve import LevelSpace, ScfSettings, scf_solve
-from .fem import ProblemSpec, a_norm, harmonic_potential, l2_norm
+from .fem import ProblemSpec, a_norm, assemble_stiffness, harmonic_potential, l2_norm
 from .fmg import FmgParams, full_multigrid
 from .linalg import MgContext, WorkReport, v_cycle
 from .mesh import build_hierarchy
@@ -73,7 +73,6 @@ class AlgorithmConfig:
     tol_u: float = 1e-8
     max_scf_iter: int = 100
     varpi: int = 3
-    damping: float = 1.0
 
 
 @dataclass
@@ -152,8 +151,6 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("algorithm.varpi", "must be >= 1")
     if a.tol_lambda <= 0 or a.tol_u <= 0:
         raise ConfigError("algorithm.tol_lambda", "tolerances must be positive")
-    if not (0 < a.damping <= 1):
-        raise ConfigError("algorithm.damping", "must lie in (0, 1]")
     if cfg.study not in STUDIES:
         raise ConfigError("study", f"must be one of {STUDIES}")
     if cfg.reference not in REFERENCES:
@@ -189,7 +186,7 @@ def fmg_params_from(cfg: ExperimentConfig, diagnostics=False) -> FmgParams:
         m=a.m, p=a.p, pre_smooth=a.pre_smooth, post_smooth=a.post_smooth,
         varpi=a.varpi,
         scf=ScfSettings(tol_lambda=a.tol_lambda, tol_u=a.tol_u,
-                        max_iter=a.max_scf_iter, damping=a.damping),
+                        max_iter=a.max_scf_iter),
         record_diagnostics=diagnostics,
         diagnostics_tol=cfg.reference_tol,
     )
@@ -324,10 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         work = WorkReport()
         prols = [run_h.interior_prolongation(j) for j in range(k)]
         space = LevelSpace.build(run_h.levels[k], spec, prolongations=prols, work=work)
-        a = cfg.algorithm
-        res = scf_solve(space, spec, ScfSettings(tol_lambda=a.tol_lambda, tol_u=a.tol_u,
-                                                 max_iter=a.max_scf_iter, damping=a.damping),
-                        work=work)
+        res = scf_solve(space, spec, fmg_params_from(cfg).scf, work=work)
         row = LevelRow(level=n, n_elements=run_h.levels[k].n_cells,
                        n_dofs=run_h.levels[k].n_interior, lam=res.pair.lam,
                        work_units=work.work_units,
@@ -348,6 +342,10 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                      lam=t.lam, work_units=t.work_units, wall_seconds=t.wall_seconds,
                      varpi_max=t.varpi_max, gamma_obs=t.gamma_obs)
             for t in traces]
+    # the linear-complexity claim: work per unknown levels off, and the whole
+    # ladder costs a bounded multiple of its finest level
+    meta["work_per_dof"] = [r.work_units / r.n_dofs for r in rows]
+    meta["work_total_over_finest"] = sum(r.work_units for r in rows) / rows[-1].work_units
 
     if cfg.study == "convergence":
         if cfg.reference == "extra-level":
@@ -362,12 +360,20 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
             for row, t in zip(rows, traces):
                 row.err_lambda = abs(t.lam - ref_data["lambda"])
         _fill_rates(rows)
+        meta["fitted_rates"] = {name: fitted_rate([getattr(r, name) for r in rows], 2)
+                                for name in ("err_lambda", "err_a", "err_l2")}
     elif cfg.study == "contraction":
         for row, t in zip(rows, traces):
             row.err_lambda = abs(t.lam - t.direct_lambda)
             if t.records:
                 row.err_a = t.records[-1].err_a_after
         _fill_rates(rows)
+        # the V-cycle on the pure diffusion problem, on meshes of the run's sizes
+        a = cfg.algorithm
+        thetas = measure_mg_contraction(
+            cfg.mesh.divisions_per_axis * 2 ** cfg.mesh.coarse_space_level, n,
+            pre=a.pre_smooth, post=a.post_smooth, dim=cfg.problem.dim)
+        meta["vcycle_theta"] = list(thetas.values())
 
     report = ErrorReport(rows=rows, meta=meta)
     return _maybe_emit(report, cfg)
@@ -431,8 +437,6 @@ def measure_mg_contraction(divisions, n_levels, seed=0, trials=20, pre=3, post=3
     pure diffusion (auxiliary) problem, per level, over random initial errors."""
     spec = ProblemSpec(dim=dim, potential=None, zeta=0.0)
     h = build_hierarchy(dim, divisions, n_levels)
-    from .fem import assemble_stiffness
-
     mats = [assemble_stiffness(lv, spec) for lv in h.levels]
     prols = [h.interior_prolongation(k) for k in range(n_levels - 1)]
     ctx = MgContext(mats, prols, pre_steps=pre, post_steps=post)

@@ -89,10 +89,6 @@ class MeshLevel:
         return self.cells.shape[0]
 
     @property
-    def interior_mask(self):
-        return ~self.boundary_vertex
-
-    @property
     def interior_indices(self):
         return np.flatnonzero(~self.boundary_vertex)
 
@@ -286,7 +282,6 @@ class MeshHierarchy:
 
     levels: list
     prolongations: list            # vertex-space P between consecutive levels
-    beta: int = 2
     coarse: MeshLevel | None = None
     coarse_chain: list = field(default_factory=list)
     coarse_intermediates: list = field(default_factory=list)
@@ -296,13 +291,6 @@ class MeshHierarchy:
     @property
     def n_levels(self):
         return len(self.levels)
-
-    def level(self, k) -> MeshLevel:
-        return self.levels[k]
-
-    @property
-    def coarse_space_mesh(self) -> MeshLevel:
-        return self.coarse if self.coarse is not None else self.levels[0]
 
     def interior_prolongation(self, k):
         """Interior-dof prolongation from level k to level k+1."""
@@ -335,7 +323,6 @@ class MeshHierarchy:
         return MeshHierarchy(
             levels=self.levels[:n],
             prolongations=self.prolongations[: n - 1],
-            beta=self.beta,
             coarse=self.coarse,
             coarse_chain=self.coarse_chain,
             coarse_intermediates=self.coarse_intermediates,

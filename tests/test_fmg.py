@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from fmgeig import fmg
 from fmgeig.eigsolve import ScfSettings, scf_solve
 from fmgeig.fem import ProblemSpec, a_norm
 from fmgeig.fmg import (
@@ -125,6 +128,26 @@ def test_full_multigrid_diagnostics_gamma():
     for t in res.traces[1:]:
         assert t.gamma_obs < 1.0
         assert not np.isnan(t.records[0].err_a_before)
+
+
+def test_diagnostic_solves_stay_out_of_the_level_timings(monkeypatch):
+    # the contraction study's same-level direct solves are diagnostics: a
+    # level's wall_seconds and work_units cover the ladder's own work only
+    h = build_hierarchy(2, 8, 4)
+    plain = full_multigrid(h, GPE)
+    direct = fmg._direct_level_solution
+    calls = []
+
+    def slow_direct(*args, **kwargs):
+        calls.append(args[1])
+        time.sleep(0.3)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(fmg, "_direct_level_solution", slow_direct)
+    res = full_multigrid(h, GPE, FmgParams(record_diagnostics=True))
+    assert calls == [0, 1, 2, 3]
+    assert all(t.wall_seconds < 0.3 for t in res.traces)
+    assert [t.work_units for t in res.traces] == [t.work_units for t in plain.traces]
 
 
 def test_gamma_improves_with_more_mg_iterations():

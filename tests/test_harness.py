@@ -49,6 +49,8 @@ def test_unknown_field_reports_path():
     ({"study": "speedrun"}, "study"),
     ({"reference": "file"}, "reference_path"),
     ({"format": "xml"}, "format"),
+    # no damping option: the energy line search sets the step
+    ({"algorithm": {"damping": 1.0}}, "algorithm.damping"),
 ])
 def test_validation_errors_with_paths(patch, field):
     with pytest.raises(ConfigError) as err:
@@ -101,6 +103,8 @@ def test_linear_study_rates():
     rep = run_experiment(cfg)
     assert 1.8 <= fitted_rate(rep.column("err_lambda"), 2) <= 2.4
     assert 0.9 <= fitted_rate(rep.column("err_a"), 2) <= 1.25
+    assert rep.meta["fitted_rates"] == {name: fitted_rate(rep.column(name), 2)
+                                        for name in ("err_lambda", "err_a", "err_l2")}
     assert rep.column("lambda")[-1] == pytest.approx(2 * math.pi ** 2, rel=2e-3)
 
 
@@ -148,6 +152,23 @@ def test_contraction_study_gamma_column():
     rep = run_experiment(cfg)
     gammas = rep.column("gamma_obs")[1:]
     assert all(np.isfinite(g) and g < 1.0 for g in gammas)
+    # one V-cycle contraction per level above the first
+    thetas = measure_mg_contraction(8, 3)
+    assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
+
+
+def test_contraction_study_measures_the_vcycle_on_the_run_meshes():
+    # V_H one refinement below the first level: the V-cycle runs on the
+    # solve levels' meshes with the run's smoothing steps
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 2, "n_levels": 2, "coarse_space_level": 1},
+        "algorithm": {"pre_smooth": 2, "post_smooth": 1},
+        "study": "contraction",
+    })
+    rep = run_experiment(cfg)
+    assert rep.column("n_dofs") == [3 ** 2, 7 ** 2]
+    assert rep.meta["vcycle_theta"] == [measure_mg_contraction(4, 2, pre=2, post=1)[1]]
 
 
 def test_csv_emission(tmp_path):
@@ -199,13 +220,16 @@ def test_json_meta_reports_augmented_convergence(tmp_path):
         "format": "json",
         "output": str(tmp_path / "out.json"),
     })
-    run_experiment(cfg)
+    rep = run_experiment(cfg)
     meta = json.loads((tmp_path / "out.json").read_text())["meta"]
     assert meta["study"] == "work-scaling"
     assert meta["config"]["algorithm"]["varpi"] == 30
     # one flag per correction record; level 1 holds the first nonlinear
     # solve and has none
     assert meta["augmented_converged"] == [[], [True, True], [True, True]]
+    work = [row.work_units for row in rep.rows]
+    assert meta["work_per_dof"] == [w / row.n_dofs for w, row in zip(work, rep.rows)]
+    assert meta["work_total_over_finest"] == sum(work) / work[-1]
 
 
 @pytest.mark.parametrize("study, key", [("single-solve", "scf_history"),
@@ -236,6 +260,21 @@ def test_json_meta_holds_one_entry_per_scf_sweep(tmp_path, monkeypatch, study, k
     for entry, sweep in zip(history, res.history):
         assert entry == {"delta_lambda": sweep.delta_lambda, "delta_u": sweep.delta_u,
                          "residual": sweep.residual, "eig_tol": sweep.eig_tol}
+
+
+@pytest.mark.parametrize("study", ["convergence", "contraction", "work-scaling",
+                                   "single-solve"])
+def test_readme_report_section_names_every_meta_key(study):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Reports\n", 1)[1].split("\n## ", 1)[0]
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 2, "n_levels": 2},
+        "study": study,
+    })
+    meta = run_experiment(cfg).meta
+    missing = [key for key in meta if f"`{key}`" not in section]
+    assert not missing, f"README's report section does not name {missing}"
 
 
 def test_determinism_ten_digits():
