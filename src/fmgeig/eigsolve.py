@@ -75,7 +75,6 @@ class ScfSettings:
 class EigenPair:
     lam: float
     u: FeFunction
-    space_tag: str
 
 
 @dataclass
@@ -203,27 +202,21 @@ class LevelSpace:
     mass: sp.csr_matrix
     potential_mass: sp.csr_matrix | None
     prolongations: list | None = None   # interior chain below this level, for MG
-    pre_steps: int = 3
-    post_steps: int = 3
     _linear: sp.csr_matrix = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, mesh, spec, work=None, prolongations=None, pre_steps=3, post_steps=3):
+    def build(cls, mesh, spec, work=None, prolongations=None):
         A = assemble_stiffness(mesh, spec, work=work)
         M = assemble_mass(mesh, work=work)
         MW = None
         if spec.potential is not None:
             MW = assemble_weighted_mass(mesh, spec.potential, 1, work=work)
         return cls(mesh=mesh, spec=spec, stiffness=A, mass=M, potential_mass=MW,
-                   prolongations=prolongations, pre_steps=pre_steps, post_steps=post_steps)
+                   prolongations=prolongations)
 
     @property
     def n_dofs(self):
         return self.mass.shape[0]
-
-    @property
-    def tag(self):
-        return f"level:{self.mesh.level_index}"
 
     @property
     def mass_matrix(self):
@@ -246,8 +239,7 @@ class LevelSpace:
         """Galerkin multigrid context on A over the transfer chain; with no
         prolongations it has one level, whose V-cycle is a sparse LU solve."""
         prols = self.prolongations or []
-        return MgContext(galerkin_chain(A, prols, work), prols, pre_steps=self.pre_steps,
-                         post_steps=self.post_steps,
+        return MgContext(galerkin_chain(A, prols, work), prols,
                          work=work if work is not None else WorkReport())
 
 
@@ -269,10 +261,6 @@ class AugmentedSpace:
     @property
     def n_dofs(self):
         return self.basis_map.shape[1]
-
-    @property
-    def tag(self):
-        return f"augmented:{self.fine_level}" + (":degenerate" if self.degenerate else "")
 
     @property
     def mass_matrix(self):
@@ -418,7 +406,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         level = getattr(space, "fine_level", None)
         if level is None:
             level = space.mesh.level_index
-        return EigenPair(lam=float(lam), u=FeFunction(level, coeffs), space_tag=space.tag)
+        return EigenPair(lam=float(lam), u=FeFunction(level, coeffs))
 
     if zeta == 0.0:
         # the linearized operator does not depend on the iterate: one solve

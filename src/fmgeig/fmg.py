@@ -1,7 +1,8 @@
 """The two driver algorithms: one correction step (multigrid update of the
 auxiliary problem followed by a small eigensolve on the augmented space) and
-the full multigrid sweep over the level hierarchy, with optional per-level
-contraction diagnostics against same-level direct solutions."""
+the full multigrid sweep over the level hierarchy: a nonlinear solve on the
+first level, then linear multigrid solves and augmented-space eigensolves on
+the finer ones."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .eigsolve import (
     apply_sign_convention,
     scf_solve,
 )
-from .fem import FeFunction, ProblemSpec, a_norm
+from .fem import FeFunction, ProblemSpec
 from .linalg import MgContext, WorkReport, counted_matvec, mg_solve
 
 __all__ = [
@@ -45,8 +46,6 @@ class FmgParams:
     post_smooth: int = 3
     varpi: int = 3
     scf: ScfSettings = field(default_factory=ScfSettings)
-    record_diagnostics: bool = False
-    diagnostics_tol: float = 1e-12
 
     def __post_init__(self):
         if self.m < 1 or self.p < 1:
@@ -63,14 +62,6 @@ class CorrectionRecord:
     varpi: int
     work_units: int
     converged: bool          # False: the augmented solve stopped at the varpi cap
-    err_a_before: float = np.nan
-    err_a_after: float = np.nan
-
-    @property
-    def gamma_obs(self):
-        if np.isnan(self.err_a_before) or self.err_a_before == 0.0:
-            return np.nan
-        return self.err_a_after / self.err_a_before
 
 
 @dataclass
@@ -82,19 +73,17 @@ class LevelTrace:
     records: list
     work_units: int
     wall_seconds: float
-    coefficients: np.ndarray | None = None
-    direct_lambda: float = np.nan
+    iterates: list           # the level's start, then one entry per correction
+
+    @property
+    def coefficients(self):
+        return self.iterates[-1]
 
     @property
     def varpi_max(self):
         if not self.records:
             return np.nan
         return max(r.varpi for r in self.records)
-
-    @property
-    def gamma_obs(self):
-        gammas = [r.gamma_obs for r in self.records if not np.isnan(r.gamma_obs)]
-        return max(gammas) if gammas else np.nan
 
 
 @dataclass
@@ -119,12 +108,9 @@ class FmgWorkspace:
         self.work = work if work is not None else WorkReport()
         self.level_spaces = []
         self.setup_work = []
-        for k, mesh in enumerate(hierarchy.levels):
+        for mesh in hierarchy.levels:
             before = self.work.work_units
-            prols = [hierarchy.interior_prolongation(j) for j in range(k)]
-            self.level_spaces.append(
-                LevelSpace.build(mesh, spec, work=self.work, prolongations=prols,
-                                 pre_steps=params.pre_smooth, post_steps=params.post_smooth))
+            self.level_spaces.append(LevelSpace.build(mesh, spec, work=self.work))
             self.setup_work.append(self.work.work_units - before)
         self.mg = MgContext(
             matrices=[ls.stiffness for ls in self.level_spaces],
@@ -184,30 +170,15 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
     return float(res.pair.lam), u_new, record
 
 
-def _direct_level_solution(ws: FmgWorkspace, level, warm=None):
-    settings = ScfSettings(tol_lambda=ws.params.diagnostics_tol,
-                           tol_u=max(ws.params.diagnostics_tol, 1e-12),
-                           max_iter=600)
-    res = scf_solve(ws.level_spaces[level], ws.spec, settings, initial=warm)
-    return res.pair.lam, res.pair.u.coefficients
-
-
-def _err_a(ws, level, u, u_star):
-    ops = ws.level_spaces[level]
-    aligned = u if float(u @ (ops.mass @ u_star)) >= 0 else -u
-    return a_norm(aligned - u_star, ops.stiffness)
-
-
 def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None,
                    work=None) -> FmgResult:
     """Coarse nonlinear solve, then march the levels: prolongate the previous
-    pair as the initial value and apply p correction steps per level.  A
-    level's wall_seconds and work_units cover the ladder's own work; the
-    diagnostic direct solves and error norms run after its timer stops."""
+    pair as the initial value and apply p correction steps per level.  Each
+    LevelTrace keeps the level's iterates, its wall_seconds and its
+    work_units (its share of the workspace setup included)."""
     params = params or FmgParams()
     ws = build_workspace(hierarchy, spec, params, work)
     traces = []
-    direct = {}
 
     for k, mesh in enumerate(hierarchy.levels):
         t0 = time.perf_counter()
@@ -223,13 +194,6 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
             lam, u, rec = one_correction_step(ws, k, lam, u)
             records.append(rec)
             iterates.append(u)
-        wall_seconds = time.perf_counter() - t0
-        if params.record_diagnostics:
-            warm = u if k == 0 else ws.hierarchy.interior_prolongation(k - 1) @ direct[k - 1][1]
-            direct[k] = _direct_level_solution(ws, k, warm=warm)
-            errs = [_err_a(ws, k, v, direct[k][1]) for v in iterates]
-            for rec, before, after in zip(records, errs, errs[1:]):
-                rec.err_a_before, rec.err_a_after = before, after
         traces.append(LevelTrace(
             level_index=k,
             n_elements=mesh.n_cells,
@@ -237,13 +201,9 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
             lam=lam,
             records=records,
             work_units=ws.work.work_units - mark + ws.setup_work[k],
-            wall_seconds=wall_seconds,
-            coefficients=u,
-            direct_lambda=direct[k][0] if params.record_diagnostics else np.nan,
+            wall_seconds=time.perf_counter() - t0,
+            iterates=iterates,
         ))
 
-    finest = hierarchy.levels[-1]
-    pair = EigenPair(lam=float(lam),
-                     u=FeFunction(finest.level_index, u),
-                     space_tag=f"level:{finest.level_index}")
+    pair = EigenPair(lam=float(lam), u=FeFunction(hierarchy.levels[-1].level_index, u))
     return FmgResult(pair=pair, traces=traces, work=ws.work)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -117,24 +117,46 @@ def config_from_dict(data) -> ExperimentConfig:
     return cfg
 
 
+# what a field takes follows from its default: an int field takes an int but
+# not a bool, a float field any finite number, and a null default a string
+_TAKES = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+          str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
+_CHOICES = {"problem.dim": (2, 3), "problem.potential": POTENTIALS, "study": STUDIES,
+            "reference": REFERENCES, "format": FORMATS}
+_AT_LEAST = {"problem.zeta": 0, "mesh.divisions_per_axis": 1, "mesh.n_levels": 1,
+             "mesh.coarse_space_level": 0, "algorithm.m": 1, "algorithm.p": 1,
+             "algorithm.pre_smooth": 0, "algorithm.post_smooth": 0,
+             "algorithm.max_scf_iter": 1, "algorithm.varpi": 1,
+             "reference_extra_refinements": 1}
+_POSITIVE = ("algorithm.tol_lambda", "algorithm.tol_u", "reference_tol")
+
+
+def _check_fields(obj, path=""):
+    """Type, choices and bounds of every field, reported by its dotted path."""
+    for f in fields(obj):
+        value, where = getattr(obj, f.name), path + f.name
+        if f.default is MISSING:      # a section
+            _check_fields(value, where + ".")
+            continue
+        takes, expected = _TAKES[type(f.default)]
+        if (isinstance(value, bool) or not isinstance(value, takes)
+                or (isinstance(value, float) and not math.isfinite(value))):
+            raise ConfigError(where, f"must be {expected}, got {value!r}")
+        if where in _CHOICES and value not in _CHOICES[where]:
+            raise ConfigError(where, f"must be one of {_CHOICES[where]}")
+        if where in _AT_LEAST and value < _AT_LEAST[where]:
+            raise ConfigError(where, f"must be >= {_AT_LEAST[where]}")
+        if where in _POSITIVE and value <= 0:
+            raise ConfigError(where, "must be positive")
+
+
 def validate_config(cfg: ExperimentConfig):
-    p, m, a = cfg.problem, cfg.mesh, cfg.algorithm
-    if p.dim not in (2, 3):
-        raise ConfigError("problem.dim", "must be 2 or 3")
-    if p.zeta < 0:
-        raise ConfigError("problem.zeta", "must be nonnegative")
-    if p.sigma != 1:
+    _check_fields(cfg)
+    m, a = cfg.mesh, cfg.algorithm
+    if cfg.problem.sigma != 1:
         # the frozen nonlinearity u^(2 sigma) needs a rule of degree
         # 2 sigma + 2; the built-in rules stop at degree 4
         raise ConfigError("problem.sigma", "only sigma = 1 is supported")
-    if p.potential not in POTENTIALS:
-        raise ConfigError("problem.potential", f"must be one of {POTENTIALS}")
-    if m.divisions_per_axis < 1:
-        raise ConfigError("mesh.divisions_per_axis", "must be >= 1")
-    if m.n_levels < 1:
-        raise ConfigError("mesh.n_levels", "must be >= 1")
-    if m.coarse_space_level < 0:
-        raise ConfigError("mesh.coarse_space_level", "must be >= 0")
     # the first nonlinear solve runs on the first level (FMG studies) or the
     # finest one (single-solve); with fewer than 2 cells per axis it has no
     # interior vertex and the eigensolver has nothing to work on
@@ -143,24 +165,12 @@ def validate_config(cfg: ExperimentConfig):
     if m.divisions_per_axis * 2 ** solve_refinements < 2:
         raise ConfigError("mesh.divisions_per_axis",
                           "the first solve level has no interior vertex; use >= 2")
-    if a.m < 1:
-        raise ConfigError("algorithm.m", "must be >= 1")
-    if a.p < 1:
-        raise ConfigError("algorithm.p", "must be >= 1")
-    if a.varpi < 1:
-        raise ConfigError("algorithm.varpi", "must be >= 1")
-    if a.tol_lambda <= 0 or a.tol_u <= 0:
-        raise ConfigError("algorithm.tol_lambda", "tolerances must be positive")
-    if cfg.study not in STUDIES:
-        raise ConfigError("study", f"must be one of {STUDIES}")
-    if cfg.reference not in REFERENCES:
-        raise ConfigError("reference", f"must be one of {REFERENCES}")
+    if a.pre_smooth + a.post_smooth < 1:
+        # the coarse correction alone leaves the fine-level error in place,
+        # so every level would repeat the first level's eigenpair
+        raise ConfigError("algorithm.post_smooth", "pre_smooth + post_smooth must be >= 1")
     if cfg.reference == "file" and not cfg.reference_path:
         raise ConfigError("reference_path", "required when reference is 'file'")
-    if cfg.reference_extra_refinements < 1:
-        raise ConfigError("reference_extra_refinements", "must be >= 1")
-    if cfg.format not in FORMATS:
-        raise ConfigError("format", f"must be one of {FORMATS}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -180,15 +190,13 @@ def problem_spec_from(cfg: ExperimentConfig) -> ProblemSpec:
                        zeta=cfg.problem.zeta, sigma=cfg.problem.sigma)
 
 
-def fmg_params_from(cfg: ExperimentConfig, diagnostics=False) -> FmgParams:
+def fmg_params_from(cfg: ExperimentConfig) -> FmgParams:
     a = cfg.algorithm
     return FmgParams(
         m=a.m, p=a.p, pre_smooth=a.pre_smooth, post_smooth=a.post_smooth,
         varpi=a.varpi,
         scf=ScfSettings(tol_lambda=a.tol_lambda, tol_u=a.tol_u,
                         max_iter=a.max_scf_iter),
-        record_diagnostics=diagnostics,
-        diagnostics_tol=cfg.reference_tol,
     )
 
 
@@ -291,18 +299,6 @@ def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=N
                               coefficients=ref.pair.u.coefficients, history=ref.history)
 
 
-def _reference_errors(hierarchy_full, run_levels, spec, cfg, traces):
-    reference = solve_reference(hierarchy_full, spec, ref_tol=cfg.reference_tol,
-                                warm=traces[-1].coefficients, warm_level=run_levels - 1)
-    errs = {"lambda": [], "a": [], "l2": []}
-    for k, tr in enumerate(traces):
-        el, ea, e2 = reference.errors(k, tr.lam, tr.coefficients)
-        errs["lambda"].append(el)
-        errs["a"].append(ea)
-        errs["l2"].append(e2)
-    return errs, reference
-
-
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Build the hierarchy, run the configured study, and fill the table."""
     validate_config(cfg)
@@ -332,15 +328,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         report = ErrorReport(rows=[row], meta=meta)
         return _maybe_emit(report, cfg)
 
-    diagnostics = cfg.study == "contraction"
-    params = fmg_params_from(cfg, diagnostics=diagnostics)
-    result = full_multigrid(run_h, spec, params)
-    traces = result.traces
+    traces = full_multigrid(run_h, spec, fmg_params_from(cfg)).traces
 
     meta["augmented_converged"] = [[r.converged for r in t.records] for t in traces]
     rows = [LevelRow(level=t.level_index + 1, n_elements=t.n_elements, n_dofs=t.n_dofs,
                      lam=t.lam, work_units=t.work_units, wall_seconds=t.wall_seconds,
-                     varpi_max=t.varpi_max, gamma_obs=t.gamma_obs)
+                     varpi_max=t.varpi_max)
             for t in traces]
     # the linear-complexity claim: work per unknown levels off, and the whole
     # ladder costs a bounded multiple of its finest level
@@ -349,11 +342,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     if cfg.study == "convergence":
         if cfg.reference == "extra-level":
-            errs, reference = _reference_errors(hierarchy_full, n, spec, cfg, traces)
+            reference = solve_reference(hierarchy_full, spec, cfg.reference_tol,
+                                        warm=traces[-1].coefficients, warm_level=n - 1)
             meta["reference_lambda"] = reference.lam
             meta["reference_scf_history"] = [asdict(sweep) for sweep in reference.history]
-            for row, ea, el, e2 in zip(rows, errs["a"], errs["lambda"], errs["l2"]):
-                row.err_a, row.err_lambda, row.err_l2 = ea, el, e2
+            for k, (row, t) in enumerate(zip(rows, traces)):
+                row.err_lambda, row.err_a, row.err_l2 = reference.errors(k, t.lam, t.coefficients)
         else:
             ref_data = _load_reference_file(cfg.reference_path)
             meta["reference_lambda"] = ref_data["lambda"]
@@ -363,10 +357,20 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         meta["fitted_rates"] = {name: fitted_rate([getattr(r, name) for r in rows], 2)
                                 for name in ("err_lambda", "err_a", "err_l2")}
     elif cfg.study == "contraction":
-        for row, t in zip(rows, traces):
-            row.err_lambda = abs(t.lam - t.direct_lambda)
+        # each correction's energy-error contraction against the same level's
+        # reference solve, warm-started from the ladder's first level and then
+        # from the reference below
+        warm = traces[0].coefficients
+        for k, (row, t) in enumerate(zip(rows, traces)):
+            ref = solve_reference(run_h.truncated(k + 1), spec, cfg.reference_tol,
+                                  warm=warm, warm_level=max(k - 1, 0))
+            warm = ref.coefficients
+            errs = [ref.errors(k, t.lam, v)[1] for v in t.iterates]
+            row.err_lambda = abs(t.lam - ref.lam)
             if t.records:
-                row.err_a = t.records[-1].err_a_after
+                row.err_a = errs[-1]
+            row.gamma_obs = max((after / before for before, after in zip(errs, errs[1:])
+                                 if before != 0.0), default=np.nan)
         _fill_rates(rows)
         # the V-cycle on the pure diffusion problem, on meshes of the run's sizes
         a = cfg.algorithm
@@ -410,6 +414,17 @@ def _fmt(value):
     return f"{v:.12g}"
 
 
+def _strict_json(value):
+    """JSON has no NaN or infinity: non-finite floats become null."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def report_to_string(report: ErrorReport, fmt="csv"):
     rows = list(zip(*(report.column(name) for name in _COLUMNS)))
     if fmt == "csv":
@@ -418,7 +433,8 @@ def report_to_string(report: ErrorReport, fmt="csv"):
     if fmt == "json":
         records = [{name: int(v) if isinstance(v, (int, np.integer)) else float(_fmt(v))
                     for name, v in zip(_COLUMNS, vals)} for vals in rows]
-        return json.dumps({"rows": records, "meta": report.meta}, indent=2) + "\n"
+        return json.dumps(_strict_json({"rows": records, "meta": report.meta}),
+                          indent=2, allow_nan=False) + "\n"
     raise ConfigError("format", f"must be one of {FORMATS}")
 
 

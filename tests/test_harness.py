@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,11 +53,30 @@ def test_unknown_field_reports_path():
     ({"format": "xml"}, "format"),
     # no damping option: the energy line search sets the step
     ({"algorithm": {"damping": 1.0}}, "algorithm.damping"),
+    # each of these crashed in a solver or returned an unconverged ladder
+    ({"reference_tol": 0}, "reference_tol"),
+    ({"algorithm": {"max_scf_iter": 0}}, "algorithm.max_scf_iter"),
+    ({"algorithm": {"pre_smooth": -1}}, "algorithm.pre_smooth"),
+    ({"algorithm": {"post_smooth": -1}}, "algorithm.post_smooth"),
+    ({"mesh": {"n_levels": 2.0}}, "mesh.n_levels"),
+    ({"reference_extra_refinements": 1.5}, "reference_extra_refinements"),
+    ({"problem": {"zeta": "1"}}, "problem.zeta"),
+    # without smoothing every level repeats the first level's eigenpair
+    ({"algorithm": {"pre_smooth": 0, "post_smooth": 0}}, "algorithm.post_smooth"),
+    ({"mesh": {"n_levels": True}}, "mesh.n_levels"),
+    ({"problem": {"zeta": float("nan")}}, "problem.zeta"),
+    ({"output": 3}, "output"),
 ])
 def test_validation_errors_with_paths(patch, field):
     with pytest.raises(ConfigError) as err:
         config_from_dict(patch)
     assert err.value.field == field
+
+
+def test_validation_takes_ints_for_floats_and_null_for_paths():
+    cfg = config_from_dict({"problem": {"zeta": 1}, "reference_tol": 1,
+                            "reference_path": None, "output": None})
+    assert cfg.problem.zeta == 1 and cfg.output is None
 
 
 def test_load_config_file_errors(tmp_path):
@@ -152,6 +173,16 @@ def test_contraction_study_gamma_column():
     rep = run_experiment(cfg)
     gammas = rep.column("gamma_obs")[1:]
     assert all(np.isfinite(g) and g < 1.0 for g in gammas)
+    # pinned values: any change to the same-level direct solves shows here
+    pinned = {
+        "gamma_obs": [np.nan, 0.012432825028943472, 0.0108750875330346],
+        "err_a": [np.nan, 0.009501668651462618, 0.004126967111743143],
+        "err_lambda": [3.197442310920451e-14, 0.00018454104912635216,
+                       3.3118087511496697e-05],
+    }
+    for name, values in pinned.items():
+        assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
+    assert rep.column("work_units") == [42244, 91687, 339122]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
@@ -169,6 +200,47 @@ def test_contraction_study_measures_the_vcycle_on_the_run_meshes():
     rep = run_experiment(cfg)
     assert rep.column("n_dofs") == [3 ** 2, 7 ** 2]
     assert rep.meta["vcycle_theta"] == [measure_mg_contraction(4, 2, pre=2, post=1)[1]]
+
+
+def test_contraction_reference_solves_stay_out_of_the_level_timings(monkeypatch):
+    # the same-level direct solves measure the ladder and are not part of
+    # it: a level's wall_seconds and work_units cover the ladder's own work
+    from fmgeig import harness
+
+    solve = harness.solve_reference
+    calls = []
+
+    def slow_solve(hierarchy, *args, **kwargs):
+        calls.append(hierarchy.n_levels)
+        time.sleep(0.3)
+        return solve(hierarchy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_reference", slow_solve)
+    config = {"problem": {"dim": 2, "zeta": 1.0},
+              "mesh": {"divisions_per_axis": 8, "n_levels": 4}}
+    rep = run_experiment(config_from_dict({**config, "study": "contraction"}))
+    plain = run_experiment(config_from_dict({**config, "study": "work-scaling"}))
+    assert calls == [1, 2, 3, 4]
+    assert all(t < 0.3 for t in rep.column("wall_seconds"))
+    assert rep.column("work_units") == plain.column("work_units")
+
+
+def test_contraction_study_raises_when_a_direct_solve_does_not_converge(monkeypatch, capsys):
+    # an unconverged direct solve is a solver failure (exit 3), never a gamma
+    from fmgeig import harness
+
+    solve = harness.scf_solve
+
+    def unconverged(*args, **kwargs):
+        return replace(solve(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(harness, "scf_solve", unconverged)
+    cfg = config_from_dict({"mesh": {"divisions_per_axis": 8, "n_levels": 2},
+                            "study": "contraction"})
+    with pytest.raises(SolverError):
+        run_experiment(cfg)
+    assert cli.main(["--study", "contraction", "--levels", "2"]) == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_csv_emission(tmp_path):
@@ -209,6 +281,22 @@ def test_json_roundtrip_bit_for_bit(tmp_path):
     assert parsed == again
     row = parsed["rows"][0]
     assert row["lambda"] == float(f"{rep.rows[0].lam:.12g}")
+
+
+def test_json_reports_are_strict_json(tmp_path):
+    # undefined errors and rates are null: JSON has no NaN
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"lambda": 2 * math.pi ** 2}))
+    for extra in ({"study": "work-scaling"},
+                  {"study": "convergence", "reference": "file", "reference_path": str(ref)}):
+        cfg = config_from_dict({"mesh": {"divisions_per_axis": 4, "n_levels": 2}, **extra})
+        parsed = json.loads(report_to_string(run_experiment(cfg), "json"),
+                            parse_constant=reject)
+        assert parsed["rows"][0]["err_a"] is None
+    assert parsed["meta"]["fitted_rates"]["err_a"] is None
 
 
 def test_json_meta_reports_augmented_convergence(tmp_path):
