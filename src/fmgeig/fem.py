@@ -5,22 +5,29 @@ the potential and the frozen nonlinearity, the nonlinear residual, and
 the energy / L2 norms.  All systems are reduced to interior degrees of
 freedom unless a full matrix is requested explicitly.
 
-Each mesh computes its checked cell measures and its CSR pattern (with the
-map from every local entry to its data slot) once, on first use, and keeps
-them on the MeshLevel instance; every later assembly on that mesh only sums
-local values into a fresh data array.
+Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
+as a (cells, 6) array in 2D or a (cells, 10) array in 3D, in
+``np.triu_indices(d+1)`` order.  Each mesh computes its checked cell
+measures and its CSR pattern once, on first use, and keeps them on the
+MeshLevel instance.  The pattern carries two maps: a compact index for every
+upper local entry (the mesh edges, then the diagonal, then one dump slot for
+entries that couple to an excluded vertex), and a gather from that compact
+index to CSR order.  Every assembly is then one ``bincount`` of the upper
+entries into the compact index and one gather; (i, j) and (j, i) read the
+same sum, so every matrix is exactly symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import MeshLevel, cell_measures
+from .mesh import MeshLevel, cell_edges, cell_measures
 
 __all__ = [
     "ProblemSpec",
@@ -40,8 +47,13 @@ _FIELD_BLOCK = 1 << 16
 
 
 def harmonic_potential(points):
-    """W(x) = |x|^2, the trapping potential of both benchmark problems."""
-    return np.sum(points ** 2, axis=-1)
+    """W(x) = |x|^2, the trapping potential of both benchmark problems.
+    Summed one coordinate at a time, so the component-major point arrays
+    of the assembly (a transposed view) are read without a copy."""
+    w = points[..., 0] ** 2
+    for k in range(1, points.shape[-1]):
+        w += points[..., k] ** 2
+    return w
 
 
 @dataclass(frozen=True)
@@ -172,10 +184,21 @@ def _measures_and_pattern(mesh: MeshLevel, interior_only):
     return measures, _cached(mesh, key, lambda m: _build_pattern(m, interior_only))
 
 
+class _Pattern(NamedTuple):
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray       # (cells * (d+1)(d+2)/2,) compact index of each upper entry
+    gather: np.ndarray     # (nnz,) compact index of each CSR entry
+    n_compact: int         # edges + diagonal + the dump slot
+
+
 def _build_pattern(mesh, interior_only):
-    """CSR pattern (indptr, indices) over the interior (or all) vertices and
-    the data slot of every local entry (cell, i, j), flattened in that
-    order.  Entries coupling to an excluded vertex go to the extra slot nnz."""
+    """CSR pattern (indptr, indices) over the interior (or all) vertices, the
+    compact index of every upper local entry (cell, k), k in
+    ``np.triu_indices(d+1)`` order and flattened in that order, and the gather
+    from compact index to CSR order.  The compact index numbers the mesh
+    edges, then the diagonal, then one dump slot for every entry that couples
+    to an excluded vertex; the two CSR entries of an edge gather its one sum."""
     if interior_only:
         n = mesh.n_interior
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -184,73 +207,83 @@ def _build_pattern(mesh, interior_only):
         n = mesh.n_vertices
         dof = np.arange(n, dtype=np.int64)
     cell_dofs = dof[mesh.cells]
-    # stored entries: both orientations of every mesh edge, then the diagonal
-    n_loc = mesh.dim + 1
-    i, j = np.triu_indices(n_loc, 1)
-    a, b = cell_dofs[:, i], cell_dofs[:, j]
-    lo = np.minimum(a, b)
-    inner = lo >= 0
-    edges, edge_of = np.unique((lo * n + np.maximum(a, b))[inner], return_inverse=True)
+    iu, ju = np.triu_indices(mesh.dim + 1)
+    off = iu != ju
+    # edge key lo * n + hi of every off-diagonal upper entry, built in place;
+    # each large temporary is dropped as soon as the next step has read it
+    a, b = cell_dofs[:, iu[off]], cell_dofs[:, ju[off]]
+    keys = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    del a
+    inner = keys >= 0
+    keys *= n
+    keys += b
+    del b
+    keys = keys[inner]
+    edges, edge_of = np.unique(keys, return_inverse=True)
+    del keys
     n_e = edges.size
     e_lo, e_hi = np.divmod(edges, n)
-    keys = np.concatenate([edges, e_hi * n + e_lo, np.arange(n) * (n + 1)])
+    del edges
+    # stored entries: both orientations of every mesh edge, then the diagonal
+    keys = np.concatenate([e_lo * n + e_hi, e_hi * n + e_lo, np.arange(n) * (n + 1)])
     order = np.argsort(keys)
     nnz = keys.size
     idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
-    # rank[k]: CSR slot of keys[k]; the extra last entry is the dump slot
-    rank = np.empty(nnz + 1, dtype=idx)
-    rank[order] = np.arange(nnz, dtype=idx)
-    rank[nnz] = nnz
-    keys = keys[order]
+    indices = (keys[order] % n).astype(idx)
+    del keys
+    edge_ids = np.arange(n_e, dtype=idx)
+    gather = np.concatenate([edge_ids, edge_ids, np.arange(n_e, n_e + n, dtype=idx)])[order]
+    del order
     indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    np.cumsum(np.bincount(e_lo, minlength=n) + np.bincount(e_hi, minlength=n) + 1,
+              out=indptr[1:])
 
-    slot = np.empty((len(cell_dofs), n_loc, n_loc), dtype=idx)
-    diag = np.arange(n_loc)
-    slot[:, diag, diag] = rank[np.where(cell_dofs >= 0, 2 * n_e + cell_dofs, nnz)]
-    edge = np.full(a.shape, nnz, dtype=np.intp)
+    dump = n_e + n
+    slot = np.empty((len(cell_dofs), iu.size), dtype=idx)
+    slot[:, ~off] = np.where(cell_dofs >= 0, n_e + cell_dofs, dump)
+    edge = np.full(inner.shape, dump, dtype=idx)
     edge[inner] = edge_of
-    forward = rank[edge]          # slot of (lo, hi)
-    edge[inner] += n_e
-    backward = rank[edge]         # slot of (hi, lo)
-    swap = a > b
-    slot[:, i, j] = np.where(swap, backward, forward)
-    slot[:, j, i] = np.where(swap, forward, backward)
-    return indptr, (keys % n).astype(idx), slot.ravel()
+    slot[:, off] = edge
+    return _Pattern(indptr, indices, slot.ravel(), gather, dump + 1)
 
 
-def _assemble(pattern, local, work=None):
-    """Sum local (nc, d+1, d+1) matrices into a CSR matrix on a cached
-    pattern.  ``local`` is symmetrized in place first; the sums then visit
-    (i, j) and (j, i) in the same cell order, so the result is exactly
-    symmetric."""
-    local += np.transpose(local, (0, 2, 1))
-    local *= 0.5
-    indptr, indices, slot = pattern
-    nnz = indices.size
-    data = np.bincount(slot, weights=local.ravel(), minlength=nnz + 1)[:nnz]
+def _assemble(pattern, up, work=None):
+    """CSR matrix from upper local entries (cells, (d+1)(d+2)/2) in
+    ``np.triu_indices(d+1)`` order, on a cached pattern: one bincount into
+    the compact index, then a gather into CSR order.  (i, j) and (j, i)
+    gather the same sum, so the result is exactly symmetric."""
+    indptr, indices, slot, gather, n_compact = pattern
+    sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
     n = indptr.size - 1
     # copies of the cached index arrays: the caller owns the matrix
-    A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
     A.eliminate_zeros()
     if work is not None:
-        work.count_assembly(local.size)
+        work.count_assembly(up.size)
     return A
 
 
 def _scaled_gradients(mesh):
-    """det(x_1 - x_0, ..., x_d - x_0) times the barycentric gradients
-    (nc, d+1, d): rows 1..d are the cofactor rows of the edge matrix, row 0
-    is minus their sum."""
-    coords = mesh.vertices[mesh.cells]
-    e = coords[:, 1:, :] - coords[:, :1, :]
+    """det(x_1 - x_0, ..., x_d - x_0) times the barycentric gradients,
+    component-major (d+1, d, cells): rows 1..d are the cofactor rows of the
+    edge matrix, written out (in 3D the cross products b x c, c x a, a x b
+    of the edges a, b, c), and row 0 is minus their sum."""
+    G = np.empty((mesh.dim + 1, mesh.dim, mesh.n_cells))
     if mesh.dim == 2:
-        cof = np.stack([np.stack([e[:, 1, 1], -e[:, 1, 0]], axis=-1),
-                        np.stack([-e[:, 0, 1], e[:, 0, 0]], axis=-1)], axis=1)
+        (ax, ay), (bx, by) = cell_edges(mesh)
+        G[1, 0], G[1, 1] = by, -bx
+        G[2, 0], G[2, 1] = -ay, ax
     else:
-        cof = np.stack([np.cross(e[:, 1], e[:, 2]), np.cross(e[:, 2], e[:, 0]),
-                        np.cross(e[:, 0], e[:, 1])], axis=1)
-    return np.concatenate([-cof.sum(axis=1, keepdims=True), cof], axis=1)
+        a, b, c = cell_edges(mesh)
+        for row, (u, v) in enumerate(((b, c), (c, a), (a, b)), start=1):
+            np.subtract(u[1] * v[2], u[2] * v[1], out=G[row, 0])
+            np.subtract(u[2] * v[0], u[0] * v[2], out=G[row, 1])
+            np.subtract(u[0] * v[1], u[1] * v[0], out=G[row, 2])
+    np.negative(G[1], out=G[0])
+    for row in G[2:]:
+        G[0] -= row
+    return G
 
 
 def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, work=None):
@@ -259,29 +292,44 @@ def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, w
     G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here."""
     measures, pattern = _measures_and_pattern(mesh, interior_only)
     G = _scaled_gradients(mesh)
-    local = G @ spec.diffusion_matrix @ np.transpose(G, (0, 2, 1))
-    local /= (factorial(mesh.dim) ** 2 * measures)[:, None, None]
-    return _assemble(pattern, local, work)
+    DG = np.matmul(spec.diffusion_matrix, G)
+    iu, ju = np.triu_indices(mesh.dim + 1)
+    # one dot product per upper pair, entry-major so every write is
+    # contiguous; gathering G[iu] and DG[ju] instead would copy both
+    # (entries, d, cells) arrays
+    up = np.empty((iu.size, mesh.n_cells))
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        np.einsum("mc,mc->c", G[i], DG[j], out=up[k])
+    del G, DG
+    up /= factorial(mesh.dim) ** 2 * measures
+    return _assemble(pattern, up.T, work)
 
 
 def assemble_mass(mesh: MeshLevel, interior_only=True, work=None):
-    """Matrix of (w, v); exact closed form for P1."""
+    """Matrix of (w, v); exact closed form for P1: |K| (1 + delta_ij) / ((d+1)(d+2))."""
     d = mesh.dim
-    base = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    iu, ju = np.triu_indices(d + 1)
+    base = (1.0 + (iu == ju)) / ((d + 1) * (d + 2))
     measures, pattern = _measures_and_pattern(mesh, interior_only)
-    return _assemble(pattern, measures[:, None, None] * base[None, :, :], work)
+    return _assemble(pattern, measures[:, None] * base, work)
 
 
 def _field_at_qpoints(mesh, func, rule):
     """Analytic field evaluated at the quadrature points of every cell (nc, nq).
-    Blocks of cells bound the (cells, nq, d) point array and the field's own
-    temporaries, which over a whole fine mesh would set the peak memory of a
-    solve."""
-    vals = np.empty((mesh.n_cells, len(rule.points)))
+    Each block's points come from one matrix product, (block * d, d+1) @
+    (d+1, nq), and reach the field component-major as a transposed
+    (points, d) view.  Blocks of cells bound the point array and the
+    field's own temporaries, which over a whole fine mesh would set the
+    peak memory of a solve."""
+    d, nq = mesh.dim, len(rule.points)
+    bary = rule.points.T
+    vals = np.empty((mesh.n_cells, nq))
     for start in range(0, mesh.n_cells, _FIELD_BLOCK):
-        block = slice(start, start + _FIELD_BLOCK)
-        phys = rule.points @ mesh.vertices[mesh.cells[block]]
-        vals[block] = np.asarray(func(phys.reshape(-1, mesh.dim)), dtype=float).reshape(len(phys), -1)
+        cells = mesh.cells[start:start + _FIELD_BLOCK]
+        coords = np.take(mesh.vertices.T, cells, axis=1)          # (d, block, d+1)
+        phys = coords.reshape(-1, d + 1) @ bary                     # (d * block, nq)
+        field = func(phys.reshape(d, -1).T)
+        vals[start:start + len(cells)] = np.asarray(field, dtype=float).reshape(len(cells), nq)
     return vals
 
 
@@ -316,13 +364,14 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
     measures, pattern = _measures_and_pattern(mesh, interior_only)
     vals = _weight_values_at_qpoints(mesh, weight, rule)
     if power != 1:
-        vals = vals ** power
-    pts = rule.points
-    # (nq, (d+1)^2) table of w_q phi_i(q) phi_j(q); one matrix product per assembly
-    table = (rule.weights[:, None, None] * pts[:, :, None] * pts[:, None, :]).reshape(len(pts), -1)
-    n_loc = mesh.dim + 1
-    local = ((measures[:, None] * vals) @ table).reshape(-1, n_loc, n_loc)
-    return _assemble(pattern, local, work)
+        vals **= power
+    vals *= measures[:, None]
+    # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per assembly
+    iu, ju = np.triu_indices(mesh.dim + 1)
+    table = rule.weights[:, None] * rule.points[:, iu] * rule.points[:, ju]
+    up = vals @ table
+    del vals
+    return _assemble(pattern, up, work)
 
 
 def _full_values(mesh: MeshLevel, interior_coeffs):

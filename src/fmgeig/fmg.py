@@ -91,6 +91,7 @@ class FmgResult:
     pair: EigenPair
     traces: list
     work: WorkReport
+    level_spaces: list       # the workspace's assembled LevelSpace per level
 
     @property
     def lambdas(self):
@@ -206,4 +207,4 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
         ))
 
     pair = EigenPair(lam=float(lam), u=FeFunction(hierarchy.levels[-1].level_index, u))
-    return FmgResult(pair=pair, traces=traces, work=ws.work)
+    return FmgResult(pair=pair, traces=traces, work=ws.work, level_spaces=ws.level_spaces)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -278,13 +278,18 @@ class SurrogateReference:
                 l2_norm(diff, self.space.mass))
 
 
-def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=None):
+def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=None,
+                    space=None):
     """Direct SCF solve on the finest level of `hierarchy_full`, warm-started
-    from a coarser iterate when one is supplied."""
+    from a coarser iterate when one is supplied.  ``space`` is that level's
+    LevelSpace when it is already assembled; it gains the transfer chain."""
     ref_level = hierarchy_full.n_levels - 1
     prols = [hierarchy_full.interior_prolongation(j) for j in range(ref_level)]
-    ref_space = LevelSpace.build(hierarchy_full.levels[ref_level], spec,
-                                 prolongations=prols)
+    if space is None:
+        ref_space = LevelSpace.build(hierarchy_full.levels[ref_level], spec,
+                                     prolongations=prols)
+    else:
+        ref_space = replace(space, prolongations=prols)
     if warm is not None:
         for j in range(warm_level, ref_level):
             warm = hierarchy_full.interior_prolongation(j) @ warm
@@ -328,7 +333,12 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         report = ErrorReport(rows=[row], meta=meta)
         return _maybe_emit(report, cfg)
 
-    traces = full_multigrid(run_h, spec, fmg_params_from(cfg)).traces
+    ladder = full_multigrid(run_h, spec, fmg_params_from(cfg))
+    traces = ladder.traces
+    # the contraction study's same-level reference solves reuse the ladder's
+    # assembled levels; no other study keeps them alive
+    level_spaces = ladder.level_spaces if cfg.study == "contraction" else None
+    del ladder
 
     meta["augmented_converged"] = [[r.converged for r in t.records] for t in traces]
     rows = [LevelRow(level=t.level_index + 1, n_elements=t.n_elements, n_dofs=t.n_dofs,
@@ -363,7 +373,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         warm = traces[0].coefficients
         for k, (row, t) in enumerate(zip(rows, traces)):
             ref = solve_reference(run_h.truncated(k + 1), spec, cfg.reference_tol,
-                                  warm=warm, warm_level=max(k - 1, 0))
+                                  warm=warm, warm_level=max(k - 1, 0),
+                                  space=level_spaces[k])
             warm = ref.coefficients
             errs = [ref.errors(k, t.lam, v)[1] for v in t.iterates]
             row.err_lambda = abs(t.lam - ref.lam)

@@ -30,8 +30,10 @@ class WorkReport:
 
     ``work_units`` is the single work tally; every traversal of a stored
     nonzero (matvec, transfer, triple product, factor application) and
-    every generated local assembly entry adds to it.  The remaining fields
-    count events.
+    every generated local assembly entry adds to it.  Assembly generates
+    only the (d+1)(d+2)/2 upper entries of each cell's symmetric local
+    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  The
+    remaining fields count events.
     """
 
     work_units: int = 0

@@ -26,6 +26,7 @@ __all__ = [
     "build_hierarchy",
     "prolongation",
     "interior_prolongation",
+    "cell_edges",
     "cell_measures",
 ]
 
@@ -117,11 +118,25 @@ def _max_diameter(vertices, cells):
     return dmax
 
 
+def cell_edges(mesh):
+    """Edge vectors x_i - x_0, i = 1..d, of every cell as (d, d, cells):
+    entry [i - 1, k] is component k of x_i - x_0, one contiguous row of
+    cells."""
+    x = np.take(mesh.vertices.T, mesh.cells.T, axis=1)     # (d, d+1, cells)
+    return (x[:, 1:] - x[:, :1]).transpose(1, 0, 2)
+
+
 def cell_measures(mesh):
-    """Unsigned measure (area / volume) of every cell."""
-    coords = mesh.vertices[mesh.cells]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    det = np.linalg.det(edges)
+    """Unsigned measure (area / volume) of every cell: |det(x_1 - x_0, ...,
+    x_d - x_0)| / d!, written out as the 2D cross product or the 3D triple
+    product."""
+    if mesh.dim == 2:
+        (ax, ay), (bx, by) = cell_edges(mesh)
+        det = ax * by - ay * bx
+    else:
+        a, b, c = cell_edges(mesh)
+        det = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+               + a[2] * (b[0] * c[1] - b[1] * c[0]))
     return np.abs(det) / factorial(mesh.dim)
 
 

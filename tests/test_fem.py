@@ -447,3 +447,63 @@ def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
     assert np.array_equal(assemble_weighted_mass(m, w, 2).toarray(), expected)
     assemble_mass(m)
     assemble_stiffness(m, ProblemSpec(dim=3))
+
+
+def _forbid(monkeypatch, *targets):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during assembly")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
+    # cell measures and scaled gradients are written out in closed form, so
+    # even the first assembly on a fresh mesh (measures, pattern, kernels)
+    # runs without a batched determinant, inverse or cross product
+    m = _test_mesh(dim)
+    grads, meas = _reference_geometry(m)
+    D = _DIFFUSION[dim]
+    local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
+    local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
+    expected_a = _coo_reference(m, local_a, True)
+    expected_m = _coo_reference(m, local_m, True)
+    fresh = refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
+    _forbid(monkeypatch, (np.linalg, "det"), (np.linalg, "inv"), (np, "cross"))
+    _assert_matches(assemble_stiffness(fresh, ProblemSpec(dim=dim, diffusion=D)), expected_a)
+    _assert_matches(assemble_mass(fresh), expected_m)
+    assemble_weighted_mass(fresh, harmonic_potential, 1)
+    assemble_weighted_mass(fresh, FeFunction(fresh.level_index, np.ones(fresh.n_interior)), 2)
+
+
+@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cached_slot_map_holds_only_upper_entries(dim, interior_only):
+    m = _test_mesh(dim)
+    assemble_mass(m, interior_only=interior_only)
+    key = "_fem_pattern_interior" if interior_only else "_fem_pattern_full"
+    pattern = m.__dict__[key]
+    assert pattern.slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
+    # one gather entry per stored CSR entry
+    assert pattern.gather.shape == pattern.indices.shape
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cell_measures_match_determinant_reference(dim):
+    # the written-out cross / triple product against a batched LU
+    # determinant, with every other cell's orientation reversed; on the
+    # built meshes to 1e-15, on jittered general-position cells to 1e-14
+    m = _test_mesh(dim)
+    cells = m.cells.copy()
+    cells[::2, [0, 1]] = cells[::2, [1, 0]]
+    jitter = np.random.default_rng(6).uniform(-1.0, 1.0, m.vertices.shape)
+    for vertices, rtol in ((m.vertices, 1e-15), (m.vertices + 0.2 * m.mesh_size * jitter, 1e-14)):
+        mesh = MeshLevel(dim=dim, vertices=vertices, cells=cells,
+                         boundary_vertex=m.boundary_vertex, level_index=m.level_index,
+                         mesh_size=m.mesh_size, box=m.box)
+        coords = vertices[cells]
+        reference = np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / factorial(dim)
+        measures = cell_measures(mesh)
+        assert np.all(reference > 0)
+        assert (np.abs(measures - reference) / reference).max() <= rtol

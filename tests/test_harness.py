@@ -182,7 +182,7 @@ def test_contraction_study_gamma_column():
     }
     for name, values in pinned.items():
         assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
-    assert rep.column("work_units") == [42244, 91687, 339122]
+    assert rep.column("work_units") == [38020, 79399, 289970]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
@@ -223,6 +223,26 @@ def test_contraction_reference_solves_stay_out_of_the_level_timings(monkeypatch)
     assert calls == [1, 2, 3, 4]
     assert all(t < 0.3 for t in rep.column("wall_seconds"))
     assert rep.column("work_units") == plain.column("work_units")
+
+
+def test_contraction_study_assembles_each_level_once(monkeypatch):
+    # the same-level reference solves reuse the ladder's assembled levels
+    from fmgeig.eigsolve import LevelSpace
+
+    build = LevelSpace.build.__func__
+    meshes = []
+
+    def counted(cls, mesh, *args, **kwargs):
+        meshes.append(mesh.level_index)
+        return build(cls, mesh, *args, **kwargs)
+
+    monkeypatch.setattr(LevelSpace, "build", classmethod(counted))
+    run_experiment(config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 8, "n_levels": 3},
+        "study": "contraction",
+    }))
+    assert meshes == [0, 1, 2]
 
 
 def test_contraction_study_raises_when_a_direct_solve_does_not_converge(monkeypatch, capsys):
