@@ -69,6 +69,10 @@ class MeshLevel:
     produced by :func:`refine`, the parent's vertices occupy indices
     ``0 .. n_parent_vertices-1`` and ``midpoint_parents[i]`` gives the two
     parent endpoints of new vertex ``n_parent_vertices + i``.
+
+    ``mesh_size`` is the longest cell edge, derived from the box and the
+    refinement rather than measured over the cells; only the degenerate-cell
+    check of the assembly reads it.
     """
 
     dim: int
@@ -105,17 +109,6 @@ def _boundary_flags(vertices, box):
         flags |= np.abs(x - lo) <= BOUNDARY_TOL
         flags |= np.abs(x - hi) <= BOUNDARY_TOL
     return flags
-
-
-def _max_diameter(vertices, cells):
-    coords = vertices[cells]
-    n_loc = cells.shape[1]
-    dmax = 0.0
-    for i in range(n_loc):
-        for j in range(i + 1, n_loc):
-            d = np.linalg.norm(coords[:, i, :] - coords[:, j, :], axis=1)
-            dmax = max(dmax, float(d.max()))
-    return dmax
 
 
 def cell_edges(mesh):
@@ -205,13 +198,14 @@ def build_initial_mesh(dim, divisions_per_axis, box=None):
         cells = np.concatenate(blocks)
 
     cells = np.ascontiguousarray(cells, dtype=np.int64)
+    # every cell contains the diagonal of its sub-box, the longest edge
     return MeshLevel(
         dim=dim,
         vertices=vertices,
         cells=cells,
         boundary_vertex=_boundary_flags(vertices, box),
         level_index=0,
-        mesh_size=_max_diameter(vertices, cells),
+        mesh_size=float(np.sqrt(sum(((hi - lo) / n) ** 2 for lo, hi in box))),
         box=box,
     )
 
@@ -220,7 +214,9 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     """One regular refinement step: every edge midpoint becomes a vertex,
     every triangle splits into 4 children, every tetrahedron into 8.
 
-    Parent vertices keep their indices as a prefix of the child mesh.
+    Parent vertices keep their indices as a prefix of the child mesh.  The
+    child's ``mesh_size`` is half the parent's in 2D; in 3D it is the larger
+    of that and the longest interior m02-m13 diagonal.
     """
     d = coarse.dim
     nv = coarse.n_vertices
@@ -239,10 +235,17 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     midpoints = 0.5 * (coarse.vertices[edge_lo] + coarse.vertices[edge_hi])
     vertices = np.vstack([coarse.vertices, midpoints])
 
-    midpoint_ids = nv + inverse.reshape(keys.shape)
-    local = np.hstack([cells, midpoint_ids])
+    mid = inverse.reshape(keys.shape)
+    local = np.hstack([cells, nv + mid])
     table = _CHILD_TABLE[d]
     children = local[:, table.ravel()].reshape(-1, d + 1)
+
+    # Every child edge is half a parent edge or a midline of a parent face,
+    # half the edge it parallels; in 3D the m02-m13 cut is the only other one.
+    mesh_size = 0.5 * coarse.mesh_size
+    if d == 3:
+        cut = midpoints[mid[:, 1]] - midpoints[mid[:, 4]]
+        mesh_size = max(mesh_size, float(np.linalg.norm(cut, axis=1).max()))
 
     return MeshLevel(
         dim=d,
@@ -250,7 +253,7 @@ def refine(coarse: MeshLevel) -> MeshLevel:
         cells=np.ascontiguousarray(children, dtype=np.int64),
         boundary_vertex=_boundary_flags(vertices, coarse.box),
         level_index=coarse.level_index + 1,
-        mesh_size=_max_diameter(vertices, children),
+        mesh_size=mesh_size,
         box=coarse.box,
         n_parent_vertices=nv,
         midpoint_parents=np.column_stack([edge_lo, edge_hi]),

@@ -465,3 +465,18 @@ def test_scf_converges_at_zeta_1000_on_the_64x64_level():
     res = scf_solve(space, spec, ScfSettings(max_iter=300))
     assert res.converged
     assert abs(res.pair.lam - 1191.07409529) <= 1e-9 * 1191.07409529
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("divisions, n_levels", [(16, 1), (8, 2)])
+def test_scf_converges_at_zeta_5000_on_the_16x16_level(divisions, n_levels):
+    # a preconditioner built once from the linear part L alone stalls LOBPCG
+    # here, so every sweep's context must carry zeta Mnl(w); the discrete
+    # ground state is 5772.99227041
+    spec = ProblemSpec(dim=2, zeta=5000.0)
+    h = build_hierarchy(2, divisions, n_levels)
+    prols = [h.interior_prolongation(j) for j in range(h.n_levels - 1)]
+    space = LevelSpace.build(h.levels[-1], spec, prolongations=prols)
+    res = scf_solve(space, spec, ScfSettings(max_iter=500))
+    assert res.converged
+    assert abs(res.pair.lam - 5772.99227041) <= 1e-9 * 5772.99227041

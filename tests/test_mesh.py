@@ -131,6 +131,31 @@ def test_hierarchy_mesh_size_halving():
     assert sizes[0] / sizes[3] == pytest.approx(8.0, rel=1e-12)
 
 
+def _longest_edge(mesh):
+    """Brute-force reference: every vertex pair of every cell."""
+    coords = mesh.vertices[mesh.cells]
+    n_loc = mesh.cells.shape[1]
+    dmax = 0.0
+    for i in range(n_loc):
+        for j in range(i + 1, n_loc):
+            d = np.linalg.norm(coords[:, i, :] - coords[:, j, :], axis=1)
+            dmax = max(dmax, float(d.max()))
+    return dmax
+
+
+@pytest.mark.parametrize("dim, box", [
+    (2, None),
+    (3, None),
+    (2, ((0, 2), (-1, 0.5))),
+    (3, ((0, 1), (0, 3), (0, 0.5))),
+])
+@pytest.mark.parametrize("divisions", [1, 2, 3])
+def test_mesh_size_is_the_longest_edge(dim, box, divisions):
+    h = build_hierarchy(dim, divisions, 3, box=box)
+    for lv in h.levels:
+        assert lv.mesh_size == pytest.approx(_longest_edge(lv), rel=1e-14)
+
+
 def test_cell_count_ladder_exact():
     for dim in (2, 3):
         h = build_hierarchy(dim, 2, 3)
