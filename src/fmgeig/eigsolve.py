@@ -4,8 +4,11 @@ The self-consistent field (SCF) iteration freezes the nonlinearity at the
 current iterate, solves the linearized generalized eigenproblem for its
 smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
 under an energy line search.  The augmented space (coarse space plus
-the span of one fine function) reduces every matrix through its sparse
-basis map to a small dense pencil, which LAPACK solves.  On a mesh level
+the span of one fine function t) is a small dense pencil, which LAPACK
+solves: its stiffness and mass are the coarse mesh's matrices bordered by
+one fine matvec with t, and its nonlinear matrix is coarse-mesh work, a
+contraction of the moments of t against the coarse barycentrics,
+integrated once per space.  On a mesh level
 the inner eigensolve is LOBPCG preconditioned by one Galerkin multigrid
 V-cycle, with no shifts; a level without coarser levels is preconditioned
 by a sparse LU solve.
@@ -23,9 +26,11 @@ from .errors import SolverError
 from .fem import (
     FeFunction,
     ProblemSpec,
+    SpanMoments,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
+    span_moments,
 )
 from .linalg import MgContext, WorkReport, counted_matvec, galerkin_chain, v_cycle
 
@@ -245,11 +250,19 @@ class LevelSpace:
 
 @dataclass
 class AugmentedSpace:
-    """Coarse space plus the span of one normalized fine function, with all
-    matrices reduced through the sparse basis map."""
+    """Coarse space V_H plus the span of one normalized fine function t.
+
+    Coefficients (U, s) stand for the fine function w = B U + s t, with B the
+    coarse-to-fine interior map.  For nested P1 spaces with exact
+    integration the coarse blocks of the reduced stiffness and mass are the
+    coarse mesh's own matrices, and their borders are one fine matvec each;
+    the potential is reduced through the basis map, since coarse quadrature
+    does not restrict a general W exactly.  The nonlinear matrix is coarse
+    work: its t-dependent parts are the span moments of t, integrated once
+    per space."""
 
     fine_level: int
-    mesh: object
+    coarse_mesh: object
     spec: ProblemSpec
     basis_map: sp.csr_matrix          # (fine interior dofs) x (n_H [+ 1])
     stiffness_red: np.ndarray
@@ -257,6 +270,7 @@ class AugmentedSpace:
     potential_red: np.ndarray | None
     degenerate: bool
     initial_coeffs: np.ndarray
+    moments: SpanMoments | None       # None for a degenerate space
 
     @property
     def n_dofs(self):
@@ -276,10 +290,43 @@ class AugmentedSpace:
         return self.basis_map @ np.asarray(coeffs, dtype=float)
 
     def nonlinear_matrix(self, coeffs, work=None):
-        w_fine = self.to_fine(coeffs)
-        w = FeFunction(self.mesh.level_index, w_fine)
-        Mw = assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
-        return _reduce(Mw, self.basis_map, work)
+        """B' Mnl(w) B for w = u_H + s t, as a dense matrix.  With sigma = 1
+        (the only power the degree-4 rules integrate exactly, checked by the
+        coarse assembly) it is quadratic in (U, s): the coarse block is
+        Mnl_H(u_H) + 2 s S3.U + s^2 S2, the border S3:UU + 2 s S2.U + s^2 S1
+        and the corner UU:S2 + 2 s U.S1 + s^2 S0, summed over coarse cells.
+        Counts the coarse assembly and one unit per moment entry read."""
+        coarse = self.coarse_mesh
+        n = coarse.n_interior
+        c = np.asarray(coeffs, dtype=float)
+        red = assemble_weighted_mass(coarse, c[:n], 2 * self.spec.sigma, work=work).toarray()
+        if self.degenerate:
+            return red
+        s3, s2, s1, s0 = self.moments
+        s = c[n]
+        U = np.zeros(coarse.n_vertices)
+        U[coarse.interior_indices] = c[:n]
+        U = U[coarse.cells]
+        s3u = np.einsum("cabk,ck->cab", s3, U)
+        s2u = np.einsum("cab,cb->ca", s2, U)
+        block = 2 * s * s3u + s * s * s2
+        border = np.einsum("cab,cb->ca", s3u, U) + 2 * s * s2u + s * s * s1
+        corner = np.vdot(s2u, U) + 2 * s * np.vdot(s1, U) + s * s * s0.sum()
+        # interior dof of every cell vertex; n + 1 is a dump row and column
+        # for the boundary vertices, and n the row and column of t
+        dof = np.full(coarse.n_vertices, n + 1)
+        dof[coarse.interior_indices] = np.arange(n)
+        dof = dof[coarse.cells]
+        m = n + 2
+        index = np.concatenate([(dof[:, :, None] * m + dof[:, None, :]).ravel(),
+                                (dof * m + n).ravel(), (n * m + dof).ravel()])
+        values = np.concatenate([block.ravel(), border.ravel(), border.ravel()])
+        out = np.bincount(index, values, minlength=m * m).reshape(m, m)[:n + 1, :n + 1]
+        out[:n, :n] += red
+        out[n, n] += corner
+        if work is not None:
+            work.add(s3.size + s2.size + s1.size + s0.size)
+        return out
 
 
 def _reduce(X, B, work=None):
@@ -290,13 +337,25 @@ def _reduce(X, B, work=None):
     return 0.5 * (red + red.T)
 
 
+def _bordered(block, border, corner):
+    return np.block([[block, border[:, None]], [border[None, :], np.array([[corner]])]])
+
+
 def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_tol=1e-12):
     """Assemble V_coarse + span{u_tilde} over the interior dofs of a level.
 
-    `ops` supplies the fine-level matrices (a LevelSpace).  If u_tilde lies
-    in the coarse space to within `span_tol` in the L2 norm the extra column
-    is dropped and the space degenerates to the plain coarse space.
+    `ops` supplies the fine-level matrices (a LevelSpace), whose mesh must be
+    a uniform refinement of the correction space's mesh (a ValueError
+    otherwise).  If u_tilde lies in the coarse space to within `span_tol` in
+    the L2 norm the extra column is dropped and the space degenerates to the
+    plain coarse space.
     """
+    coarse = hierarchy.coarse if hierarchy.coarse is not None else hierarchy.levels[0]
+    fine = ops.mesh
+    depth = fine.level_index - coarse.level_index
+    if depth < 0 or fine.n_cells != coarse.n_cells * 2 ** (coarse.dim * depth):
+        raise ValueError(f"level {fine.level_index} with {fine.n_cells} cells is not a "
+                         f"uniform refinement of the {coarse.n_cells}-cell correction space")
     B_H = hierarchy.coarse_to_level_interior(fine_level)
     M = ops.mass
     u = np.asarray(u_tilde, dtype=float)
@@ -305,12 +364,11 @@ def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_t
         raise SolverError("cannot augment with the zero function")
     t = u / bnorm
 
-    MB = M @ B_H
-    M_H = (B_H.T @ MB).toarray()
-    M_H = 0.5 * (M_H + M_H.T)
-    if work is not None:
-        work.add(M.nnz + MB.nnz + B_H.nnz)
-    rhs = B_H.T @ (M @ t)
+    # nested P1 with exact integration: B' K_h B = K_H and B' M_h B = M_H
+    K_H = assemble_stiffness(coarse, ops.spec, work=work).toarray()
+    M_H = assemble_mass(coarse, work=work).toarray()
+    Mt = counted_matvec(M, t, work)
+    rhs = counted_matvec(B_H.T, Mt, work)
     c_proj = scipy.linalg.solve(M_H, rhs, assume_a="pos")
     resid = t - B_H @ c_proj
     resid_b = float(np.sqrt(max(resid @ (M @ resid), 0.0)))
@@ -319,18 +377,21 @@ def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_t
         basis = B_H.tocsr()
         degenerate = True
         initial = c_proj
+        A_red, M_red, moments = K_H, M_H, None
     else:
         basis = sp.hstack([B_H, sp.csr_matrix(t[:, None])]).tocsr()
         degenerate = False
         initial = np.zeros(basis.shape[1])
         initial[-1] = 1.0
+        Kt = counted_matvec(ops.stiffness, t, work)
+        A_red = _bordered(K_H, counted_matvec(B_H.T, Kt, work), t @ Kt)
+        M_red = _bordered(M_H, rhs, t @ Mt)
+        moments = span_moments(coarse, fine, t, work)
 
-    A_red = _reduce(ops.stiffness, basis, work)
-    M_red = _reduce(M, basis, work)
     W_red = _reduce(ops.potential_mass, basis, work) if ops.potential_mass is not None else None
     return AugmentedSpace(
         fine_level=fine_level,
-        mesh=ops.mesh,
+        coarse_mesh=coarse,
         spec=ops.spec,
         basis_map=basis,
         stiffness_red=A_red,
@@ -338,6 +399,7 @@ def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_t
         potential_red=W_red,
         degenerate=degenerate,
         initial_coeffs=initial,
+        moments=moments,
     )
 
 

@@ -20,6 +20,7 @@ same sum, so every matrix is exactly symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 from math import factorial, sqrt
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import MeshLevel, cell_edges, cell_measures
+from .mesh import MeshLevel, cell_edges, cell_measures, descendant_barycentrics
 
 __all__ = [
     "ProblemSpec",
@@ -38,12 +39,17 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_weighted_mass",
+    "SpanMoments",
+    "span_moments",
     "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
 ]
 
 _FIELD_BLOCK = 1 << 16
+# coarse cells per block of the span moments: with 64 descendants of 11
+# points each, a block's point arrays stay near 1.4 MB
+_MOMENT_BLOCK = 256
 
 
 def harmonic_potential(points):
@@ -372,6 +378,69 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
     up = vals @ table
     del vals
     return _assemble(pattern, up, work)
+
+
+class SpanMoments(NamedTuple):
+    """Moments of a fine P1 function t against the barycentrics l of each
+    coarse cell K, exactly symmetric in their vertex indices a, b, k."""
+
+    s3: np.ndarray     # (cells, d+1, d+1, d+1): integral over K of t l_a l_b l_k
+    s2: np.ndarray     # (cells, d+1, d+1): integral of t^2 l_a l_b
+    s1: np.ndarray     # (cells, d+1): integral of t^3 l_a
+    s0: np.ndarray     # (cells,): integral of t^4
+
+
+def _symmetric_index(d, order):
+    """Index triples (or pairs) a <= b <= ... as (order, n_unique), and the
+    unique index of every full index tuple as a (d+1,) * order array."""
+    combos = list(combinations_with_replacement(range(d + 1), order))
+    pos = {c: n for n, c in enumerate(combos)}
+    full = [pos[tuple(sorted(i))] for i in product(range(d + 1), repeat=order)]
+    return np.array(combos).T, np.array(full).reshape((d + 1,) * order)
+
+
+def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
+    """SpanMoments of the fine interior coefficients `span` over the cells
+    of `coarse`, of which `fine` is a uniform refinement.
+
+    Fine cell i descends from coarse cell i // n as descendant type i % n
+    (see :func:`mesh.descendant_barycentrics`), so the fine cells of a coarse
+    cell are one contiguous run and the coarse barycentrics at their
+    quadrature points are one fixed (points, d+1) table.  Every moment is a
+    degree-4 polynomial on each fine cell, so the fine cells' degree-4 rule
+    integrates it exactly, and each moment is one matrix product of the
+    weighted powers of t with a fixed monomial table, over blocks of coarse
+    cells.  Counts one work unit per unique moment entry of every fine cell.
+    """
+    d = coarse.dim
+    types = descendant_barycentrics(d, fine.level_index - coarse.level_index)
+    rule = _RULES[d]
+    bary = (rule.points @ types).reshape(-1, d + 1)           # (types * nq, d+1)
+    i3, full3 = _symmetric_index(d, 3)
+    i2, full2 = _symmetric_index(d, 2)
+    mono3 = bary[:, i3[0]] * bary[:, i3[1]] * bary[:, i3[2]]
+    mono2 = bary[:, i2[0]] * bary[:, i2[1]]
+    measures = _cached(fine, "_fem_measures", _checked_measures)
+    t = _full_values(fine, span)
+    n = coarse.n_cells
+    s3, s2 = np.empty((n, i3.shape[1])), np.empty((n, i2.shape[1]))
+    s1, s0 = np.empty((n, d + 1)), np.empty(n)
+    for start in range(0, n, _MOMENT_BLOCK):
+        stop = min(start + _MOMENT_BLOCK, n)
+        rows = slice(start * len(types), stop * len(types))
+        tq = t[fine.cells[rows]] @ rule.points.T               # (block * types, nq)
+        wt = (measures[rows, None] * rule.weights * tq).reshape(stop - start, -1)
+        tq = tq.reshape(stop - start, -1)
+        s3[start:stop] = wt @ mono3
+        wt *= tq
+        s2[start:stop] = wt @ mono2
+        wt *= tq
+        s1[start:stop] = wt @ bary
+        wt *= tq
+        s0[start:stop] = wt.sum(axis=1)
+    if work is not None:
+        work.add(fine.n_cells * (i3.shape[1] + i2.shape[1] + d + 2))
+    return SpanMoments(s3[:, full3], s2[:, full2], s1, s0)
 
 
 def _full_values(mesh: MeshLevel, interior_coeffs):

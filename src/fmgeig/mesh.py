@@ -28,6 +28,7 @@ __all__ = [
     "interior_prolongation",
     "cell_edges",
     "cell_measures",
+    "descendant_barycentrics",
 ]
 
 BOUNDARY_TOL = 1e-12
@@ -59,6 +60,28 @@ _TET_CHILDREN = np.array([
 ])
 
 _CHILD_TABLE = {2: _TRI_CHILDREN, 3: _TET_CHILDREN}
+
+
+def descendant_barycentrics(dim, depth):
+    """Barycentric coordinates of the vertices of every descendant type,
+    ``depth`` refinements below its ancestor, as (n_types, d+1, d+1) with
+    n_types = (2^d)^depth: row v of entry k holds vertex v of type k in the
+    ancestor's barycentrics.  :func:`refine` numbers the children of cell i
+    ``i * 2^d + k`` for k in :data:`_CHILD_TABLE` order, so cell i of a level
+    ``depth`` refinements down descends from cell ``i // n_types`` of the
+    ancestor level as type ``i % n_types``; the first refinement's child
+    index is the most significant digit.  All entries are dyadic, so exact.
+    """
+    d = dim
+    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    eye = np.eye(d + 1)
+    local = np.vstack([eye] + [0.5 * (eye[i] + eye[j]) for i, j in pairs])
+    child = local[_CHILD_TABLE[d]]                      # (2^d, d+1, d+1)
+    table = eye[None]
+    for _ in range(depth):
+        # the vertices of child k2 of type k1, in the ancestor's coordinates
+        table = np.matmul(child[None], table[:, None]).reshape(-1, d + 1, d + 1)
+    return table
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from fmgeig import eigsolve
-from fmgeig.errors import SolverError
+from fmgeig.errors import AssemblyError, SolverError
 from fmgeig.eigsolve import (
     FORCING,
     FORCING_CAP,
@@ -286,6 +286,70 @@ def test_augmented_space_quadratic_form_agreement():
         assert red == pytest.approx(fine, rel=1e-12)
 
 
+def _reduced_by_basis_map(X, B):
+    """The basis-map reduction B' X B, symmetrized: the reference for the
+    reduced matrices."""
+    red = (B.T @ (X @ B)).toarray()
+    return 0.5 * (red + red.T)
+
+
+def _assert_matches(red, ref):
+    assert np.abs(red - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dim, divisions, n_levels, offset", [
+    (2, 4, 3, 0),     # depths 1 and 2
+    (2, 3, 2, 1),     # depth 2 through the coarse chain
+    (3, 2, 3, 0),
+    (3, 2, 2, 1),
+])
+def test_augmented_matrices_match_the_basis_map_reduction(dim, divisions, n_levels, offset):
+    # the coarse blocks, the borders and the moment contraction of the
+    # nonlinear matrix against B' X B with the fine matrices, for a random
+    # span function, its coarse interpolant (a degenerate space) and
+    # random coefficients
+    spec = ProblemSpec(dim=dim)
+    h = build_hierarchy(dim, divisions, n_levels, coarse_offset=offset)
+    rng = np.random.default_rng(dim + n_levels + offset)
+    n_coarse = h.coarse_to_level_interior(0).shape[1]
+    for level in range(1, n_levels):
+        ops = LevelSpace.build(h.levels[level], spec)
+        B_H = h.coarse_to_level_interior(level)
+        for u_t, degenerate in ((rng.standard_normal(ops.n_dofs), False),
+                                (B_H @ rng.standard_normal(n_coarse), True)):
+            aug = build_augmented_space(h, level, ops, u_t)
+            assert aug.degenerate == degenerate
+            B = aug.basis_map
+            for red, X in ((aug.stiffness_red, ops.stiffness), (aug.mass_red, ops.mass),
+                           (aug.potential_red, ops.potential_mass)):
+                _assert_matches(red, _reduced_by_basis_map(X, B))
+            for _ in range(3):
+                c = rng.standard_normal(aug.n_dofs)
+                w = FeFunction(ops.mesh.level_index, B @ c)
+                Mnl = aug.nonlinear_matrix(c)
+                assert np.array_equal(Mnl, Mnl.T)
+                _assert_matches(Mnl, _reduced_by_basis_map(
+                    assemble_weighted_mass(ops.mesh, w, 2), B))
+
+
+@pytest.mark.parametrize("lift", [False, True])
+def test_augmented_nonlinear_matrix_rejects_sigma_2(lift):
+    # the degree-4 rules integrate only sigma = 1 exactly, on the augmented
+    # space as on the level
+    spec = ProblemSpec(dim=2, sigma=2)
+    h = build_hierarchy(2, 4, 2)
+    ops = LevelSpace.build(h.levels[1], spec)
+    u_t = np.ones(ops.n_dofs)
+    if lift:
+        u_t = h.interior_prolongation(0) @ np.ones(h.levels[0].n_interior)
+    aug = build_augmented_space(h, 1, ops, u_t)
+    assert aug.degenerate == lift
+    with pytest.raises(AssemblyError):
+        ops.nonlinear_matrix(u_t)
+    with pytest.raises(AssemblyError):
+        aug.nonlinear_matrix(aug.initial_coeffs)
+
+
 def test_augmented_eigensolve_improves_on_coarse():
     # monotone space principle, asserted for the linear problem
     spec = ProblemSpec(dim=2, potential=None, zeta=0.0)
@@ -379,14 +443,14 @@ def test_augmented_scf_keeps_the_plain_step():
     assert not aug.degenerate
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert res.iterations == 3 and not res.converged
-    assert res.pair.lam == 22.759942149863075
+    assert res.pair.lam == 22.759942149863093
     assert [(s.delta_lambda, s.delta_u) for s in res.history] == [
-        (0.5185516695211412, 0.1237576959340137),
-        (0.0033432843376246524, 0.010960949342497897),
-        (7.974957610556999e-05, 0.0010712931975693312),
+        (0.5185516695211341, 0.12375769593401352),
+        (0.0033432843376246524, 0.010960949342498118),
+        (7.974957610556999e-05, 0.0010712931975718806),
     ]
     u = res.pair.u.coefficients
-    assert float(u @ np.arange(1, u.size + 1)) == 146.8449344902855
+    assert float(u @ np.arange(1, u.size + 1)) == 146.84493449035637
 
 
 def assert_follows_forcing(res, settings):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fmgeig.eigsolve import LevelSpace, build_augmented_space
 from fmgeig.errors import MeshBudgetError
+from fmgeig.fem import ProblemSpec
 from fmgeig.mesh import (
     build_hierarchy,
     build_initial_mesh,
     cell_measures,
+    descendant_barycentrics,
     interior_prolongation,
     prolongation,
     refine,
@@ -154,6 +157,40 @@ def test_mesh_size_is_the_longest_edge(dim, box, divisions):
     h = build_hierarchy(dim, divisions, 3, box=box)
     for lv in h.levels:
         assert lv.mesh_size == pytest.approx(_longest_edge(lv), rel=1e-14)
+
+
+@pytest.mark.parametrize("dim, box", [
+    (2, None),
+    (3, None),
+    (2, ((0, 2), (-1, 0.5))),
+    (3, ((0, 1), (0, 3), (-0.5, 0))),
+])
+def test_descendant_table_places_every_fine_cell(dim, box):
+    # fine cell i descends from coarse cell i // n as type i % n, and its
+    # vertices are that type's barycentrics of the ancestor's vertices
+    h = build_hierarchy(dim, 1, 4, box=box)
+    coarse = h.levels[0]
+    size = max(abs(x) for axis in coarse.box for x in axis)
+    for depth in (1, 2, 3):
+        fine = h.levels[depth]
+        table = descendant_barycentrics(dim, depth)
+        n = len(table)
+        assert n == 2 ** (dim * depth) and fine.n_cells == coarse.n_cells * n
+        cell = np.arange(fine.n_cells)
+        ancestor = coarse.vertices[coarse.cells[cell // n]]        # (cells, d+1, d)
+        placed = np.matmul(table[cell % n], ancestor)
+        assert np.abs(placed - fine.vertices[fine.cells]).max() <= 1e-15 * size
+    assert np.array_equal(descendant_barycentrics(dim, 0), np.eye(dim + 1)[None])
+
+
+def test_augmented_space_rejects_a_level_not_refined_from_the_coarse_mesh():
+    spec = ProblemSpec(dim=2)
+    h = build_hierarchy(2, 4, 3)
+    for other in (build_hierarchy(2, 3, 2).levels[1], build_hierarchy(2, 2, 3).levels[2]):
+        ops = LevelSpace.build(other, spec)
+        assert other.n_cells != h.levels[0].n_cells * 4 ** other.level_index
+        with pytest.raises(ValueError, match="uniform refinement"):
+            build_augmented_space(h, other.level_index, ops, np.ones(ops.n_dofs))
 
 
 def test_cell_count_ladder_exact():
