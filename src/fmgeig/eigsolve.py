@@ -3,15 +3,16 @@
 The self-consistent field (SCF) iteration freezes the nonlinearity at the
 current iterate, solves the linearized generalized eigenproblem for its
 smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
-under an energy line search.  The augmented space (coarse space plus
-the span of one fine function t) is a small dense pencil, which LAPACK
-solves: its stiffness and mass are the coarse mesh's matrices bordered by
-one fine matvec with t, and its nonlinear matrix is coarse-mesh work, a
-contraction of the moments of t against the coarse barycentrics,
-integrated once per space.  On a mesh level
-the inner eigensolve is LOBPCG preconditioned by one Galerkin multigrid
-V-cycle, with no shifts; a level without coarser levels is preconditioned
-by a sparse LU solve.
+under an energy line search.  The augmented space is the correction
+space V_H, a LevelSpace, bordered by the span of one fine function t: a
+small dense pencil, which LAPACK solves.  Nothing is assembled for it:
+its V_H blocks are V_H's own matrices (the potential's the Galerkin
+product B' W_h B), each border is one fine matvec with t, and the
+t-dependent parts of its nonlinear matrix contract the moments of t
+against the coarse barycentrics, integrated once per space.  On a mesh
+level the inner eigensolve is LOBPCG preconditioned by one Galerkin
+multigrid V-cycle, with no shifts; a level without coarser levels is
+preconditioned by a sparse LU solve.
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ class LevelSpace:
                 self._linear = self.stiffness
         return self._linear
 
+    def to_fine(self, coeffs):
+        return coeffs
+
     def nonlinear_matrix(self, coeffs, work=None):
         w = FeFunction(self.mesh.level_index, np.asarray(coeffs, dtype=float))
         return assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
@@ -250,44 +254,33 @@ class LevelSpace:
 
 @dataclass
 class AugmentedSpace:
-    """Coarse space V_H plus the span of one normalized fine function t.
+    """The correction space V_H (a LevelSpace) bordered by the span of one
+    M-normalized fine function t.
 
-    Coefficients (U, s) stand for the fine function w = B U + s t, with B the
-    coarse-to-fine interior map.  For nested P1 spaces with exact
-    integration the coarse blocks of the reduced stiffness and mass are the
-    coarse mesh's own matrices, and their borders are one fine matvec each;
-    the potential is reduced through the basis map, since coarse quadrature
-    does not restrict a general W exactly.  The nonlinear matrix is coarse
-    work: its t-dependent parts are the span moments of t, integrated once
-    per space."""
+    Coefficients (U, s) stand for the fine function w = B U + s t on
+    ``mesh``, with B the interior map from V_H to that level; ``span`` is
+    None when t lies in V_H, and the space is then V_H itself.  For nested
+    P1 spaces with exact integration the V_H blocks of the stiffness, mass
+    and nonlinear matrices are V_H's own; the potential's is B' W_h B,
+    since coarse quadrature does not restrict a general W exactly."""
 
-    fine_level: int
-    coarse_mesh: object
-    spec: ProblemSpec
-    basis_map: sp.csr_matrix          # (fine interior dofs) x (n_H [+ 1])
-    stiffness_red: np.ndarray
-    mass_red: np.ndarray
-    potential_red: np.ndarray | None
-    degenerate: bool
+    coarse: LevelSpace
+    prolongation: sp.csr_matrix       # B: (fine interior dofs) x (V_H dofs)
+    mesh: object                      # the level's mesh, where to_fine lands
+    span: np.ndarray | None
+    linear_matrix: np.ndarray
+    mass_matrix: np.ndarray
     initial_coeffs: np.ndarray
-    moments: SpanMoments | None       # None for a degenerate space
+    moments: SpanMoments | None       # None when span is None
 
     @property
     def n_dofs(self):
-        return self.basis_map.shape[1]
-
-    @property
-    def mass_matrix(self):
-        return self.mass_red
-
-    @property
-    def linear_matrix(self):
-        if self.potential_red is None:
-            return self.stiffness_red
-        return self.stiffness_red + self.potential_red
+        return self.mass_matrix.shape[0]
 
     def to_fine(self, coeffs):
-        return self.basis_map @ np.asarray(coeffs, dtype=float)
+        c = np.asarray(coeffs, dtype=float)
+        w = self.prolongation @ c[:self.coarse.n_dofs]
+        return w if self.span is None else w + c[-1] * self.span
 
     def nonlinear_matrix(self, coeffs, work=None):
         """B' Mnl(w) B for w = u_H + s t, as a dense matrix.  With sigma = 1
@@ -296,17 +289,17 @@ class AugmentedSpace:
         Mnl_H(u_H) + 2 s S3.U + s^2 S2, the border S3:UU + 2 s S2.U + s^2 S1
         and the corner UU:S2 + 2 s U.S1 + s^2 S0, summed over coarse cells.
         Counts the coarse assembly and one unit per moment entry read."""
-        coarse = self.coarse_mesh
-        n = coarse.n_interior
+        mesh = self.coarse.mesh
+        n = self.coarse.n_dofs
         c = np.asarray(coeffs, dtype=float)
-        red = assemble_weighted_mass(coarse, c[:n], 2 * self.spec.sigma, work=work).toarray()
-        if self.degenerate:
+        red = self.coarse.nonlinear_matrix(c[:n], work=work).toarray()
+        if self.span is None:
             return red
         s3, s2, s1, s0 = self.moments
         s = c[n]
-        U = np.zeros(coarse.n_vertices)
-        U[coarse.interior_indices] = c[:n]
-        U = U[coarse.cells]
+        U = np.zeros(mesh.n_vertices)
+        U[mesh.interior_indices] = c[:n]
+        U = U[mesh.cells]
         s3u = np.einsum("cabk,ck->cab", s3, U)
         s2u = np.einsum("cab,cb->ca", s2, U)
         block = 2 * s * s3u + s * s * s2
@@ -314,9 +307,9 @@ class AugmentedSpace:
         corner = np.vdot(s2u, U) + 2 * s * np.vdot(s1, U) + s * s * s0.sum()
         # interior dof of every cell vertex; n + 1 is a dump row and column
         # for the boundary vertices, and n the row and column of t
-        dof = np.full(coarse.n_vertices, n + 1)
-        dof[coarse.interior_indices] = np.arange(n)
-        dof = dof[coarse.cells]
+        dof = np.full(mesh.n_vertices, n + 1)
+        dof[mesh.interior_indices] = np.arange(n)
+        dof = dof[mesh.cells]
         m = n + 2
         index = np.concatenate([(dof[:, :, None] * m + dof[:, None, :]).ravel(),
                                 (dof * m + n).ravel(), (n * m + dof).ravel()])
@@ -329,34 +322,24 @@ class AugmentedSpace:
         return out
 
 
-def _reduce(X, B, work=None):
-    XB = X @ B
-    red = (B.T @ XB).toarray()
-    if work is not None:
-        work.add(X.nnz + XB.nnz + B.nnz)
-    return 0.5 * (red + red.T)
-
-
 def _bordered(block, border, corner):
     return np.block([[block, border[:, None]], [border[None, :], np.array([[corner]])]])
 
 
-def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_tol=1e-12):
-    """Assemble V_coarse + span{u_tilde} over the interior dofs of a level.
-
-    `ops` supplies the fine-level matrices (a LevelSpace), whose mesh must be
-    a uniform refinement of the correction space's mesh (a ValueError
-    otherwise).  If u_tilde lies in the coarse space to within `span_tol` in
-    the L2 norm the extra column is dropped and the space degenerates to the
-    plain coarse space.
+def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None, span_tol=1e-12):
+    """Border the correction space `coarse` (a LevelSpace) by the span of
+    u_tilde, a function on the level of `ops` (a LevelSpace), whose mesh
+    must be a uniform refinement of the correction mesh (a ValueError
+    otherwise); `prolongation` is the interior map B between the two.  If
+    u_tilde lies in V_H to within `span_tol` in the L2 norm the span is
+    dropped and the space is V_H itself.
     """
-    coarse = hierarchy.coarse if hierarchy.coarse is not None else hierarchy.levels[0]
     fine = ops.mesh
-    depth = fine.level_index - coarse.level_index
-    if depth < 0 or fine.n_cells != coarse.n_cells * 2 ** (coarse.dim * depth):
+    depth = fine.level_index - coarse.mesh.level_index
+    if depth < 0 or fine.n_cells != coarse.mesh.n_cells * 2 ** (fine.dim * depth):
         raise ValueError(f"level {fine.level_index} with {fine.n_cells} cells is not a "
-                         f"uniform refinement of the {coarse.n_cells}-cell correction space")
-    B_H = hierarchy.coarse_to_level_interior(fine_level)
+                         f"uniform refinement of the {coarse.mesh.n_cells}-cell correction space")
+    B = prolongation
     M = ops.mass
     u = np.asarray(u_tilde, dtype=float)
     bnorm = float(np.sqrt(max(u @ (M @ u), 0.0)))
@@ -365,39 +348,38 @@ def build_augmented_space(hierarchy, fine_level, ops, u_tilde, work=None, span_t
     t = u / bnorm
 
     # nested P1 with exact integration: B' K_h B = K_H and B' M_h B = M_H
-    K_H = assemble_stiffness(coarse, ops.spec, work=work).toarray()
-    M_H = assemble_mass(coarse, work=work).toarray()
+    L_H = coarse.stiffness.toarray()
+    M_H = coarse.mass.toarray()
+    if ops.potential_mass is not None:
+        WB = ops.potential_mass @ B
+        W_H = (B.T @ WB).toarray()
+        if work is not None:
+            work.add(ops.potential_mass.nnz + WB.nnz + B.nnz)
+        L_H += 0.5 * (W_H + W_H.T)
     Mt = counted_matvec(M, t, work)
-    rhs = counted_matvec(B_H.T, Mt, work)
+    rhs = counted_matvec(B.T, Mt, work)
     c_proj = scipy.linalg.solve(M_H, rhs, assume_a="pos")
-    resid = t - B_H @ c_proj
+    resid = t - B @ c_proj
     resid_b = float(np.sqrt(max(resid @ (M @ resid), 0.0)))
 
     if resid_b <= span_tol:
-        basis = B_H.tocsr()
-        degenerate = True
-        initial = c_proj
-        A_red, M_red, moments = K_H, M_H, None
+        span, initial, moments = None, c_proj, None
+        L_red, M_red = L_H, M_H
     else:
-        basis = sp.hstack([B_H, sp.csr_matrix(t[:, None])]).tocsr()
-        degenerate = False
-        initial = np.zeros(basis.shape[1])
+        span = t
+        initial = np.zeros(coarse.n_dofs + 1)
         initial[-1] = 1.0
-        Kt = counted_matvec(ops.stiffness, t, work)
-        A_red = _bordered(K_H, counted_matvec(B_H.T, Kt, work), t @ Kt)
+        Lt = counted_matvec(ops.linear_matrix, t, work)
+        L_red = _bordered(L_H, counted_matvec(B.T, Lt, work), t @ Lt)
         M_red = _bordered(M_H, rhs, t @ Mt)
-        moments = span_moments(coarse, fine, t, work)
-
-    W_red = _reduce(ops.potential_mass, basis, work) if ops.potential_mass is not None else None
+        moments = span_moments(coarse.mesh, fine, t, work)
     return AugmentedSpace(
-        fine_level=fine_level,
-        coarse_mesh=coarse,
-        spec=ops.spec,
-        basis_map=basis,
-        stiffness_red=A_red,
-        mass_red=M_red,
-        potential_red=W_red,
-        degenerate=degenerate,
+        coarse=coarse,
+        prolongation=B,
+        mesh=fine,
+        span=span,
+        linear_matrix=L_red,
+        mass_matrix=M_red,
         initial_coeffs=initial,
         moments=moments,
     )
@@ -465,10 +447,8 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         return lam, x, tol
 
     def make_pair(lam, coeffs):
-        level = getattr(space, "fine_level", None)
-        if level is None:
-            level = space.mesh.level_index
-        return EigenPair(lam=float(lam), u=FeFunction(level, coeffs))
+        return EigenPair(lam=float(lam), u=FeFunction(space.mesh.level_index,
+                                                        space.to_fine(coeffs)))
 
     if zeta == 0.0:
         # the linearized operator does not depend on the iterate: one solve

@@ -99,8 +99,10 @@ class FmgResult:
 
 
 class FmgWorkspace:
-    """Per-level matrices, the stiffness multigrid context, and the shared
-    work counter for one full-multigrid run."""
+    """Per-level matrices, the correction space V_H (``level_spaces[0]``, or
+    built once more on a strictly coarser mesh as part of level 0's setup),
+    the stiffness multigrid context, and the shared work counter for one
+    full-multigrid run."""
 
     def __init__(self, hierarchy, spec: ProblemSpec, params: FmgParams, work=None):
         self.hierarchy = hierarchy
@@ -113,6 +115,11 @@ class FmgWorkspace:
             before = self.work.work_units
             self.level_spaces.append(LevelSpace.build(mesh, spec, work=self.work))
             self.setup_work.append(self.work.work_units - before)
+        self.coarse_space = self.level_spaces[0]
+        if hierarchy.first:
+            before = self.work.work_units
+            self.coarse_space = LevelSpace.build(hierarchy.coarse, spec, work=self.work)
+            self.setup_work[0] += self.work.work_units - before
         self.mg = MgContext(
             matrices=[ls.stiffness for ls in self.level_spaces],
             prolongations=[hierarchy.interior_prolongation(k)
@@ -153,11 +160,12 @@ def one_correction_step(ws: FmgWorkspace, level, lam, u):
     rhs = _aux_rhs(ws, level, lam, u)
     u_tilde = mg_solve(ws.mg, level, rhs, u, params.m)
 
-    aug = build_augmented_space(ws.hierarchy, level, ops, u_tilde, work=ws.work)
+    aug = build_augmented_space(ws.coarse_space, ws.hierarchy.coarse_to_level_interior(level),
+                                ops, u_tilde, work=ws.work)
     aug_settings = replace(params.scf, max_iter=params.varpi)
     res = scf_solve(aug, ws.spec, aug_settings, initial=aug.initial_coeffs, work=ws.work)
 
-    u_new = aug.to_fine(res.pair.u.coefficients)
+    u_new = res.pair.u.coefficients
     nrm = np.sqrt(u_new @ counted_matvec(ops.mass, u_new, ws.work))
     u_new = apply_sign_convention(u_new / nrm)
     record = CorrectionRecord(

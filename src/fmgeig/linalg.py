@@ -32,11 +32,12 @@ class WorkReport:
     nonzero (matvec, transfer, triple product, factor application) and
     every generated local assembly entry adds to it.  Assembly generates
     only the (d+1)(d+2)/2 upper entries of each cell's symmetric local
-    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  The
-    span moments of an augmented space add one unit per unique moment entry
-    of every fine cell, 20n in 2D and 35n in 3D; each nonlinear matrix of an
-    augmented space adds its coarse assembly and one unit per moment entry
-    it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  The
+    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  An
+    augmented space assembles nothing when it is built: it adds its border
+    matvecs, the triple product B' W_h B, and one unit per unique moment
+    entry of every fine cell, 20n in 2D and 35n in 3D; each of its
+    nonlinear matrices adds its coarse assembly and one unit per moment
+    entry it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  The
     remaining fields count events.
     """
 

@@ -314,59 +314,63 @@ def interior_prolongation(coarse: MeshLevel, fine: MeshLevel, P=None):
 
 @dataclass
 class MeshHierarchy:
-    """Chain of refinements, coarsest solve level first.
+    """One chain of refinements, coarsest mesh first.
 
-    ``levels[0]`` hosts the first nonlinear solve.  When the correction
-    space is strictly coarser, ``coarse`` holds that mesh and
-    ``coarse_chain`` the prolongations linking it to ``levels[0]``.
+    ``meshes[0]`` carries the correction space V_H and ``meshes[first]``
+    hosts the first nonlinear solve; ``transfers[j]`` is the vertex-space
+    prolongation from ``meshes[j]`` to ``meshes[j + 1]``.  ``levels`` and
+    ``prolongations`` are the chain from ``first`` on, and ``coarse`` is
+    ``meshes[0]``, which is ``levels[0]`` when ``first`` is 0.
     """
 
-    levels: list
-    prolongations: list            # vertex-space P between consecutive levels
-    coarse: MeshLevel | None = None
-    coarse_chain: list = field(default_factory=list)
-    coarse_intermediates: list = field(default_factory=list)
+    meshes: list
+    transfers: list
+    first: int = 0
     _interior: dict = field(default_factory=dict, repr=False)
     _chained: dict = field(default_factory=dict, repr=False)
 
     @property
+    def levels(self):
+        return self.meshes[self.first:]
+
+    @property
+    def prolongations(self):
+        return self.transfers[self.first:]
+
+    @property
+    def coarse(self):
+        return self.meshes[0]
+
+    @property
     def n_levels(self):
-        return len(self.levels)
+        return len(self.meshes) - self.first
 
     def interior_prolongation(self, k):
-        """Interior-dof prolongation from level k to level k+1."""
-        if k not in self._interior:
-            self._interior[k] = interior_prolongation(
-                self.levels[k], self.levels[k + 1], self.prolongations[k]
+        """Interior-dof prolongation from level k to level k+1; levels
+        -first .. -1 are the meshes below the first solve level."""
+        j = self.first + k
+        if j not in self._interior:
+            self._interior[j] = interior_prolongation(
+                self.meshes[j], self.meshes[j + 1], self.transfers[j]
             )
-        return self._interior[k]
+        return self._interior[j]
 
     def coarse_to_level_interior(self, k):
         """Chained interior prolongation from the correction space to level k."""
-        if k in self._chained:
-            return self._chained[k]
-        if self.coarse is None:
-            base = sp.identity(self.levels[0].n_interior, format="csr")
-        else:
-            chain_meshes = [self.coarse] + self.coarse_intermediates + [self.levels[0]]
-            base = None
-            for mesh_c, mesh_f, P in zip(chain_meshes[:-1], chain_meshes[1:], self.coarse_chain):
-                Pint = interior_prolongation(mesh_c, mesh_f, P)
-                base = Pint if base is None else (Pint @ base).tocsr()
-        B = base
-        for j in range(k):
-            B = (self.interior_prolongation(j) @ B).tocsr()
-        self._chained[k] = B
-        return B
+        if k not in self._chained:
+            B = sp.identity(self.coarse.n_interior, format="csr")
+            for j in range(-self.first, k):
+                B = (self.interior_prolongation(j) @ B).tocsr()
+            self._chained[k] = B
+        return self._chained[k]
 
     def truncated(self, n: int) -> "MeshHierarchy":
-        """View of the first n levels (shares arrays with self)."""
+        """View of the first n levels and the correction space (shares
+        arrays with self)."""
         return MeshHierarchy(
-            levels=self.levels[:n],
-            prolongations=self.prolongations[: n - 1],
-            coarse=self.coarse,
-            coarse_chain=self.coarse_chain,
-            coarse_intermediates=self.coarse_intermediates,
+            meshes=self.meshes[: self.first + n],
+            transfers=self.transfers[: self.first + n - 1],
+            first=self.first,
         )
 
 
@@ -395,10 +399,4 @@ def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0, box=None
         transfers.append(prolongation(chain[-1], fine))
         chain.append(fine)
 
-    return MeshHierarchy(
-        levels=chain[coarse_offset:],
-        prolongations=transfers[coarse_offset:],
-        coarse=chain[0] if coarse_offset > 0 else None,
-        coarse_chain=transfers[:coarse_offset],
-        coarse_intermediates=chain[1:coarse_offset],
-    )
+    return MeshHierarchy(meshes=chain, transfers=transfers, first=coarse_offset)

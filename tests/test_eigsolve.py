@@ -19,7 +19,6 @@ from fmgeig.eigsolve import (
 from fmgeig.fem import (
     FeFunction,
     ProblemSpec,
-    a_norm,
     apply_nonlinear_residual,
     assemble_mass,
     assemble_stiffness,
@@ -245,20 +244,26 @@ def correction_style_utilde(hierarchy, spaces, spec, level):
     return mg_solve(ctx, level, rhs, u, 1), u, res0.pair.lam
 
 
+def augment(hierarchy, spaces, level, u_tilde, work=None):
+    """The augmented space of a correction on `level`, bordering spaces[0]."""
+    return build_augmented_space(spaces[0], hierarchy.coarse_to_level_interior(level),
+                                 spaces[level], u_tilde, work=work)
+
+
 def test_augmented_space_basic_structure():
     h = build_hierarchy(2, 8, 2)
     spaces = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
     u_t, _, _ = correction_style_utilde(h, spaces, GPE_2D, 1)
-    aug = build_augmented_space(h, 1, spaces[1], u_t)
-    assert not aug.degenerate
+    aug = augment(h, spaces, 1, u_t)
+    assert aug.span is not None
     assert aug.n_dofs == h.levels[0].n_interior + 1
-    # last basis column is the normalized span function
-    t = aug.basis_map[:, -1].toarray().ravel()
+    # the span function is M-normalized
+    t = aug.span
     assert t @ (spaces[1].mass @ t) == pytest.approx(1.0, abs=1e-12)
     # reduced matrices are symmetric and the reduced mass is SPD
-    for X in (aug.stiffness_red, aug.mass_red, aug.potential_red):
+    for X in (aug.linear_matrix, aug.mass_matrix):
         assert np.allclose(X, X.T, atol=0)
-    assert np.linalg.eigvalsh(aug.mass_red).min() > 0
+    assert np.linalg.eigvalsh(aug.mass_matrix).min() > 0
 
 
 def test_augmented_space_degenerate_collapse():
@@ -268,8 +273,8 @@ def test_augmented_space_degenerate_collapse():
     u_coarse = np.zeros(h.levels[0].n_interior)
     u_coarse[3] = 1.0
     lifted = h.interior_prolongation(0) @ u_coarse
-    aug = build_augmented_space(h, 1, spaces[1], lifted)
-    assert aug.degenerate
+    aug = augment(h, spaces, 1, lifted)
+    assert aug.span is None
     assert aug.n_dofs == h.levels[0].n_interior
 
 
@@ -277,13 +282,13 @@ def test_augmented_space_quadratic_form_agreement():
     h = build_hierarchy(2, 8, 2)
     spaces = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
     u_t, _, _ = correction_style_utilde(h, spaces, GPE_2D, 1)
-    aug = build_augmented_space(h, 1, spaces[1], u_t)
+    aug = augment(h, spaces, 1, u_t)
     rng = np.random.default_rng(9)
     for _ in range(5):
         c = rng.standard_normal(aug.n_dofs)
-        red = c @ aug.stiffness_red @ c
-        fine = a_norm(aug.to_fine(c), spaces[1].stiffness) ** 2
-        assert red == pytest.approx(fine, rel=1e-12)
+        red = c @ aug.linear_matrix @ c
+        w = aug.to_fine(c)
+        assert red == pytest.approx(w @ (spaces[1].linear_matrix @ w), rel=1e-12)
 
 
 def _reduced_by_basis_map(X, B):
@@ -304,32 +309,35 @@ def _assert_matches(red, ref):
     (3, 2, 2, 1),
 ])
 def test_augmented_matrices_match_the_basis_map_reduction(dim, divisions, n_levels, offset):
-    # the coarse blocks, the borders and the moment contraction of the
-    # nonlinear matrix against B' X B with the fine matrices, for a random
-    # span function, its coarse interpolant (a degenerate space) and
-    # random coefficients
+    # the bordered pencil against B' X B with the basis map B = [B_H, t]
+    # and the fine matrices, for a random span function, its coarse
+    # interpolant (a degenerate space, B = B_H) and random coefficients
     spec = ProblemSpec(dim=dim)
     h = build_hierarchy(dim, divisions, n_levels, coarse_offset=offset)
     rng = np.random.default_rng(dim + n_levels + offset)
-    n_coarse = h.coarse_to_level_interior(0).shape[1]
+    coarse = LevelSpace.build(h.coarse, spec)
     for level in range(1, n_levels):
         ops = LevelSpace.build(h.levels[level], spec)
         B_H = h.coarse_to_level_interior(level)
         for u_t, degenerate in ((rng.standard_normal(ops.n_dofs), False),
-                                (B_H @ rng.standard_normal(n_coarse), True)):
-            aug = build_augmented_space(h, level, ops, u_t)
-            assert aug.degenerate == degenerate
-            B = aug.basis_map
-            for red, X in ((aug.stiffness_red, ops.stiffness), (aug.mass_red, ops.mass),
-                           (aug.potential_red, ops.potential_mass)):
-                _assert_matches(red, _reduced_by_basis_map(X, B))
+                                (B_H @ rng.standard_normal(coarse.n_dofs), True)):
+            aug = build_augmented_space(coarse, B_H, ops, u_t)
+            assert (aug.span is None) == degenerate
+            B = B_H
+            if not degenerate:
+                t = u_t / np.sqrt(u_t @ (ops.mass @ u_t))
+                B = sp.hstack([B_H, sp.csr_matrix(t[:, None])]).tocsr()
+            assert aug.n_dofs == B.shape[1]
+            _assert_matches(aug.linear_matrix, _reduced_by_basis_map(ops.linear_matrix, B))
+            _assert_matches(aug.mass_matrix, _reduced_by_basis_map(ops.mass, B))
             for _ in range(3):
                 c = rng.standard_normal(aug.n_dofs)
-                w = FeFunction(ops.mesh.level_index, B @ c)
+                w = B @ c
+                _assert_matches(aug.to_fine(c), w)
                 Mnl = aug.nonlinear_matrix(c)
                 assert np.array_equal(Mnl, Mnl.T)
                 _assert_matches(Mnl, _reduced_by_basis_map(
-                    assemble_weighted_mass(ops.mesh, w, 2), B))
+                    assemble_weighted_mass(ops.mesh, FeFunction(ops.mesh.level_index, w), 2), B))
 
 
 @pytest.mark.parametrize("lift", [False, True])
@@ -338,16 +346,30 @@ def test_augmented_nonlinear_matrix_rejects_sigma_2(lift):
     # space as on the level
     spec = ProblemSpec(dim=2, sigma=2)
     h = build_hierarchy(2, 4, 2)
-    ops = LevelSpace.build(h.levels[1], spec)
-    u_t = np.ones(ops.n_dofs)
+    spaces = [LevelSpace.build(lv, spec) for lv in h.levels]
+    u_t = np.ones(spaces[1].n_dofs)
     if lift:
         u_t = h.interior_prolongation(0) @ np.ones(h.levels[0].n_interior)
-    aug = build_augmented_space(h, 1, ops, u_t)
-    assert aug.degenerate == lift
+    aug = augment(h, spaces, 1, u_t)
+    assert (aug.span is None) == lift
     with pytest.raises(AssemblyError):
-        ops.nonlinear_matrix(u_t)
+        spaces[1].nonlinear_matrix(u_t)
     with pytest.raises(AssemblyError):
         aug.nonlinear_matrix(aug.initial_coeffs)
+
+
+def test_augmented_pair_is_a_function_on_its_level():
+    # an augmented solve returns the fine function of its coefficients,
+    # labelled with the level it corrects, as a solve on that level does
+    h = build_hierarchy(2, 4, 2, coarse_offset=1)
+    ops = LevelSpace.build(h.levels[1], GPE_2D)
+    coarse = LevelSpace.build(h.coarse, GPE_2D)
+    aug = build_augmented_space(coarse, h.coarse_to_level_interior(1), ops, np.ones(ops.n_dofs))
+    assert aug.span is not None
+    res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
+    plain = scf_solve(ops, GPE_2D)
+    assert res.pair.u.level_index == plain.pair.u.level_index == 2
+    assert len(res.pair.u) == len(plain.pair.u) == 225
 
 
 def test_augmented_eigensolve_improves_on_coarse():
@@ -357,14 +379,14 @@ def test_augmented_eigensolve_improves_on_coarse():
     spaces = [LevelSpace.build(lv, spec) for lv in h.levels]
     lam_coarse = scf_solve(spaces[0], spec).pair.lam
     u_t, _, _ = correction_style_utilde(h, spaces, spec, 1)
-    aug = build_augmented_space(h, 1, spaces[1], u_t)
+    aug = augment(h, spaces, 1, u_t)
     res = scf_solve(aug, spec, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert res.pair.lam <= lam_coarse + 1e-12
     # nonlinear case: observed, reported, not asserted
     spaces_nl = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
     lam_coarse_nl = scf_solve(spaces_nl[0], GPE_2D).pair.lam
     u_t, _, _ = correction_style_utilde(h, spaces_nl, GPE_2D, 1)
-    aug_nl = build_augmented_space(h, 1, spaces_nl[1], u_t)
+    aug_nl = augment(h, spaces_nl, 1, u_t)
     res_nl = scf_solve(aug_nl, GPE_2D, ScfSettings(max_iter=3), initial=aug_nl.initial_coeffs)
     print(f"monotone check (zeta=1): augmented {res_nl.pair.lam:.12g} "
           f"vs coarse {lam_coarse_nl:.12g}")
@@ -374,7 +396,7 @@ def test_augmented_scf_respects_iteration_cap():
     h = build_hierarchy(2, 8, 2)
     spaces = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
     u_t, _, _ = correction_style_utilde(h, spaces, GPE_2D, 1)
-    aug = build_augmented_space(h, 1, spaces[1], u_t)
+    aug = augment(h, spaces, 1, u_t)
     work = WorkReport()
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs,
                     work=work)
@@ -439,18 +461,20 @@ def test_augmented_scf_keeps_the_plain_step():
     level = h.levels[1]
     x = level.vertices[level.interior_indices]
     u_t = np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * (1 + x[:, 0])
-    aug = build_augmented_space(h, 1, LevelSpace.build(level, GPE_2D), u_t)
-    assert not aug.degenerate
+    spaces = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
+    aug = augment(h, spaces, 1, u_t)
+    assert aug.span is not None
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert res.iterations == 3 and not res.converged
-    assert res.pair.lam == 22.759942149863093
+    assert res.pair.lam == 22.759942149863136
     assert [(s.delta_lambda, s.delta_u) for s in res.history] == [
-        (0.5185516695211341, 0.12375769593401352),
-        (0.0033432843376246524, 0.010960949342498118),
-        (7.974957610556999e-05, 0.0010712931975718806),
+        (0.5185516695211341, 0.12375769593401674),
+        (0.0033432843376246524, 0.010960949342503884),
+        (7.974957610556999e-05, 0.0010712931975783086),
     ]
     u = res.pair.u.coefficients
-    assert float(u @ np.arange(1, u.size + 1)) == 146.84493449035637
+    assert u.size == level.n_interior
+    assert float(u @ np.arange(1, u.size + 1)) == 22869.140131249573
 
 
 def assert_follows_forcing(res, settings):

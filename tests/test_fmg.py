@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from fmgeig import eigsolve
 from fmgeig.eigsolve import ScfSettings, scf_solve
 from fmgeig.fem import ProblemSpec, a_norm
 from fmgeig.fmg import (
@@ -150,6 +153,28 @@ def test_full_multigrid_with_strictly_coarser_correction_space():
     ws = build_workspace(h, GPE)
     lam_star, u_star = direct_solution(ws, 2)
     assert abs(res.pair.lam - lam_star) < 1e-4
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
+    # the workspace assembles each level and the correction space once;
+    # the corrections assemble nothing on the correction mesh
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(eigsolve, name)
+
+        def counted(mesh, *args, **kwargs):
+            calls[name, mesh.level_index] += 1
+            return original(mesh, *args, **kwargs)
+        return counted
+
+    for name in ("assemble_stiffness", "assemble_mass"):
+        monkeypatch.setattr(eigsolve, name, counting(name))
+    h = build_hierarchy(2, 4, 3, coarse_offset=offset)
+    full_multigrid(h, GPE)
+    assert calls == Counter({(name, mesh.level_index): 1 for mesh in h.meshes
+                             for name in ("assemble_stiffness", "assemble_mass")})
 
 
 def test_work_report_shared_and_monotone():

@@ -182,7 +182,7 @@ def test_contraction_study_gamma_column():
     }
     for name, values in pinned.items():
         assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
-    assert rep.column("work_units") == [38020, 84868, 234861]
+    assert rep.column("work_units") == [38020, 83274, 233203]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fmgeig.eigsolve import LevelSpace, build_augmented_space
@@ -186,11 +187,13 @@ def test_descendant_table_places_every_fine_cell(dim, box):
 def test_augmented_space_rejects_a_level_not_refined_from_the_coarse_mesh():
     spec = ProblemSpec(dim=2)
     h = build_hierarchy(2, 4, 3)
+    coarse = LevelSpace.build(h.coarse, spec)
     for other in (build_hierarchy(2, 3, 2).levels[1], build_hierarchy(2, 2, 3).levels[2]):
         ops = LevelSpace.build(other, spec)
         assert other.n_cells != h.levels[0].n_cells * 4 ** other.level_index
         with pytest.raises(ValueError, match="uniform refinement"):
-            build_augmented_space(h, other.level_index, ops, np.ones(ops.n_dofs))
+            build_augmented_space(coarse, h.coarse_to_level_interior(other.level_index),
+                                  ops, np.ones(ops.n_dofs))
 
 
 def test_cell_count_ladder_exact():
@@ -323,20 +326,25 @@ def test_interior_prolongation_shape():
     assert np.allclose(fine_full[h.levels[1].boundary_vertex], 0.0)
 
 
-def test_coarse_offset_hierarchy():
-    h = build_hierarchy(2, 8, 2, coarse_offset=1)
-    assert h.coarse is not None
-    assert h.coarse.n_cells == 128
-    assert h.levels[0].n_cells == 512
-    B = h.coarse_to_level_interior(1)
-    assert B.shape == (h.levels[1].n_interior, h.coarse.n_interior)
-    # chained map reproduces linears on interior dofs of the fine level
-    coarse_int = h.coarse.interior_indices
-    fine_int = h.levels[1].interior_indices
-    vals = h.coarse.vertices[coarse_int, 0] * h.coarse.vertices[coarse_int, 1]
-    lifted = B @ vals
-    # x*y is not linear, so only check the map agrees with explicit chaining
-    P_full = (h.prolongations[0] @ h.coarse_chain[0]).tocsr()
-    full = np.zeros(h.coarse.n_vertices)
-    full[coarse_int] = vals
-    assert np.allclose(lifted, (P_full @ full)[fine_int])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+def test_coarse_offset_hierarchy(offset):
+    h = build_hierarchy(2, 4, 3, coarse_offset=offset)
+    assert h.coarse is h.meshes[0] and h.coarse.n_cells == 32
+    assert h.levels[0] is h.meshes[offset] and h.levels[0].n_cells == 32 * 4 ** offset
+    assert h.n_levels == len(h.levels) == 3 and len(h.prolongations) == 2
+    for k in range(h.n_levels):
+        # the chained interior map against the vertex-space chain, restricted
+        # to interior dofs: dyadic entries, so exactly equal
+        fine = h.meshes[offset + k]
+        P_full = sp.identity(h.coarse.n_vertices, format="csr")
+        for P in h.transfers[:offset + k]:
+            P_full = P @ P_full
+        ref = P_full.tocsr()[fine.interior_indices][:, h.coarse.interior_indices]
+        B = h.coarse_to_level_interior(k)
+        assert B.shape == (fine.n_interior, h.coarse.n_interior)
+        assert np.array_equal(B.toarray(), ref.toarray())
+    short = h.truncated(2)
+    assert short.coarse is h.coarse and short.n_levels == 2
+    assert all(a is b for a, b in zip(short.levels, h.levels[:2]))
+    assert np.array_equal(short.coarse_to_level_interior(1).toarray(),
+                          h.coarse_to_level_interior(1).toarray())
