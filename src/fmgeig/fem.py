@@ -15,11 +15,19 @@ entries that couple to an excluded vertex), and a gather from that compact
 index to CSR order.  Every assembly is then one ``bincount`` of the upper
 entries into the compact index and one gather; (i, j) and (j, i) read the
 same sum, so every matrix is exactly symmetric.
+
+A mesh made by ``refine`` takes its cell measures, stiffness and edges from
+its parent's cells, which it reads back from its own children
+(:func:`mesh.parent_cells`): a child's measure is its parent's / 2^d, its
+upper Gram entries are one fixed linear map of its parent's, and its edges
+are the halves of the parent's edges and the midpoint pairs its children
+join (:func:`mesh.refined_edges`).  Level-0 and hand-built meshes take the
+closed forms, which also compute the parents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement, product
 from math import factorial, sqrt
 from typing import NamedTuple
@@ -28,7 +36,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError
-from .mesh import MeshLevel, cell_edges, cell_measures, descendant_barycentrics
+from .mesh import (
+    MeshLevel,
+    cell_edges,
+    cell_measures,
+    descendant_barycentrics,
+    parent_cells,
+    refined_edges,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -171,9 +186,24 @@ def _cached(mesh: MeshLevel, key, build):
     return cache[key]
 
 
+def _parent(mesh):
+    """The parent cells of a mesh made by :func:`mesh.refine`, as a mesh on
+    the same vertex array (the parent's vertices are its prefix), or None
+    for a level-0 or hand-built mesh."""
+    if not mesh.n_parent_vertices:
+        return None
+    return replace(mesh, cells=parent_cells(mesh)[:, :mesh.dim + 1], n_parent_vertices=0)
+
+
 def _checked_measures(mesh):
-    """Unsigned cell measures (nc,); a degenerate cell raises AssemblyError."""
-    measures = cell_measures(mesh)
+    """Unsigned cell measures (nc,); a degenerate cell raises AssemblyError.
+    A refined mesh's children each take 1/2^d of their parent's measure."""
+    parent = _parent(mesh)
+    if parent is None:
+        measures = cell_measures(mesh)
+    else:
+        children = 2 ** mesh.dim
+        measures = np.repeat(cell_measures(parent) / children, children)
     bad = np.flatnonzero(measures < 1e-14 * mesh.mesh_size ** mesh.dim)
     if bad.size:
         raise AssemblyError(f"degenerate cell {int(bad[0])}")
@@ -204,7 +234,9 @@ def _build_pattern(mesh, interior_only):
     ``np.triu_indices(d+1)`` order and flattened in that order, and the gather
     from compact index to CSR order.  The compact index numbers the mesh
     edges, then the diagonal, then one dump slot for every entry that couples
-    to an excluded vertex; the two CSR entries of an edge gather its one sum."""
+    to an excluded vertex; the two CSR entries of an edge gather its one sum.
+    A refined mesh numbers its edges from its parent's, any other mesh by
+    one sort-unique of all its cells' vertex pairs."""
     if interior_only:
         n = mesh.n_interior
         dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
@@ -215,22 +247,11 @@ def _build_pattern(mesh, interior_only):
     cell_dofs = dof[mesh.cells]
     iu, ju = np.triu_indices(mesh.dim + 1)
     off = iu != ju
-    # edge key lo * n + hi of every off-diagonal upper entry, built in place;
-    # each large temporary is dropped as soon as the next step has read it
-    a, b = cell_dofs[:, iu[off]], cell_dofs[:, ju[off]]
-    keys = np.minimum(a, b)
-    np.maximum(a, b, out=b)
-    del a
-    inner = keys >= 0
-    keys *= n
-    keys += b
-    del b
-    keys = keys[inner]
-    edges, edge_of = np.unique(keys, return_inverse=True)
-    del keys
-    n_e = edges.size
-    e_lo, e_hi = np.divmod(edges, n)
-    del edges
+    if mesh.n_parent_vertices:
+        e_lo, e_hi, edge = _edges_from_parent(mesh, dof, n)
+    else:
+        e_lo, e_hi, edge = _edges_by_unique(cell_dofs, iu[off], ju[off], n)
+    n_e = e_lo.size
     # stored entries: both orientations of every mesh edge, then the diagonal
     keys = np.concatenate([e_lo * n + e_hi, e_hi * n + e_lo, np.arange(n) * (n + 1)])
     order = np.argsort(keys)
@@ -248,19 +269,57 @@ def _build_pattern(mesh, interior_only):
     dump = n_e + n
     slot = np.empty((len(cell_dofs), iu.size), dtype=idx)
     slot[:, ~off] = np.where(cell_dofs >= 0, n_e + cell_dofs, dump)
-    edge = np.full(inner.shape, dump, dtype=idx)
-    edge[inner] = edge_of
     slot[:, off] = edge
     return _Pattern(indptr, indices, slot.ravel(), gather, dump + 1)
 
 
-def _assemble(pattern, up, work=None):
+def _edges_by_unique(cell_dofs, iu, ju, n):
+    """Edges (e_lo, e_hi) between the dofs of every cell's off-diagonal upper
+    entries (iu, ju), and the compact index of each entry: its edge, or the
+    dump slot n_e + n where one end is not a dof.  One sort-unique of the
+    keys lo * n + hi, built in place; each large temporary is dropped once
+    the next step has read it."""
+    a, b = cell_dofs[:, iu], cell_dofs[:, ju]
+    keys = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    del a
+    inner = keys >= 0
+    keys *= n
+    keys += b
+    del b
+    edges, edge_of = np.unique(keys[inner], return_inverse=True)
+    del keys
+    edge = np.full(inner.shape, edges.size + n, dtype=np.int64)
+    edge[inner] = edge_of
+    e_lo, e_hi = np.divmod(edges, n)
+    return e_lo, e_hi, edge
+
+
+def _edges_from_parent(mesh, dof, n):
+    """As :func:`_edges_by_unique`, for a mesh made by refine: the edges come
+    from :func:`mesh.refined_edges`, and those with two dof ends keep their
+    order there."""
+    ends, cell_edge = refined_edges(mesh)
+    lo, hi = dof[ends]
+    inner = (lo >= 0) & (hi >= 0)
+    compact = np.cumsum(inner) - 1
+    e_lo, e_hi = lo[inner], hi[inner]
+    compact[~inner] = e_lo.size + n
+    return e_lo, e_hi, compact[cell_edge]
+
+
+def _assemble(pattern, up, work=None, zero_tol=0.0):
     """CSR matrix from upper local entries (cells, (d+1)(d+2)/2) in
     ``np.triu_indices(d+1)`` order, on a cached pattern: one bincount into
     the compact index, then a gather into CSR order.  (i, j) and (j, i)
-    gather the same sum, so the result is exactly symmetric."""
+    gather the same sum, so the result is exactly symmetric.  Entries at or
+    below ``zero_tol`` times the largest are dropped with the exact zeros."""
     indptr, indices, slot, gather, n_compact = pattern
     sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
+    if zero_tol and n_compact > 1:
+        # every compact sum but the last, the dump slot, is a matrix entry
+        stored = np.abs(sums[:-1])
+        sums[:-1][stored <= zero_tol * stored.max()] = 0.0
     n = indptr.size - 1
     # copies of the cached index arrays: the caller owns the matrix
     A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
@@ -292,13 +351,11 @@ def _scaled_gradients(mesh):
     return G
 
 
-def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, work=None):
-    """Matrix of (A grad w, grad v); exact for P1 since gradients are
-    cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
-    G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here."""
-    measures, pattern = _measures_and_pattern(mesh, interior_only)
+def _upper_gram(mesh, diffusion):
+    """G_i A G_j for every upper pair (i, j) of every cell, entry-major
+    (entries, cells), with G the scaled gradients."""
     G = _scaled_gradients(mesh)
-    DG = np.matmul(spec.diffusion_matrix, G)
+    DG = np.matmul(diffusion, G)
     iu, ju = np.triu_indices(mesh.dim + 1)
     # one dot product per upper pair, entry-major so every write is
     # contiguous; gathering G[iu] and DG[ju] instead would copy both
@@ -306,9 +363,46 @@ def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, w
     up = np.empty((iu.size, mesh.n_cells))
     for k, (i, j) in enumerate(zip(iu, ju)):
         np.einsum("mc,mc->c", G[i], DG[j], out=up[k])
-    del G, DG
-    up /= factorial(mesh.dim) ** 2 * measures
-    return _assemble(pattern, up.T, work)
+    return up
+
+
+def _child_gram(d):
+    """Fixed (entries, 2^d * entries) map from a parent's upper Gram entries
+    G_a A G_b to those of its children, child-major.  A child's barycentrics
+    are C_k = (V_k^T)^-1 times the parent's, V_k its vertices in the
+    parent's barycentrics (integer entries), and its det is det(V_k) = ±2^-d
+    times the parent's, so G^k_i A G^k_j = 4^-d sum_ab C_k[i, a] C_k[j, b]
+    G_a A G_b; the symmetric (a, b) and (b, a) terms share one upper entry."""
+    V = descendant_barycentrics(d, 1)
+    C = np.rint(np.linalg.inv(V.transpose(0, 2, 1)))
+    iu, ju = np.triu_indices(d + 1)
+    full = np.einsum("kia,kjb->abkij", C, C)[:, :, :, iu, ju]     # (d+1, d+1, 2^d, entries)
+    table = full[iu, ju] + (iu != ju)[:, None, None] * full[ju, iu]
+    return table.reshape(iu.size, -1) / 4 ** d
+
+
+# built at import: the inverse runs once, not in any assembly
+_CHILD_GRAM = {d: _child_gram(d) for d in (2, 3)}
+# stiffness entries at or below this fraction of the largest are rounding
+# residue of the mapped sums, where the closed form gives exact zeros
+_STIFFNESS_ZERO = 16 * np.finfo(float).eps
+
+
+def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, work=None):
+    """Matrix of (A grad w, grad v); exact for P1 since gradients are
+    cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
+    G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here.
+    A refined mesh maps its parent cells' G_a A G_b to its children's by
+    one fixed table; entries at or below 16 eps of the largest are zero."""
+    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    parent = _parent(mesh)
+    if parent is None:
+        up = _upper_gram(mesh, spec.diffusion_matrix).T
+    else:
+        up = _upper_gram(parent, spec.diffusion_matrix).T @ _CHILD_GRAM[mesh.dim]
+        up = up.reshape(mesh.n_cells, -1)
+    up /= factorial(mesh.dim) ** 2 * measures[:, None]
+    return _assemble(pattern, up, work, zero_tol=_STIFFNESS_ZERO)
 
 
 def assemble_mass(mesh: MeshLevel, interior_only=True, work=None):

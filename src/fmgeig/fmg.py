@@ -100,7 +100,8 @@ class FmgResult:
 
 class FmgWorkspace:
     """Per-level matrices, the correction space V_H (``level_spaces[0]``, or
-    built once more on a strictly coarser mesh as part of level 0's setup),
+    built once more on a strictly coarser mesh as part of level 0's setup,
+    without the potential, which its augmented blocks never read),
     the stiffness multigrid context, and the shared work counter for one
     full-multigrid run."""
 
@@ -117,8 +118,10 @@ class FmgWorkspace:
             self.setup_work.append(self.work.work_units - before)
         self.coarse_space = self.level_spaces[0]
         if hierarchy.first:
+            # the augmented potential block is B' W_h B, so V_H needs no W_H
             before = self.work.work_units
-            self.coarse_space = LevelSpace.build(hierarchy.coarse, spec, work=self.work)
+            self.coarse_space = LevelSpace.build(hierarchy.coarse, replace(spec, potential=None),
+                                                 work=self.work)
             self.setup_work[0] += self.work.work_units - before
         self.mg = MgContext(
             matrices=[ls.stiffness for ls in self.level_spaces],

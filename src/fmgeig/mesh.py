@@ -29,6 +29,8 @@ __all__ = [
     "cell_edges",
     "cell_measures",
     "descendant_barycentrics",
+    "parent_cells",
+    "refined_edges",
 ]
 
 BOUNDARY_TOL = 1e-12
@@ -71,6 +73,10 @@ def descendant_barycentrics(dim, depth):
     ``depth`` refinements down descends from cell ``i // n_types`` of the
     ancestor level as type ``i % n_types``; the first refinement's child
     index is the most significant digit.  All entries are dyadic, so exact.
+    Readers of this child order: :func:`parent_cells` and
+    :func:`refined_edges` here, and ``fem``, whose refined meshes take
+    their cell measures, stiffness and edges from their parent's cells and
+    whose span moments integrate over each coarse cell's descendants.
     """
     d = dim
     pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
@@ -84,6 +90,88 @@ def descendant_barycentrics(dim, depth):
     return table
 
 
+def _local_sources(d):
+    """(child, position) of the first occurrence of every local index
+    (vertices, then edge midpoints) in the child table."""
+    table = _CHILD_TABLE[d]
+    flat = [int(np.flatnonzero(table.ravel() == v)[0]) for v in range(table.max() + 1)]
+    return np.divmod(np.array(flat), d + 1)
+
+
+def _child_edge_columns(d):
+    """Where every child's off-diagonal upper pair, in
+    ``np.triu_indices(d+1, k=1)`` order, finds its edge among a parent's
+    edge columns: two halves per local
+    edge (column 2 p at its first endpoint, 2 p + 1 at its second), then the
+    midpoint pairs that children join.  Returns the (2^d, d(d+1)/2) column
+    table and those midpoint pairs as local edge indices (n_mid, 2)."""
+    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
+    iu, ju = np.triu_indices(d + 1, k=1)
+    local = _CHILD_TABLE[d][:, iu], _CHILD_TABLE[d][:, ju]
+    lo, hi = np.minimum(*local), np.maximum(*local)
+    mid_pairs = sorted({(p, q) for p, q in zip(lo.ravel(), hi.ravel()) if p > d})
+    columns = np.empty(lo.shape, dtype=np.int64)
+    for k, m in np.ndindex(lo.shape):
+        p, q = lo[k, m], hi[k, m]
+        if p > d:
+            columns[k, m] = 2 * len(pairs) + mid_pairs.index((p, q))
+        else:
+            # a child edge from a vertex always runs to a midpoint of its own
+            columns[k, m] = 2 * (q - d - 1) + pairs[q - d - 1].index(p)
+    return columns, np.array(mid_pairs) - (d + 1)
+
+
+_LOCAL_SOURCE = {d: _local_sources(d) for d in _CHILD_TABLE}
+_CHILD_EDGES = {d: _child_edge_columns(d) for d in _CHILD_TABLE}
+
+
+def parent_cells(mesh):
+    """Every parent cell of a mesh made by :func:`refine`, read back from its
+    children: (n_cells / 2^d, d+1 + d(d+1)/2) vertex ids, the parent's
+    vertices and then its edge midpoints, in the local order of the child
+    table ((v0, v1, v2, m01, m02, m12) in 2D).  Child k of parent c is cell
+    ``c * 2^d + k`` (see :func:`descendant_barycentrics`), so every column is
+    one column of one child."""
+    d = mesh.dim
+    child, position = _LOCAL_SOURCE[d]
+    return mesh.cells.reshape(-1, 2 ** d, d + 1)[:, child, position]
+
+
+def refined_edges(mesh):
+    """The edges of a mesh made by :func:`refine`, numbered from its parent's.
+
+    The halves of parent edge e, whose midpoint is vertex
+    ``n_parent_vertices + e``, are edge e (at endpoint
+    ``midpoint_parents[e, 0]``) and edge n_e + e (at the other endpoint).
+    The midpoint pairs that children join follow, in sorted order; only
+    they go through ``np.unique``, 13 per parent in 3D (12 face midlines
+    and the m02-m13 cut) and 3 in 2D.  Returns the endpoints of every edge
+    as (2, n_edges) vertex ids and the edge of every cell's off-diagonal
+    upper pair as (n_cells, d(d+1)/2), pairs in ``np.triu_indices(d+1, k=1)``
+    order."""
+    d = mesh.dim
+    nv, n_v = mesh.n_parent_vertices, mesh.n_vertices
+    n_e = n_v - nv
+    columns, mid_pairs = _CHILD_EDGES[d]
+    local = parent_cells(mesh)
+    mids = local[:, d + 1:]
+    edge = mids - nv
+    first = np.triu_indices(d + 1, k=1)[0]
+    # half of local edge p at its first endpoint: edge[p], or n_e + edge[p]
+    # when that endpoint is the second one of the parent edge
+    at_first = edge + n_e * (local[:, first] != mesh.midpoint_parents[edge, 0])
+    at_second = 2 * edge + n_e - at_first
+    a, b = mids[:, mid_pairs[:, 0]], mids[:, mid_pairs[:, 1]]
+    keys = np.minimum(a, b) * n_v + np.maximum(a, b)
+    pairs, pair_of = np.unique(keys, return_inverse=True)
+    per_parent = np.hstack([np.stack([at_first, at_second], axis=2).reshape(len(local), -1),
+                            2 * n_e + pair_of.reshape(keys.shape)])
+    mid = np.arange(nv, n_v)
+    ends = np.stack([np.concatenate([mesh.midpoint_parents.T.ravel(), pairs // n_v]),
+                     np.concatenate([mid, mid, pairs % n_v])])
+    return ends, per_parent[:, columns].reshape(mesh.n_cells, -1)
+
+
 @dataclass(frozen=True)
 class MeshLevel:
     """One simplicial mesh in a refinement chain.
@@ -91,7 +179,9 @@ class MeshLevel:
     ``level_index`` counts refinements from the initial mesh.  For meshes
     produced by :func:`refine`, the parent's vertices occupy indices
     ``0 .. n_parent_vertices-1`` and ``midpoint_parents[i]`` gives the two
-    parent endpoints of new vertex ``n_parent_vertices + i``.
+    parent endpoints of new vertex ``n_parent_vertices + i``; their cells
+    keep refine's child order, from which :func:`parent_cells` reads the
+    parent's cells back.
 
     ``mesh_size`` is the longest cell edge, derived from the box and the
     refinement rather than measured over the cells; only the degenerate-cell

@@ -1,5 +1,7 @@
+from dataclasses import replace
 from itertools import product
 from math import factorial, pi
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -300,11 +302,12 @@ def test_integrate_power_matches_weighted_mass_quadratic_form():
 
 # --- fixed-pattern assembly against an independent plain-COO reference ------
 
-def _reference_geometry(mesh):
+def _reference_geometry(mesh, cells=None):
     """Barycentric gradients (nc, d+1, d) and measures by inverting the
-    homogeneous vertex matrix of every cell."""
-    coords = mesh.vertices[mesh.cells]
-    B = np.concatenate([np.ones((mesh.n_cells, mesh.dim + 1, 1)), coords], axis=2)
+    homogeneous vertex matrix of every cell (of `cells`, default all)."""
+    cells = mesh.cells if cells is None else cells
+    coords = mesh.vertices[cells]
+    B = np.concatenate([np.ones((len(cells), mesh.dim + 1, 1)), coords], axis=2)
     grads = np.transpose(np.linalg.inv(B)[:, 1:, :], (0, 2, 1))
     return grads, np.abs(np.linalg.det(B)) / factorial(mesh.dim)
 
@@ -507,3 +510,118 @@ def test_cell_measures_match_determinant_reference(dim):
         measures = cell_measures(mesh)
         assert np.all(reference > 0)
         assert (np.abs(measures - reference) / reference).max() <= rtol
+
+
+# --- refined meshes: measures, stiffness and edges from the parent cells ----
+
+def _closed_form(mesh):
+    """The same mesh without its refinement record, so every kernel takes
+    the closed forms and the sort-unique edges."""
+    return replace(mesh, n_parent_vertices=0)
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
+def test_refined_levels_assemble_bit_identical_to_closed_form(config):
+    # on the benchmark hierarchies (binary-fraction vertices) the children's
+    # measures, mapped Gram entries and derived edges reproduce the closed
+    # forms exactly
+    h = build_hierarchy(*config)
+    spec = ProblemSpec(dim=config[0])
+    for mesh in h.meshes:
+        u = FeFunction(mesh.level_index,
+                       np.random.default_rng(mesh.level_index).standard_normal(mesh.n_interior))
+        for assemble in (lambda m: assemble_stiffness(m, spec), assemble_mass,
+                         lambda m: assemble_weighted_mass(m, harmonic_potential, 1),
+                         lambda m: assemble_weighted_mass(m, u, 2)):
+            derived, closed = assemble(mesh), assemble(_closed_form(mesh))
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(derived, name), getattr(closed, name))
+
+
+def _sparse_stiffness_reference(mesh, diffusion, block=1 << 14):
+    """Interior stiffness summed from plain COO triplets of the inverted
+    vertex matrices, block by block of cells."""
+    n_loc = mesh.dim + 1
+    A = sp.csr_matrix((mesh.n_vertices, mesh.n_vertices))
+    for start in range(0, mesh.n_cells, block):
+        cells = mesh.cells[start:start + block]
+        grads, meas = _reference_geometry(mesh, cells)
+        local = np.einsum("c,cid,de,cje->cij", meas, grads, diffusion, grads)
+        rows = np.repeat(cells, n_loc, axis=1).ravel()
+        cols = np.tile(cells, (1, n_loc)).ravel()
+        A = A + sp.coo_matrix((local.ravel(), (rows, cols)), shape=A.shape).tocsr()
+    idx = mesh.interior_indices
+    return A[idx][:, idx]
+
+
+_NON_BINARY = {"2d": (2, 3, ((0.0, 1.0), (0.0, 0.3))), "3d": (3, 5, None),
+               "3d-skew": (3, 7, ((0.0, 1.3), (0.0, 1.0), (0.0, 0.9)))}
+
+
+# depth 3 of the skew box (1.05M cells) is left out for its size
+@pytest.mark.parametrize("case, depth", [
+    (case, depth) for case in _NON_BINARY for depth in (1, 2, 3) if (case, depth) != ("3d-skew", 3)])
+def test_refined_stiffness_on_non_binary_meshes(case, depth):
+    # vertices that are not binary fractions: the mapped Gram entries round
+    # differently from the closed form, so the values agree to rounding,
+    # the drop of rounding residue keeps the closed form's nonzeros, and
+    # the derived edges give the closed form's pattern
+    dim, divisions, box = _NON_BINARY[case]
+    mesh = build_initial_mesh(dim, divisions, box=box)
+    for _ in range(depth):
+        mesh = refine(mesh)
+    closed = _closed_form(mesh)
+    for diffusion in (None, _DIFFUSION[dim]):
+        spec = ProblemSpec(dim=dim, diffusion=diffusion)
+        A, C = assemble_stiffness(mesh, spec), assemble_stiffness(closed, spec)
+        derived, reference = (m.__dict__["_fem_pattern_interior"] for m in (mesh, closed))
+        assert np.array_equal(derived.indptr, reference.indptr)
+        assert np.array_equal(derived.indices, reference.indices)
+        assert derived.n_compact == reference.n_compact
+        if diffusion is None:
+            assert A.nnz == C.nnz
+        else:
+            assert A.nnz <= C.nnz
+        R = _sparse_stiffness_reference(mesh, spec.diffusion_matrix)
+        assert abs(A - R).max() <= 1e-14 * abs(R).max()
+
+
+def test_refined_mesh_reads_only_its_parent_cells(monkeypatch):
+    # a fresh refined mesh runs the closed-form geometry on its cells / 8
+    # parent cells only, and sorts at most 13 midpoint pairs per parent
+    mesh = _test_mesh(3)
+    parents = mesh.n_cells // 8
+    seen = {"gradients": [], "measures": [], "unique": []}
+
+    def recorder(name, original, size):
+        def recorded(*args, **kwargs):
+            seen[name].append(size(args[0]))
+            return original(*args, **kwargs)
+        return recorded
+
+    n_cells = attrgetter("n_cells")
+    monkeypatch.setattr(fem, "_scaled_gradients",
+                        recorder("gradients", fem._scaled_gradients, n_cells))
+    monkeypatch.setattr(fem, "cell_measures", recorder("measures", fem.cell_measures, n_cells))
+    monkeypatch.setattr(np, "unique", recorder("unique", np.unique, np.size))
+    for interior_only in (True, False):
+        assemble_stiffness(mesh, ProblemSpec(dim=3, diffusion=_DIFFUSION[3]),
+                           interior_only=interior_only)
+    assemble_mass(mesh)
+    assemble_weighted_mass(mesh, harmonic_potential, 1)
+    assert seen["gradients"] == [parents, parents]
+    assert seen["measures"] == [parents]
+    assert seen["unique"] and max(seen["unique"]) <= 13 * parents
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_refining_a_collapsed_cell_is_reported(dim):
+    m = build_initial_mesh(dim, 1)
+    bad_cells = m.cells.copy()
+    bad_cells[1, 1] = bad_cells[1, 0]
+    broken = MeshLevel(dim=dim, vertices=m.vertices, cells=bad_cells,
+                       boundary_vertex=m.boundary_vertex, level_index=0,
+                       mesh_size=m.mesh_size, box=m.box)
+    child = refine(broken)
+    with pytest.raises(AssemblyError, match=f"cell {2 ** dim}"):
+        assemble_stiffness(child, ProblemSpec(dim=dim))

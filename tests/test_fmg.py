@@ -158,23 +158,27 @@ def test_full_multigrid_with_strictly_coarser_correction_space():
 @pytest.mark.parametrize("offset", [0, 1])
 def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
     # the workspace assembles each level and the correction space once;
-    # the corrections assemble nothing on the correction mesh
+    # the corrections assemble nothing on the correction mesh, and the
+    # analytic potential is assembled on the solve levels only
     calls = Counter()
 
     def counting(name):
         original = getattr(eigsolve, name)
 
         def counted(mesh, *args, **kwargs):
-            calls[name, mesh.level_index] += 1
+            if name != "assemble_weighted_mass" or callable(args[0]):
+                calls[name, mesh.level_index] += 1
             return original(mesh, *args, **kwargs)
         return counted
 
-    for name in ("assemble_stiffness", "assemble_mass"):
+    for name in ("assemble_stiffness", "assemble_mass", "assemble_weighted_mass"):
         monkeypatch.setattr(eigsolve, name, counting(name))
     h = build_hierarchy(2, 4, 3, coarse_offset=offset)
     full_multigrid(h, GPE)
-    assert calls == Counter({(name, mesh.level_index): 1 for mesh in h.meshes
-                             for name in ("assemble_stiffness", "assemble_mass")})
+    expected = Counter({(name, mesh.level_index): 1 for mesh in h.meshes
+                        for name in ("assemble_stiffness", "assemble_mass")})
+    expected.update(("assemble_weighted_mass", mesh.level_index) for mesh in h.levels)
+    assert calls == expected
 
 
 def test_work_report_shared_and_monotone():
