@@ -7,12 +7,14 @@ under an energy line search.  The augmented space is the correction
 space V_H, a LevelSpace, bordered by the span of one fine function t: a
 small dense pencil, which LAPACK solves.  Nothing is assembled for it:
 its V_H blocks are V_H's own matrices (the potential's the Galerkin
-product B' W_h B), each border is one fine matvec with t, and the
-t-dependent parts of its nonlinear matrix contract the moments of t
-against the coarse barycentrics, integrated once per space.  On a mesh
-level the inner eigensolve is LOBPCG preconditioned by one Galerkin
-multigrid V-cycle, with no shifts; a level without coarser levels is
-preconditioned by a sparse LU solve.
+product B' W_h B), its borders are fine matvecs with t (K_h t + W_h t
+and M_h t), and the t-dependent parts of its nonlinear matrix contract
+the moments of t against the coarse barycentrics, integrated once per
+space.  On a mesh level the inner eigensolve is LOBPCG, with no shifts,
+preconditioned by one V-cycle of the level's own multigrid context: the
+Galerkin chain of the linear part L, built once, whose top and coarse
+diagonals each sweep updates in place to the pencil L + zeta Mnl (a
+level without coarser levels keeps a sparse LU solve of the pencil).
 """
 
 from __future__ import annotations
@@ -208,7 +210,11 @@ class LevelSpace:
     mass: sp.csr_matrix
     potential_mass: sp.csr_matrix | None
     prolongations: list | None = None   # interior chain below this level, for MG
-    _linear: sp.csr_matrix = field(default=None, repr=False)
+    # caches, never copied by dataclasses.replace: L = K + W, the multigrid
+    # context and, per coarse level, its diagonal slots, diag(L_k) and P_k 1
+    _linear: sp.csr_matrix = field(default=None, init=False, repr=False)
+    _mg: MgContext = field(default=None, init=False, repr=False)
+    _lumping: list = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, mesh, spec, work=None, prolongations=None):
@@ -244,12 +250,60 @@ class LevelSpace:
         w = FeFunction(self.mesh.level_index, np.asarray(coeffs, dtype=float))
         return assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
 
-    def multigrid(self, A, work=None):
-        """Galerkin multigrid context on A over the transfer chain; with no
-        prolongations it has one level, whose V-cycle is a sparse LU solve."""
-        prols = self.prolongations or []
-        return MgContext(galerkin_chain(A, prols, work), prols,
-                         work=work if work is not None else WorkReport())
+    def multigrid(self, nonlinear=None, work=None):
+        """This space's multigrid context, built on first use and kept: the
+        Galerkin chain of L = K + W over the transfer chain (with no
+        prolongations one level, whose V-cycle is a sparse LU solve).
+
+        Given a sweep's nonlinear matrix Mnl the context is updated in place
+        to the pencil L + zeta Mnl: its top matrix becomes the pencil, each
+        coarser level's diagonal diag(L_k) + zeta d_k, and the coarse LU is
+        dropped.  d is the row-sum-lumped Galerkin product of Mnl: d =
+        P'(Mnl P 1) on the level below the top, d_k = P_k'(d_{k+1} * P_k 1)
+        below that.  A nonnegative matrix is bounded by its row-sum
+        diagonal, so each coarse matrix is at least the Galerkin P'(L +
+        zeta Mnl)P, and within a factor dim + 2 of it (P1 lumping).  With
+        Mnl=None the context holds L's chain again.  An update counts one
+        Mnl matvec, one restriction per level and the coarse matrix's
+        entries for its new LU; it forms no sparse product.
+        """
+        work = work if work is not None else WorkReport()
+        L = self.linear_matrix
+        if self._mg is None:
+            prols = self.prolongations or []
+            mats = galerkin_chain(L, prols, work)
+            self._mg = MgContext(mats, prols, work=work)
+            self._lumping = []
+            for A, P in zip(mats, prols):
+                rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+                slots = np.flatnonzero(A.indices == rows)
+                self._lumping.append((slots, A.data[slots], P @ np.ones(P.shape[1])))
+        mg = self._mg
+        mg.work = work
+        if nonlinear is None:
+            if mg.matrices[-1] is L:
+                return mg
+            mg.matrices[-1] = L
+            for A, (slots, diag, _) in zip(mg.matrices, self._lumping):
+                A.data[slots] = diag
+        else:
+            zeta = self.spec.zeta
+            if (np.array_equal(nonlinear.indptr, L.indptr)
+                    and np.array_equal(nonlinear.indices, L.indices)):
+                # the level's P1 pattern on both (L = K + W fills the entries
+                # K drops): add the values alone, the same sums as L + zeta Mnl
+                mg.matrices[-1] = sp.csr_matrix(
+                    (L.data + zeta * nonlinear.data, L.indices, L.indptr), shape=L.shape)
+            else:
+                mg.matrices[-1] = L + zeta * nonlinear
+            d = None
+            for k in reversed(range(len(self._lumping))):
+                slots, diag, ones = self._lumping[k]
+                v = counted_matvec(nonlinear, ones, work) if d is None else d * ones
+                d = counted_matvec(mg.prolongations[k].T, v, work)
+                mg.matrices[k].data[slots] = diag + zeta * d
+        mg.refactor_coarse()
+        return mg
 
 
 @dataclass
@@ -369,8 +423,14 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None, span_to
         span = t
         initial = np.zeros(coarse.n_dofs + 1)
         initial[-1] = 1.0
-        Lt = counted_matvec(ops.linear_matrix, t, work)
-        L_red = _bordered(L_H, counted_matvec(B.T, Lt, work), t @ Lt)
+        # L_h t as K_h t + W_h t, so L_h is never formed on a correction level
+        Kt = counted_matvec(ops.stiffness, t, work)
+        border, corner = counted_matvec(B.T, Kt, work), t @ Kt
+        if ops.potential_mass is not None:
+            Wt = counted_matvec(ops.potential_mass, t, work)
+            border = border + counted_matvec(B.T, Wt, work)
+            corner += t @ Wt
+        L_red = _bordered(L_H, border, corner)
         M_red = _bordered(M_H, rhs, t @ Mt)
         moments = span_moments(coarse.mesh, fine, t, work)
     return AugmentedSpace(
@@ -413,16 +473,17 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     eigenvalue change is below tol_lambda and the residual below tol_u on
     a sweep whose inner eigensolve ran at the full eig_tol.  On a mesh
     level the inner eigensolve is iterative (LOBPCG preconditioned by one
-    V-cycle of the pencil's Galerkin chain) and the SCF is inexact: each
-    sweep's eigensolve tolerance is max(eig_tol, min(FORCING_CAP,
-    FORCING * r)) with r the previous sweep's residual (FORCING_CAP before
-    the first sweep), and a sweep that meets the stopping rule below the
-    full tolerance is followed by one at eig_tol, with the mixing history
-    cleared.  The dense augmented pencils are solved exactly, at eig_tol.
-    `history` holds one ScfSweep per sweep.  Hitting max_iter returns
-    converged=False (the augmented solves are capped at 3 sweeps by
-    design); an energy that rises on three consecutive sweeps raises
-    SolverError.
+    V-cycle of the space's own multigrid context, which each sweep updates
+    in place to its pencil, see LevelSpace.multigrid) and the SCF is
+    inexact: each sweep's eigensolve tolerance is max(eig_tol,
+    min(FORCING_CAP, FORCING * r)) with r the previous sweep's residual
+    (FORCING_CAP before the first sweep), and a sweep that meets the
+    stopping rule below the full tolerance is followed by one at eig_tol,
+    with the mixing history cleared.  The dense augmented pencils are
+    solved exactly, at eig_tol.  `history` holds one ScfSweep per sweep.
+    Hitting max_iter returns converged=False (the augmented solves are
+    capped at 3 sweeps by design); an energy that rises on three
+    consecutive sweeps raises SolverError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
@@ -437,13 +498,16 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
     level = isinstance(space, LevelSpace)
 
-    def eigensolve(A_lin, warm, forcing_tol=None):
-        """(lambda, x, tolerance used); forcing_tol applies on mesh levels."""
+    def eigensolve(Mnl, warm, forcing_tol=None):
+        """(lambda, x, tolerance used) of the pencil L + zeta Mnl, or of L
+        for Mnl=None; forcing_tol applies on mesh levels, whose pencil is
+        the top matrix of the space's multigrid context."""
         if not level:
+            A_lin = L if Mnl is None else L + zeta * Mnl
             return (*smallest_eigpair(A_lin, M, work=work), eig_tol)
         tol = eig_tol if forcing_tol is None else max(eig_tol, forcing_tol)
-        lam, x = smallest_eigpair(A_lin, M, tol=tol, x0=warm,
-                                  mg=space.multigrid(A_lin, work), work=work)
+        mg = space.multigrid(Mnl, work)
+        lam, x = smallest_eigpair(mg.matrices[-1], M, tol=tol, x0=warm, mg=mg, work=work)
         return lam, x, tol
 
     def make_pair(lam, coeffs):
@@ -453,7 +517,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     if zeta == 0.0:
         # the linearized operator does not depend on the iterate: one solve
         warm = _b_normalize(np.asarray(initial, dtype=float), M) if initial is not None else None
-        lam, x, _ = eigensolve(L, warm)
+        lam, x, _ = eigensolve(None, warm)
         if work is not None:
             work.scf_iterations += 1
         return ScfResult(make_pair(lam, x), converged=True, iterations=1,
@@ -462,7 +526,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     if initial is not None:
         w = _b_normalize(np.asarray(initial, dtype=float), M)
     else:
-        _, w, _ = eigensolve(L, None, FORCING_CAP)
+        _, w, _ = eigensolve(None, None, FORCING_CAP)
 
     def rayleigh_and_energy(v, Mnl_v):
         quartic = float(v @ (Mnl_v @ v))
@@ -488,8 +552,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     w_prev = f_prev = None
 
     for _ in range(settings.max_iter):
-        A_lin = L + zeta * Mnl
-        _, x, tol = eigensolve(A_lin, w, forcing_tol)
+        _, x, tol = eigensolve(Mnl, w, forcing_tol)
         if float(x @ (M @ w)) < 0:
             x = -x
         f = x - w

@@ -37,8 +37,12 @@ class WorkReport:
     matvecs, the triple product B' W_h B, and one unit per unique moment
     entry of every fine cell, 20n in 2D and 35n in 3D; each of its
     nonlinear matrices adds its coarse assembly and one unit per moment
-    entry it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  The
-    remaining fields count events.
+    entry it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  A
+    mesh level's multigrid context counts its Galerkin chain once, when it
+    is built; each SCF sweep's in-place update of it to the sweep's pencil
+    adds one Mnl matvec, one restriction per coarser level and the stored
+    entries of the coarse matrix it refactors.  The remaining fields count
+    events.
     """
 
     work_units: int = 0
@@ -122,6 +126,12 @@ class MgContext:
     @property
     def n_levels(self):
         return len(self.matrices)
+
+    def refactor_coarse(self):
+        """Drop the coarse factorization after level 0's matrix changed; the
+        next coarse solve factors it again.  Counts its stored entries."""
+        self._coarse_lu = None
+        self.work.add(self.matrices[0].nnz)
 
     def coarse_solve(self, b):
         if self._coarse_lu is None:

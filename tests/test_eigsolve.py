@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from fmgeig import eigsolve
+from fmgeig import eigsolve, linalg
 from fmgeig.errors import AssemblyError, SolverError
 from fmgeig.eigsolve import (
     FORCING,
@@ -25,7 +25,7 @@ from fmgeig.fem import (
     assemble_weighted_mass,
     harmonic_potential,
 )
-from fmgeig.linalg import MgContext, WorkReport, mg_solve
+from fmgeig.linalg import MgContext, WorkReport, galerkin_chain, mg_solve
 from fmgeig.mesh import build_hierarchy, build_initial_mesh
 
 
@@ -83,7 +83,7 @@ def test_smallest_eigpair_sparse_input():
     A, M = space.stiffness, space.mass
     target = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
     work = WorkReport()
-    lam, x = smallest_eigpair(A, M, tol=1e-10, mg=space.multigrid(A, work), work=work)
+    lam, x = smallest_eigpair(A, M, tol=1e-10, mg=space.multigrid(work=work), work=work)
     assert lam == pytest.approx(target, rel=1e-12)
     assert np.linalg.norm(A @ x - lam * (M @ x)) <= 1e-10 * np.linalg.norm(A @ x)
     # every preconditioner application is one V-cycle down to the coarse solve
@@ -107,7 +107,7 @@ def test_smallest_eigpair_stops_at_rounding_floor():
     space = LevelSpace.build(h.levels[-1], GPE_2D, prolongations=prols)
     A, M = space.linear_matrix, space.mass
     eps = np.finfo(float).eps
-    lam, x = smallest_eigpair(A, M, tol=1e-20, mg=space.multigrid(A))
+    lam, x = smallest_eigpair(A, M, tol=1e-20, mg=space.multigrid())
     res = np.linalg.norm(A @ x - lam * (M @ x))
     assert res <= eps * abs(A).sum(axis=1).max() * np.linalg.norm(x)
     target = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)[0]
@@ -466,15 +466,80 @@ def test_augmented_scf_keeps_the_plain_step():
     assert aug.span is not None
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert res.iterations == 3 and not res.converged
-    assert res.pair.lam == 22.759942149863136
+    assert res.pair.lam == 22.759942149863093
     assert [(s.delta_lambda, s.delta_u) for s in res.history] == [
-        (0.5185516695211341, 0.12375769593401674),
-        (0.0033432843376246524, 0.010960949342503884),
-        (7.974957610556999e-05, 0.0010712931975783086),
+        (0.5185516695211341, 0.12375769593401352),
+        (0.0033432843376246524, 0.010960949342498118),
+        (7.974957610556999e-05, 0.0010712931975718806),
     ]
     u = res.pair.u.coefficients
     assert u.size == level.n_interior
-    assert float(u @ np.arange(1, u.size + 1)) == 22869.140131249573
+    assert float(u @ np.arange(1, u.size + 1)) == 22869.14013124958
+
+
+def test_scf_builds_one_multigrid_context_per_space(monkeypatch):
+    # the Galerkin chain of L is built once; every sweep updates that one
+    # context in place and solves the pencil L + zeta Mnl(w) at its top
+    spec = ProblemSpec(dim=2, zeta=10.0)
+    h = build_hierarchy(2, 4, 3)
+    prols = [h.interior_prolongation(j) for j in range(h.n_levels - 1)]
+    space = LevelSpace.build(h.levels[-1], spec, prolongations=prols)
+    chains, solves = [], []
+
+    def counting_chain(*args, **kwargs):
+        chains.append(args[0])
+        return linalg.galerkin_chain(*args, **kwargs)
+
+    def recording_eigpair(A, M, **kwargs):
+        solves.append((A, kwargs["x0"], kwargs["mg"]))
+        return smallest_eigpair(A, M, **kwargs)
+
+    monkeypatch.setattr(eigsolve, "galerkin_chain", counting_chain)
+    monkeypatch.setattr(eigsolve, "smallest_eigpair", recording_eigpair)
+    res = scf_solve(space, spec, ScfSettings(tol_lambda=1e-12, tol_u=1e-10))
+    assert res.converged and res.iterations > 1
+    assert len(chains) == 1 and chains[0] is space.linear_matrix
+    # the initial linear solve, then one solve per sweep warm-started from w
+    assert len(solves) == res.iterations + 1
+    mg = solves[0][2]
+    assert mg.n_levels == 3
+    assert solves[0][0] is space.linear_matrix and solves[0][1] is None
+    for A, w, ctx in solves[1:]:
+        assert ctx is mg
+        pencil = space.linear_matrix + spec.zeta * space.nonlinear_matrix(w)
+        assert abs(A - pencil).max() == 0.0
+
+
+@pytest.mark.parametrize("dim, divisions, n_levels, zeta", [
+    pytest.param(2, 4, 4, 5000.0, marks=pytest.mark.slow),
+    (3, 2, 3, 1000.0),
+])
+def test_lumped_coarse_operators_bound_the_galerkin_ones(dim, divisions, n_levels, zeta):
+    # each coarse matrix is L_k plus the row-sum-lumped zeta P'D P, with D
+    # Mnl below the top and the lumped diagonal of the level above further
+    # down: it is at least the Galerkin matrix of the pencil and within a
+    # factor dim + 2 of it
+    spec = ProblemSpec(dim=dim, zeta=zeta)
+    h = build_hierarchy(dim, divisions, n_levels)
+    prols = [h.interior_prolongation(j) for j in range(h.n_levels - 1)]
+    space = LevelSpace.build(h.levels[-1], spec, prolongations=prols)
+    res = scf_solve(space, spec, ScfSettings(max_iter=500))
+    assert res.converged
+    Mnl = space.nonlinear_matrix(res.pair.u.coefficients)
+    mg = space.multigrid(Mnl)
+    galerkin = galerkin_chain(space.linear_matrix + zeta * Mnl, prols)
+    assert abs(mg.matrices[-1] - galerkin[-1]).max() == 0.0
+    linear = galerkin_chain(space.linear_matrix, prols)
+    D = Mnl
+    for k in reversed(range(mg.n_levels - 1)):
+        lumped = zeta * np.asarray((prols[k].T @ D @ prols[k]).sum(axis=1)).ravel()
+        added = mg.matrices[k] - linear[k]
+        assert abs(added - sp.diags(lumped)).max() <= 1e-12 * abs(mg.matrices[k]).max()
+        D = sp.diags(lumped / zeta)
+    for k in range(mg.n_levels - 1):
+        ratios = scipy.linalg.eigh(mg.matrices[k].toarray(), galerkin[k].toarray(),
+                                   eigvals_only=True)
+        assert 1 - 1e-10 <= ratios.min() and ratios.max() <= dim + 2
 
 
 def assert_follows_forcing(res, settings):

@@ -159,7 +159,8 @@ def test_full_multigrid_with_strictly_coarser_correction_space():
 def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
     # the workspace assembles each level and the correction space once;
     # the corrections assemble nothing on the correction mesh, and the
-    # analytic potential is assembled on the solve levels only
+    # analytic potential is assembled on the solve levels only; only level
+    # 0's SCF forms L = K + W, the corrections border with K t + W t
     calls = Counter()
 
     def counting(name):
@@ -174,7 +175,8 @@ def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
     for name in ("assemble_stiffness", "assemble_mass", "assemble_weighted_mass"):
         monkeypatch.setattr(eigsolve, name, counting(name))
     h = build_hierarchy(2, 4, 3, coarse_offset=offset)
-    full_multigrid(h, GPE)
+    res = full_multigrid(h, GPE)
+    assert [ls._linear is not None for ls in res.level_spaces] == [True, False, False]
     expected = Counter({(name, mesh.level_index): 1 for mesh in h.meshes
                         for name in ("assemble_stiffness", "assemble_mass")})
     expected.update(("assemble_weighted_mass", mesh.level_index) for mesh in h.levels)

@@ -182,7 +182,7 @@ def test_contraction_study_gamma_column():
     }
     for name, values in pinned.items():
         assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
-    assert rep.column("work_units") == [38020, 83274, 233203]
+    assert rep.column("work_units") == [40043, 84682, 239697]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
@@ -243,6 +243,25 @@ def test_contraction_study_assembles_each_level_once(monkeypatch):
         "study": "contraction",
     }))
     assert meshes == [0, 1, 2]
+
+
+def test_solve_reference_builds_a_context_for_its_own_transfer_chain():
+    # the reference space gains the transfer chain through dataclasses.replace,
+    # which must not carry over the one-level context of the space it copies
+    from fmgeig.eigsolve import LevelSpace, scf_solve
+    from fmgeig.fem import ProblemSpec
+    from fmgeig.harness import solve_reference
+    from fmgeig.mesh import build_hierarchy
+
+    spec = ProblemSpec(dim=2, zeta=10.0)
+    h = build_hierarchy(2, 4, 3)
+    space = LevelSpace.build(h.levels[-1], spec)
+    assert scf_solve(space, spec).converged
+    assert space.multigrid().n_levels == 1
+    ref = solve_reference(h, spec, space=space)
+    assert ref.space.multigrid().n_levels == 3
+    fresh = solve_reference(h, spec)
+    assert abs(ref.lam - fresh.lam) <= 1e-12 * fresh.lam
 
 
 def test_contraction_study_raises_when_a_direct_solve_does_not_converge(monkeypatch, capsys):
