@@ -9,7 +9,6 @@ from .mesh import (
     build_initial_mesh,
     refine,
     build_hierarchy,
-    prolongation,
     interior_prolongation,
 )
 from .fem import (
@@ -53,7 +52,6 @@ __all__ = [
     "build_initial_mesh",
     "refine",
     "build_hierarchy",
-    "prolongation",
     "interior_prolongation",
     "ProblemSpec",
     "FeFunction",

@@ -64,6 +64,9 @@ FORCING_CAP = 1e-4
 # Lett. 73, 1980; Walker & Ni, SINUM 49, 2011)
 ANDERSON_DEPTH = 5
 
+# an augmenting function within this L2 distance of V_H adds no span
+SPAN_TOL = 1e-12
+
 
 @dataclass
 class ScfSettings:
@@ -160,7 +163,9 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
             return rho, apply_sign_convention(x)
         if res > 0.5 * prev_res:
             if floor == np.inf:
-                floor = _EPS * float(abs(A).sum(axis=1).max())
+                # ||A||_inf from the stored entries: an SPD pencil has no
+                # empty row, so every reduceat segment is one row
+                floor = _EPS * float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
                 if work is not None:
                     work.add(A.nnz)
             if res <= floor * np.linalg.norm(x):
@@ -380,12 +385,12 @@ def _bordered(block, border, corner):
     return np.block([[block, border[:, None]], [border[None, :], np.array([[corner]])]])
 
 
-def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None, span_tol=1e-12):
+def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     """Border the correction space `coarse` (a LevelSpace) by the span of
     u_tilde, a function on the level of `ops` (a LevelSpace), whose mesh
     must be a uniform refinement of the correction mesh (a ValueError
     otherwise); `prolongation` is the interior map B between the two.  If
-    u_tilde lies in V_H to within `span_tol` in the L2 norm the span is
+    u_tilde lies in V_H to within SPAN_TOL in the L2 norm the span is
     dropped and the space is V_H itself.
     """
     fine = ops.mesh
@@ -416,7 +421,7 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None, span_to
     resid = t - B @ c_proj
     resid_b = float(np.sqrt(max(resid @ (M @ resid), 0.0)))
 
-    if resid_b <= span_tol:
+    if resid_b <= SPAN_TOL:
         span, initial, moments = None, c_proj, None
         L_red, M_red = L_H, M_H
     else:
@@ -484,19 +489,26 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     Hitting max_iter returns converged=False (the augmented solves are
     capped at 3 sweeps by design); an energy that rises on three
     consecutive sweeps raises SolverError.
+
+    zeta and sigma are the space's own (an augmented space's are its
+    correction space's), which its pencil and nonlinear matrix read; a
+    `spec` with other values raises ValueError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
     L = space.linear_matrix
-    zeta = spec.zeta
+    # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
+    level = isinstance(space, LevelSpace)
+    own = space.spec if level else space.coarse.spec
+    if (spec.zeta, spec.sigma) != (own.zeta, own.sigma):
+        raise ValueError(f"spec has zeta={spec.zeta}, sigma={spec.sigma}; the space "
+                         f"has zeta={own.zeta}, sigma={own.sigma}")
+    zeta, sigma = own.zeta, own.sigma
     # inner eigensolver tolerance: tight enough that the iterate noise stays
     # below the SCF tolerances, but above the rounding floor of the residual,
     # which grows like sqrt(n) through cancellation in A x - rho M x
     floor = 3e-14 * np.sqrt(M.shape[0])
     eig_tol = float(min(1e-10, max(0.01 * settings.tol_lambda, floor)))
-
-    # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
-    level = isinstance(space, LevelSpace)
 
     def eigensolve(Mnl, warm, forcing_tol=None):
         """(lambda, x, tolerance used) of the pencil L + zeta Mnl, or of L
@@ -532,7 +544,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         quartic = float(v @ (Mnl_v @ v))
         linear = float(v @ (L @ v))
         lam_v = linear + zeta * quartic
-        energy = linear + zeta / (spec.sigma + 1) * quartic
+        energy = linear + zeta / (sigma + 1) * quartic
         return lam_v, energy
 
     Mnl = space.nonlinear_matrix(w, work)

@@ -3,7 +3,7 @@
 Stiffness with a constant SPD diffusion matrix, mass, weighted mass for
 the potential and the frozen nonlinearity, the nonlinear residual, and
 the energy / L2 norms.  All systems are reduced to interior degrees of
-freedom unless a full matrix is requested explicitly.
+freedom.
 
 Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
 as a (cells, 6) array in 2D or a (cells, 10) array in 3D, in
@@ -11,7 +11,7 @@ as a (cells, 6) array in 2D or a (cells, 10) array in 3D, in
 measures and its CSR pattern once, on first use, and keeps them on the
 MeshLevel instance.  The pattern carries two maps: a compact index for every
 upper local entry (the mesh edges, then the diagonal, then one dump slot for
-entries that couple to an excluded vertex), and a gather from that compact
+entries that couple to a boundary vertex), and a gather from that compact
 index to CSR order.  Every assembly is then one ``bincount`` of the upper
 entries into the compact index and one gather; (i, j) and (j, i) read the
 same sum, so every matrix is exactly symmetric.
@@ -210,14 +210,13 @@ def _checked_measures(mesh):
     return measures
 
 
-def _measures_and_pattern(mesh: MeshLevel, interior_only):
+def _measures_and_pattern(mesh: MeshLevel):
     """Cell measures and the CSR pattern of the mesh, each built once per mesh.
     The cell check runs first, so a degenerate cell is reported before any
     pattern is built; callers fetch both before computing local matrices so
     the pattern's one-time temporaries never coexist with them."""
     measures = _cached(mesh, "_fem_measures", _checked_measures)
-    key = "_fem_pattern_interior" if interior_only else "_fem_pattern_full"
-    return measures, _cached(mesh, key, lambda m: _build_pattern(m, interior_only))
+    return measures, _cached(mesh, "_fem_pattern", _build_pattern)
 
 
 class _Pattern(NamedTuple):
@@ -228,22 +227,18 @@ class _Pattern(NamedTuple):
     n_compact: int         # edges + diagonal + the dump slot
 
 
-def _build_pattern(mesh, interior_only):
-    """CSR pattern (indptr, indices) over the interior (or all) vertices, the
+def _build_pattern(mesh):
+    """CSR pattern (indptr, indices) over the interior vertices, the
     compact index of every upper local entry (cell, k), k in
     ``np.triu_indices(d+1)`` order and flattened in that order, and the gather
     from compact index to CSR order.  The compact index numbers the mesh
     edges, then the diagonal, then one dump slot for every entry that couples
-    to an excluded vertex; the two CSR entries of an edge gather its one sum.
+    to a boundary vertex; the two CSR entries of an edge gather its one sum.
     A refined mesh numbers its edges from its parent's, any other mesh by
     one sort-unique of all its cells' vertex pairs."""
-    if interior_only:
-        n = mesh.n_interior
-        dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-        dof[mesh.interior_indices] = np.arange(n)
-    else:
-        n = mesh.n_vertices
-        dof = np.arange(n, dtype=np.int64)
+    n = mesh.n_interior
+    dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    dof[mesh.interior_indices] = np.arange(n)
     cell_dofs = dof[mesh.cells]
     iu, ju = np.triu_indices(mesh.dim + 1)
     off = iu != ju
@@ -388,13 +383,13 @@ _CHILD_GRAM = {d: _child_gram(d) for d in (2, 3)}
 _STIFFNESS_ZERO = 16 * np.finfo(float).eps
 
 
-def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, work=None):
+def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, work=None):
     """Matrix of (A grad w, grad v); exact for P1 since gradients are
     cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
     G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here.
     A refined mesh maps its parent cells' G_a A G_b to its children's by
     one fixed table; entries at or below 16 eps of the largest are zero."""
-    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    measures, pattern = _measures_and_pattern(mesh)
     parent = _parent(mesh)
     if parent is None:
         up = _upper_gram(mesh, spec.diffusion_matrix).T
@@ -405,12 +400,12 @@ def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, interior_only=True, w
     return _assemble(pattern, up, work, zero_tol=_STIFFNESS_ZERO)
 
 
-def assemble_mass(mesh: MeshLevel, interior_only=True, work=None):
+def assemble_mass(mesh: MeshLevel, work=None):
     """Matrix of (w, v); exact closed form for P1: |K| (1 + delta_ij) / ((d+1)(d+2))."""
     d = mesh.dim
     iu, ju = np.triu_indices(d + 1)
     base = (1.0 + (iu == ju)) / ((d + 1) * (d + 2))
-    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    measures, pattern = _measures_and_pattern(mesh)
     return _assemble(pattern, measures[:, None] * base, work)
 
 
@@ -434,26 +429,20 @@ def _field_at_qpoints(mesh, func, rule):
 
 
 def _weight_values_at_qpoints(mesh, weight, rule):
-    """Weight evaluated at the quadrature points of every cell (nc, nq)."""
+    """Weight, an analytic field or an FeFunction on the mesh's level,
+    evaluated at the quadrature points of every cell (nc, nq)."""
     if callable(weight):
         return _field_at_qpoints(mesh, weight, rule)
-    if isinstance(weight, FeFunction):
-        if weight.level_index != mesh.level_index:
-            raise ValueError(
-                f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
-        vertex_vals = _full_values(mesh, weight.coefficients)
-    else:
-        vertex_vals = np.asarray(weight, dtype=float)
-        if vertex_vals.shape == (mesh.n_interior,):
-            vertex_vals = _full_values(mesh, vertex_vals)
-        elif vertex_vals.shape != (mesh.n_vertices,):
-            raise ValueError("weight vector length matches neither the interior "
-                             "nor the full vertex count")
-    return vertex_vals[mesh.cells] @ rule.points.T
+    if not isinstance(weight, FeFunction):
+        raise TypeError(f"weight must be callable or an FeFunction, got {type(weight).__name__}")
+    if weight.level_index != mesh.level_index:
+        raise ValueError(
+            f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
+    return _full_values(mesh, weight.coefficients)[mesh.cells] @ rule.points.T
 
 
-def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True, work=None):
-    """Matrix of (w^power u, v) for a P1 coefficient weight or an analytic
+def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, work=None):
+    """Matrix of (w^power u, v) for a P1 weight (an FeFunction) or an analytic
     field.  For P1 weights the quadrature is exact, which requires
     power + 2 <= 4 with the built-in rules."""
     rule = _RULES[mesh.dim]
@@ -461,7 +450,7 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, interior_only=True,
         raise AssemblyError(
             f"weighted mass with P1 weight^{power} needs a degree {power + 2} rule; "
             f"only degree {rule.degree} is available")
-    measures, pattern = _measures_and_pattern(mesh, interior_only)
+    measures, pattern = _measures_and_pattern(mesh)
     vals = _weight_values_at_qpoints(mesh, weight, rule)
     if power != 1:
         vals **= power

@@ -4,7 +4,7 @@ Builds the initial triangulation of a box (2 triangles per square in 2D,
 6 tetrahedra per cube in 3D), refines it regularly so that every level's
 vertex set is a prefix of the next level's, and assembles the sparse
 coarse-to-fine interpolation operators that realize the nesting of the
-P1 spaces.
+P1 spaces with zero boundary values, over interior dofs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "build_initial_mesh",
     "refine",
     "build_hierarchy",
-    "prolongation",
     "interior_prolongation",
     "cell_edges",
     "cell_measures",
@@ -373,33 +372,36 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     )
 
 
-def prolongation(coarse: MeshLevel, fine: MeshLevel):
+def interior_prolongation(coarse: MeshLevel, fine: MeshLevel):
     """Sparse interpolation matrix P with P @ c_coarse = c_fine for the same
-    P1 function: inherited vertices get a single 1, edge midpoints two 1/2.
-    """
+    P1 function with zero boundary values, over interior dofs: an inherited
+    interior vertex gets a single 1, an edge midpoint 1/2 for each interior
+    parent (none for a midpoint of two boundary vertices)."""
     if fine.n_parent_vertices != coarse.n_vertices or fine.level_index != coarse.level_index + 1:
         raise ValueError("fine mesh is not the refinement of the given coarse mesh")
     if not np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices):
         raise ValueError("vertex prefix mismatch between levels")
 
     nv_c = coarse.n_vertices
-    n_mid = fine.n_vertices - nv_c
-    rows = np.concatenate([
-        np.arange(nv_c),
-        np.repeat(np.arange(nv_c, fine.n_vertices), 2),
-    ])
-    cols = np.concatenate([np.arange(nv_c), fine.midpoint_parents.ravel()])
-    data = np.concatenate([np.ones(nv_c), np.full(2 * n_mid, 0.5)])
-    P = sp.csr_matrix((data, (rows, cols)), shape=(fine.n_vertices, nv_c))
-    P.sort_indices()
-    return P
-
-
-def interior_prolongation(coarse: MeshLevel, fine: MeshLevel, P=None):
-    """Restriction of the prolongation to interior (non-Dirichlet) dofs."""
-    if P is None:
-        P = prolongation(coarse, fine)
-    return P[fine.interior_indices][:, coarse.interior_indices].tocsr()
+    dof = np.full(nv_c, -1, dtype=np.int64)
+    dof[coarse.interior_indices] = np.arange(coarse.n_interior)
+    # the parents of every fine vertex as coarse dofs, -1 for none or a
+    # boundary vertex: an inherited vertex is its own first parent, and a
+    # midpoint's lower parent comes first, so every row lists its columns
+    # in order
+    parents = np.full((2, fine.n_vertices), -1, dtype=np.int64)
+    parents[0, :nv_c] = dof
+    parents[:, nv_c:] = dof[fine.midpoint_parents.T]
+    rows = fine.interior_indices
+    cols = np.take(parents, rows, axis=1)
+    keep = cols >= 0
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(np.add(keep[0], keep[1], dtype=np.int64), out=indptr[1:])
+    # the inherited rows come first
+    data = np.full(indptr[-1], 0.5)
+    data[:indptr[np.searchsorted(rows, nv_c)]] = 1.0
+    return sp.csr_matrix((data, cols.T[keep.T], indptr),
+                         shape=(fine.n_interior, coarse.n_interior))
 
 
 @dataclass
@@ -407,14 +409,14 @@ class MeshHierarchy:
     """One chain of refinements, coarsest mesh first.
 
     ``meshes[0]`` carries the correction space V_H and ``meshes[first]``
-    hosts the first nonlinear solve; ``transfers[j]`` is the vertex-space
-    prolongation from ``meshes[j]`` to ``meshes[j + 1]``.  ``levels`` and
-    ``prolongations`` are the chain from ``first`` on, and ``coarse`` is
-    ``meshes[0]``, which is ``levels[0]`` when ``first`` is 0.
+    hosts the first nonlinear solve; ``levels`` is the chain from ``first``
+    on, and ``coarse`` is ``meshes[0]``, which is ``levels[0]`` when
+    ``first`` is 0.  The interior-dof prolongations between the meshes, and
+    their chains from the correction space, are built on first use and
+    kept.
     """
 
     meshes: list
-    transfers: list
     first: int = 0
     _interior: dict = field(default_factory=dict, repr=False)
     _chained: dict = field(default_factory=dict, repr=False)
@@ -422,10 +424,6 @@ class MeshHierarchy:
     @property
     def levels(self):
         return self.meshes[self.first:]
-
-    @property
-    def prolongations(self):
-        return self.transfers[self.first:]
 
     @property
     def coarse(self):
@@ -440,9 +438,7 @@ class MeshHierarchy:
         -first .. -1 are the meshes below the first solve level."""
         j = self.first + k
         if j not in self._interior:
-            self._interior[j] = interior_prolongation(
-                self.meshes[j], self.meshes[j + 1], self.transfers[j]
-            )
+            self._interior[j] = interior_prolongation(self.meshes[j], self.meshes[j + 1])
         return self._interior[j]
 
     def coarse_to_level_interior(self, k):
@@ -457,11 +453,7 @@ class MeshHierarchy:
     def truncated(self, n: int) -> "MeshHierarchy":
         """View of the first n levels and the correction space (shares
         arrays with self)."""
-        return MeshHierarchy(
-            meshes=self.meshes[: self.first + n],
-            transfers=self.transfers[: self.first + n - 1],
-            first=self.first,
-        )
+        return MeshHierarchy(meshes=self.meshes[: self.first + n], first=self.first)
 
 
 def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0, box=None,
@@ -478,15 +470,12 @@ def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0, box=None
         raise ValueError("coarse_offset must be >= 0")
 
     chain = [build_initial_mesh(dim, divisions_per_axis, box=box)]
-    transfers = []
     for k in range(1, coarse_offset + n_levels):
         predicted = chain[-1].n_vertices * 2 ** dim
         if predicted > max_vertices:
             raise MeshBudgetError(
                 f"level {k} would need about {predicted} vertices "
                 f"(budget {max_vertices})", level_index=k)
-        fine = refine(chain[-1])
-        transfers.append(prolongation(chain[-1], fine))
-        chain.append(fine)
+        chain.append(refine(chain[-1]))
 
-    return MeshHierarchy(meshes=chain, transfers=transfers, first=coarse_offset)
+    return MeshHierarchy(meshes=chain, first=coarse_offset)

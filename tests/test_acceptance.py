@@ -5,6 +5,7 @@ idle for meaningful wall-clock checks."""
 
 import json
 import time
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -21,7 +22,7 @@ from fmgeig.harness import (
     run_experiment,
     solve_reference,
 )
-from fmgeig.mesh import build_hierarchy
+from fmgeig.mesh import build_hierarchy, build_initial_mesh, interior_prolongation
 
 pytestmark = pytest.mark.slow
 
@@ -214,10 +215,14 @@ def test_criterion_8_strong_nonlinearity():
 
 def test_criterion_9_property_suites():
     t0 = time.perf_counter()
+    def boundary_free(mesh):
+        # every vertex a dof: the interior-dof matrices are the full-vertex ones
+        return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
+
     # prolongation reproduces constants and linears exactly
     for dim in (2, 3):
         h = build_hierarchy(dim, 2, 2)
-        P = h.prolongations[0]
+        P = interior_prolongation(*map(boundary_free, h.levels))
         assert np.array_equal(P @ np.ones(h.levels[0].n_vertices),
                               np.ones(h.levels[1].n_vertices))
         for axis in range(dim):
@@ -225,8 +230,7 @@ def test_criterion_9_property_suites():
                                   h.levels[1].vertices[:, axis])
     # mass matrix sums to the box volume
     for dim in (2, 3):
-        from fmgeig.mesh import build_initial_mesh
-        M = assemble_mass(build_initial_mesh(dim, 3), interior_only=False)
+        M = assemble_mass(boundary_free(build_initial_mesh(dim, 3)))
         assert abs(M.sum() - 1.0) <= 1e-12
     # Galerkin coarsening reproduces the assembled coarse stiffness
     h = build_hierarchy(2, 4, 2)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -370,6 +371,22 @@ def test_augmented_pair_is_a_function_on_its_level():
     plain = scf_solve(ops, GPE_2D)
     assert res.pair.u.level_index == plain.pair.u.level_index == 2
     assert len(res.pair.u) == len(plain.pair.u) == 225
+
+
+def test_scf_rejects_a_spec_with_other_zeta_or_sigma_than_its_space():
+    # the pencil and the nonlinear matrix read zeta and sigma from the space
+    # (an augmented space's from its correction space), so a spec with other
+    # values would mix two problems; the potential is the space's own
+    h = build_hierarchy(2, 4, 2, coarse_offset=1)
+    ops = LevelSpace.build(h.levels[1], GPE_2D)
+    coarse = LevelSpace.build(h.coarse, replace(GPE_2D, potential=None))
+    aug = build_augmented_space(coarse, h.coarse_to_level_interior(1), ops, np.ones(ops.n_dofs))
+    for space, initial in ((ops, None), (aug, aug.initial_coeffs)):
+        for other in (replace(GPE_2D, zeta=2.0), replace(GPE_2D, sigma=2)):
+            with pytest.raises(ValueError, match="zeta"):
+                scf_solve(space, other, ScfSettings(max_iter=3), initial=initial)
+    res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
+    assert np.isfinite(res.pair.lam)
 
 
 def test_augmented_eigensolve_improves_on_coarse():

@@ -29,6 +29,12 @@ from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, cell_mea
 LAPLACE_2D = ProblemSpec(dim=2, potential=None, zeta=0.0)
 
 
+def _boundary_free(mesh):
+    """Copy of the mesh with no boundary vertex: every vertex is a dof, so
+    its interior-dof matrices are the full-vertex ones of the mesh."""
+    return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=2, zeta=-1.0)
@@ -95,16 +101,16 @@ def test_stiffness_spd():
 
 def test_mass_partition_of_unity():
     for dim in (2, 3):
-        m = build_initial_mesh(dim, 2)
-        M = assemble_mass(m, interior_only=False)
+        m = _boundary_free(build_initial_mesh(dim, 2))
+        M = assemble_mass(m)
         assert M.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_element_matrix_hand_values():
     # Exact barycentric integrals give (area/12) * [[2,1,1],[1,2,1],[1,1,2]]
     # per triangle; assembling the 2-cell unit square mesh yields these sums.
-    m = build_initial_mesh(2, 1)
-    M = assemble_mass(m, interior_only=False).toarray()
+    m = _boundary_free(build_initial_mesh(2, 1))
+    M = assemble_mass(m).toarray()
     hand = np.array([
         [4, 1, 1, 2],
         [1, 2, 0, 1],
@@ -124,22 +130,22 @@ def test_mass_positive_definite():
 
 
 def test_weighted_mass_zero_weight():
-    m = build_initial_mesh(2, 2)
-    Z = assemble_weighted_mass(m, np.zeros(m.n_vertices), 1, interior_only=False)
+    m = _boundary_free(build_initial_mesh(2, 2))
+    Z = assemble_weighted_mass(m, FeFunction(0, np.zeros(m.n_vertices)), 1)
     assert Z.nnz == 0 or np.abs(Z.data).max() == 0.0
 
 
 def test_weighted_mass_unit_weight_equals_mass():
-    m = build_initial_mesh(2, 3)
-    M = assemble_mass(m, interior_only=False).toarray()
-    W1 = assemble_weighted_mass(m, np.ones(m.n_vertices), 1, interior_only=False).toarray()
+    m = _boundary_free(build_initial_mesh(2, 3))
+    M = assemble_mass(m).toarray()
+    W1 = assemble_weighted_mass(m, FeFunction(0, np.ones(m.n_vertices)), 1).toarray()
     assert np.allclose(W1, M, rtol=1e-13)
 
 
 def test_weighted_mass_harmonic_total():
     # int over the unit square of x^2 + y^2 = 2/3
-    m = build_initial_mesh(2, 1)
-    MW = assemble_weighted_mass(m, harmonic_potential, 1, interior_only=False)
+    m = _boundary_free(build_initial_mesh(2, 1))
+    MW = assemble_weighted_mass(m, harmonic_potential, 1)
     assert MW.sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
 
 
@@ -148,6 +154,12 @@ def test_weighted_mass_wrong_level_rejected():
     w = FeFunction(0, np.ones(h.levels[0].n_interior))
     with pytest.raises(ValueError):
         assemble_weighted_mass(h.levels[1], w, 2)
+
+
+def test_weighted_mass_rejects_a_raw_array():
+    m = build_initial_mesh(2, 2)
+    with pytest.raises(TypeError, match="FeFunction"):
+        assemble_weighted_mass(m, np.ones(m.n_interior), 1)
 
 
 def test_weighted_mass_degree_limit():
@@ -282,12 +294,12 @@ def test_integrate_power_against_analytic():
     # u = x on [0,1]^2 over all vertices: int x^2 = 1/3 and int x^4 = 1/5,
     # both exact for P1 with the degree-4 rule, by quadrature and through
     # the quadratic forms u'Mu and u'M_{u^2}u
-    m = build_initial_mesh(2, 3)
+    m = _boundary_free(build_initial_mesh(2, 3))
     u = m.vertices[:, 0]
     assert _integrate_power(m, u, 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert _integrate_power(m, u, 4) == pytest.approx(1.0 / 5.0, rel=1e-13)
-    M = assemble_mass(m, interior_only=False)
-    Mu2 = assemble_weighted_mass(m, u, 2, interior_only=False)
+    M = assemble_mass(m)
+    Mu2 = assemble_weighted_mass(m, FeFunction(0, u), 2)
     assert u @ (M @ u) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert u @ (Mu2 @ u) == pytest.approx(1.0 / 5.0, rel=1e-13)
 
@@ -324,17 +336,16 @@ def _moment_tensor(dim, order):
     return T
 
 
-def _coo_reference(mesh, local, interior_only):
-    """Dense matrix summed from plain COO triplets, then restricted."""
+def _coo_reference(mesh, local):
+    """Dense matrix summed from plain COO triplets, then restricted to the
+    interior vertices."""
     n_loc = mesh.dim + 1
     rows = np.repeat(mesh.cells, n_loc, axis=1).ravel()
     cols = np.tile(mesh.cells, (1, n_loc)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)),
                       shape=(mesh.n_vertices, mesh.n_vertices)).toarray()
-    if interior_only:
-        idx = mesh.interior_indices
-        A = A[np.ix_(idx, idx)]
-    return A
+    idx = mesh.interior_indices
+    return A[np.ix_(idx, idx)]
 
 
 def _assert_matches(assembled, reference):
@@ -354,25 +365,29 @@ def _test_mesh(dim):
     return refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
 
 
-@pytest.mark.parametrize("interior_only", [True, False])
+# with_boundary=False runs on a boundary-free copy, whose interior dofs are
+# all the vertices
+@pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_stiffness_and_mass_match_coo_reference(dim, interior_only):
+def test_stiffness_and_mass_match_coo_reference(dim, with_boundary):
     m = _test_mesh(dim)
+    if not with_boundary:
+        m = _boundary_free(m)
     grads, meas = _reference_geometry(m)
     D = _DIFFUSION[dim]
     spec = ProblemSpec(dim=dim, diffusion=D)
     local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
-    _assert_matches(assemble_stiffness(m, spec, interior_only=interior_only),
-                    _coo_reference(m, local_a, interior_only))
+    _assert_matches(assemble_stiffness(m, spec), _coo_reference(m, local_a))
     local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
-    _assert_matches(assemble_mass(m, interior_only=interior_only),
-                    _coo_reference(m, local_m, interior_only))
+    _assert_matches(assemble_mass(m), _coo_reference(m, local_m))
 
 
-@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_weighted_mass_matches_coo_reference(dim, interior_only, monkeypatch):
+def test_weighted_mass_matches_coo_reference(dim, with_boundary, monkeypatch):
     m = _test_mesh(dim)
+    if not with_boundary:
+        m = _boundary_free(m)
     # analytic weights are evaluated in blocks of cells; cover several blocks
     # and a ragged last one
     monkeypatch.setattr(fem, "_FIELD_BLOCK", 17)
@@ -382,17 +397,17 @@ def test_weighted_mass_matches_coo_reference(dim, interior_only, monkeypatch):
     coords = m.vertices[m.cells]
     gram = np.einsum("ckd,cld->ckl", coords, coords)
     local = np.einsum("c,ckl,klij->cij", meas, gram, _moment_tensor(dim, 4))
-    _assert_matches(assemble_weighted_mass(m, harmonic_potential, 1,
-                                           interior_only=interior_only),
-                    _coo_reference(m, local, interior_only))
-    # P1 weight, nonzero on the boundary too, at powers 1 and 2
+    _assert_matches(assemble_weighted_mass(m, harmonic_potential, 1), _coo_reference(m, local))
+    # P1 weight at powers 1 and 2, zero on the boundary the mesh has; on the
+    # boundary-free copy it is nonzero on the box faces too
     w = np.random.default_rng(11).uniform(-1.0, 2.0, m.n_vertices)
+    w[m.boundary_vertex] = 0.0
+    weight = FeFunction(m.level_index, w[m.interior_indices])
     wc = w[m.cells]
     local1 = np.einsum("c,ck,kij->cij", meas, wc, _moment_tensor(dim, 3))
     local2 = np.einsum("c,ck,cl,klij->cij", meas, wc, wc, _moment_tensor(dim, 4))
     for power, local in ((1, local1), (2, local2)):
-        _assert_matches(assemble_weighted_mass(m, w, power, interior_only=interior_only),
-                        _coo_reference(m, local, interior_only))
+        _assert_matches(assemble_weighted_mass(m, weight, power), _coo_reference(m, local))
 
 
 def _scale_data(A):
@@ -413,16 +428,18 @@ def _zero_then_prune(A):
     A.eliminate_zeros()
 
 
-@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("mutate", [_scale_data, _overwrite_indices, _overwrite_indptr,
                                     _zero_then_prune])
-def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, interior_only):
+def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, with_boundary):
     m = build_initial_mesh(2, 4)
-    w = np.random.default_rng(2).standard_normal(m.n_vertices)
+    if not with_boundary:
+        m = _boundary_free(m)
+    w = FeFunction(0, np.random.default_rng(2).standard_normal(m.n_interior))
     spec = ProblemSpec(dim=2)
-    assemblers = [lambda: assemble_stiffness(m, spec, interior_only=interior_only),
-                  lambda: assemble_mass(m, interior_only=interior_only),
-                  lambda: assemble_weighted_mass(m, w, 2, interior_only=interior_only)]
+    assemblers = [lambda: assemble_stiffness(m, spec),
+                  lambda: assemble_mass(m),
+                  lambda: assemble_weighted_mass(m, w, 2)]
     for assemble in assemblers:
         first = assemble()
         expected = first.toarray()
@@ -470,8 +487,8 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
     D = _DIFFUSION[dim]
     local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
     local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
-    expected_a = _coo_reference(m, local_a, True)
-    expected_m = _coo_reference(m, local_m, True)
+    expected_a = _coo_reference(m, local_a)
+    expected_m = _coo_reference(m, local_m)
     fresh = refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
     _forbid(monkeypatch, (np.linalg, "det"), (np.linalg, "inv"), (np, "cross"))
     _assert_matches(assemble_stiffness(fresh, ProblemSpec(dim=dim, diffusion=D)), expected_a)
@@ -480,13 +497,14 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
     assemble_weighted_mass(fresh, FeFunction(fresh.level_index, np.ones(fresh.n_interior)), 2)
 
 
-@pytest.mark.parametrize("interior_only", [True, False])
+@pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_cached_slot_map_holds_only_upper_entries(dim, interior_only):
+def test_cached_slot_map_holds_only_upper_entries(dim, with_boundary):
     m = _test_mesh(dim)
-    assemble_mass(m, interior_only=interior_only)
-    key = "_fem_pattern_interior" if interior_only else "_fem_pattern_full"
-    pattern = m.__dict__[key]
+    if not with_boundary:
+        m = _boundary_free(m)
+    assemble_mass(m)
+    pattern = m.__dict__["_fem_pattern"]
     assert pattern.slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
     # one gather entry per stored CSR entry
     assert pattern.gather.shape == pattern.indices.shape
@@ -574,7 +592,7 @@ def test_refined_stiffness_on_non_binary_meshes(case, depth):
     for diffusion in (None, _DIFFUSION[dim]):
         spec = ProblemSpec(dim=dim, diffusion=diffusion)
         A, C = assemble_stiffness(mesh, spec), assemble_stiffness(closed, spec)
-        derived, reference = (m.__dict__["_fem_pattern_interior"] for m in (mesh, closed))
+        derived, reference = (m.__dict__["_fem_pattern"] for m in (mesh, closed))
         assert np.array_equal(derived.indptr, reference.indptr)
         assert np.array_equal(derived.indices, reference.indices)
         assert derived.n_compact == reference.n_compact
@@ -604,13 +622,13 @@ def test_refined_mesh_reads_only_its_parent_cells(monkeypatch):
                         recorder("gradients", fem._scaled_gradients, n_cells))
     monkeypatch.setattr(fem, "cell_measures", recorder("measures", fem.cell_measures, n_cells))
     monkeypatch.setattr(np, "unique", recorder("unique", np.unique, np.size))
-    for interior_only in (True, False):
-        assemble_stiffness(mesh, ProblemSpec(dim=3, diffusion=_DIFFUSION[3]),
-                           interior_only=interior_only)
+    # the boundary-free copy builds its own measures and full-vertex pattern
+    for target in (mesh, _boundary_free(mesh)):
+        assemble_stiffness(target, ProblemSpec(dim=3, diffusion=_DIFFUSION[3]))
     assemble_mass(mesh)
     assemble_weighted_mass(mesh, harmonic_potential, 1)
     assert seen["gradients"] == [parents, parents]
-    assert seen["measures"] == [parents]
+    assert seen["measures"] == [parents, parents]
     assert seen["unique"] and max(seen["unique"]) <= 13 * parents
 
 

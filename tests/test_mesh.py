@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,9 +14,26 @@ from fmgeig.mesh import (
     cell_measures,
     descendant_barycentrics,
     interior_prolongation,
-    prolongation,
     refine,
 )
+
+
+def _boundary_free(mesh):
+    """Copy of the mesh with no boundary vertex: every vertex is a dof."""
+    return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
+
+
+def _vertex_prolongation(coarse, fine):
+    """Reference full-vertex interpolation: inherited vertices get a single
+    1, edge midpoints 1/2 at each of their two parents."""
+    nv_c = coarse.n_vertices
+    n_mid = fine.n_vertices - nv_c
+    rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, fine.n_vertices), 2)])
+    cols = np.concatenate([np.arange(nv_c), fine.midpoint_parents.ravel()])
+    data = np.concatenate([np.ones(nv_c), np.full(2 * n_mid, 0.5)])
+    P = sp.csr_matrix((data, (rows, cols)), shape=(fine.n_vertices, nv_c))
+    P.sort_indices()
+    return P
 
 
 def test_initial_mesh_3d_element_count():
@@ -123,8 +142,7 @@ def test_hierarchy_element_ladder_3d():
 
 def test_hierarchy_single_level():
     h = build_hierarchy(2, 2, 1)
-    assert h.n_levels == 1
-    assert h.prolongations == []
+    assert h.n_levels == 1 and len(h.meshes) == 1
 
 
 def test_hierarchy_mesh_size_halving():
@@ -228,8 +246,9 @@ def test_budget_error_names_level():
 
 
 def test_prolongation_reproduces_constants():
+    # on a boundary-free copy the interior map is the full-vertex one
     h = build_hierarchy(3, 2, 2)
-    P = h.prolongations[0]
+    P = interior_prolongation(*map(_boundary_free, h.levels))
     ones = np.ones(h.levels[0].n_vertices)
     assert np.array_equal(P @ ones, np.ones(h.levels[1].n_vertices))
 
@@ -237,7 +256,7 @@ def test_prolongation_reproduces_constants():
 def test_prolongation_reproduces_linears_exactly():
     for dim in (2, 3):
         h = build_hierarchy(dim, 2, 2)
-        P = h.prolongations[0]
+        P = interior_prolongation(*map(_boundary_free, h.levels))
         for axis in range(dim):
             coarse_vals = h.levels[0].vertices[:, axis]
             fine_vals = h.levels[1].vertices[:, axis]
@@ -250,7 +269,7 @@ def test_prolongation_column_sums_by_enumeration():
     # interior vertices have degree 6, giving column sum 4.
     m = build_initial_mesh(2, 4)
     f = refine(m)
-    P = prolongation(m, f)
+    P = interior_prolongation(_boundary_free(m), _boundary_free(f))
     edges = set()
     for cell in m.cells:
         s = sorted(int(v) for v in cell)
@@ -267,7 +286,7 @@ def test_prolongation_column_sums_by_enumeration():
 def test_prolongation_row_structure():
     m = build_initial_mesh(2, 2)
     f = refine(m)
-    P = prolongation(m, f).tolil()
+    P = interior_prolongation(_boundary_free(m), _boundary_free(f)).tolil()
     for row in range(m.n_vertices):
         assert P.rows[row] == [row] and P.data[row] == [1.0]
     for row in range(m.n_vertices, f.n_vertices):
@@ -276,54 +295,83 @@ def test_prolongation_row_structure():
 
 def test_prolongation_level_mismatch_rejected():
     h = build_hierarchy(2, 2, 3)
-    with pytest.raises(ValueError):
-        prolongation(h.levels[0], h.levels[2])
+    with pytest.raises(ValueError, match="not the refinement"):
+        interior_prolongation(h.levels[0], h.levels[2])
+    shifted = replace(h.levels[0], vertices=h.levels[0].vertices + 0.5)
+    with pytest.raises(ValueError, match="prefix"):
+        interior_prolongation(shifted, h.levels[1])
 
 
 def _locate_and_eval(mesh, coeffs, points):
     """Brute-force P1 evaluation: find the containing cell, use barycentric
     coordinates.  Independent of the prolongation construction."""
-    out = np.empty(len(points))
-    coords = mesh.vertices[mesh.cells]
-    for n, p in enumerate(points):
-        val = None
-        for c in range(mesh.n_cells):
-            A = np.vstack([np.ones(mesh.dim + 1), coords[c].T])
-            rhs = np.concatenate([[1.0], p])
-            lam = np.linalg.solve(A, rhs)
-            if (lam > -1e-10).all():
-                val = float(lam @ coeffs[mesh.cells[c]])
-                break
-        assert val is not None, "point not located in any cell"
-        out[n] = val
-    return out
+    coords = mesh.vertices[mesh.cells]                                # (cells, d+1, d)
+    A = np.concatenate([np.ones((mesh.n_cells, 1, mesh.dim + 1)),
+                        coords.transpose(0, 2, 1)], axis=1)
+    rhs = np.vstack([np.ones(len(points)), np.asarray(points).T])     # (d+1, points)
+    lam = np.linalg.inv(A) @ rhs                                      # (cells, d+1, points)
+    inside = (lam > -1e-10).all(axis=1)
+    assert inside.any(axis=0).all(), "point not located in any cell"
+    cell = inside.argmax(axis=0)
+    return np.einsum("pv,pv->p", lam[cell, :, np.arange(len(points))], coeffs[mesh.cells[cell]])
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=9, max_size=9))
 def test_nestedness_by_pointwise_evaluation(vals):
     # The fine function with coefficients P @ c equals the coarse function
-    # at every fine vertex.
+    # at every fine vertex: on a boundary-free copy, where every vertex is a
+    # dof, and for zero-boundary functions through the interior map, whose
+    # fine boundary values are zero too
     m = build_initial_mesh(2, 2)
     f = refine(m)
-    P = prolongation(m, f)
+    P = interior_prolongation(_boundary_free(m), _boundary_free(f))
     c = np.array(vals)
     direct = _locate_and_eval(m, c, f.vertices)
     assert np.allclose(P @ c, direct, atol=1e-12)
+    for dim, n in ((2, 4), (3, 3)):
+        m = build_initial_mesh(dim, n)
+        f = refine(m)
+        c = np.zeros(m.n_vertices)
+        c[m.interior_indices] = vals[:m.n_interior]
+        direct = _locate_and_eval(m, c, f.vertices)
+        fine = interior_prolongation(m, f) @ c[m.interior_indices]
+        assert np.allclose(fine, direct[f.interior_indices], atol=1e-12)
+        assert np.allclose(direct[f.boundary_vertex], 0.0, atol=1e-12)
 
 
 def test_interior_prolongation_shape():
     h = build_hierarchy(2, 4, 2)
-    Pint = interior_prolongation(h.levels[0], h.levels[1], h.prolongations[0])
+    Pint = interior_prolongation(h.levels[0], h.levels[1])
     assert Pint.shape == (h.levels[1].n_interior, h.levels[0].n_interior)
     # zero-boundary coarse function stays the same function on the fine level
     c_full = np.zeros(h.levels[0].n_vertices)
     c_full[h.levels[0].interior_indices] = np.arange(1, 10)
-    fine_full = h.prolongations[0] @ c_full
+    fine_full = _vertex_prolongation(*h.levels) @ c_full
     fine_int = Pint @ c_full[h.levels[0].interior_indices]
     assert np.allclose(fine_full[h.levels[1].interior_indices], fine_int)
     # boundary rows of the full prolongated vector vanish
     assert np.allclose(fine_full[h.levels[1].boundary_vertex], 0.0)
+
+
+@pytest.mark.parametrize("box", [None, "anisotropic"])
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("divisions", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interior_prolongation_matches_the_sliced_vertex_prolongation(dim, divisions,
+                                                                     offset, box):
+    # built from the refinement, the interior map holds exactly the arrays
+    # of the full-vertex map restricted to interior rows and columns
+    if box is not None:
+        box = ((0, 2), (-1, 0.5), (0, 0.25))[:dim]
+    h = build_hierarchy(dim, divisions, 2, coarse_offset=offset, box=box)
+    for k in range(-offset, h.n_levels - 1):
+        coarse, fine = h.meshes[offset + k], h.meshes[offset + k + 1]
+        ref = _vertex_prolongation(coarse, fine)
+        ref = ref[fine.interior_indices][:, coarse.interior_indices].tocsr()
+        P = h.interior_prolongation(k)
+        for got, want in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("offset", [0, 1, 2])
@@ -331,14 +379,14 @@ def test_coarse_offset_hierarchy(offset):
     h = build_hierarchy(2, 4, 3, coarse_offset=offset)
     assert h.coarse is h.meshes[0] and h.coarse.n_cells == 32
     assert h.levels[0] is h.meshes[offset] and h.levels[0].n_cells == 32 * 4 ** offset
-    assert h.n_levels == len(h.levels) == 3 and len(h.prolongations) == 2
+    assert h.n_levels == len(h.levels) == 3 and len(h.meshes) == offset + 3
     for k in range(h.n_levels):
         # the chained interior map against the vertex-space chain, restricted
         # to interior dofs: dyadic entries, so exactly equal
         fine = h.meshes[offset + k]
         P_full = sp.identity(h.coarse.n_vertices, format="csr")
-        for P in h.transfers[:offset + k]:
-            P_full = P @ P_full
+        for j in range(offset + k):
+            P_full = _vertex_prolongation(h.meshes[j], h.meshes[j + 1]) @ P_full
         ref = P_full.tocsr()[fine.interior_indices][:, h.coarse.interior_indices]
         B = h.coarse_to_level_interior(k)
         assert B.shape == (fine.n_interior, h.coarse.n_interior)
