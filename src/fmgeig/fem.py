@@ -6,15 +6,19 @@ the energy / L2 norms.  All systems are reduced to interior degrees of
 freedom.
 
 Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
-as a (cells, 6) array in 2D or a (cells, 10) array in 3D, in
-``np.triu_indices(d+1)`` order.  Each mesh computes its checked cell
-measures and its CSR pattern once, on first use, and keeps them on the
-MeshLevel instance.  The pattern carries two maps: a compact index for every
-upper local entry (the mesh edges, then the diagonal, then one dump slot for
-entries that couple to a boundary vertex), and a gather from that compact
-index to CSR order.  Every assembly is then one ``bincount`` of the upper
-entries into the compact index and one gather; (i, j) and (j, i) read the
-same sum, so every matrix is exactly symmetric.
+6 in 2D and 10 in 3D, in ``np.triu_indices(d+1)`` order, and streams them
+block by block of ``_BLOCK`` cells, the one block constant of the module
+(the span moments use it too): no array of all cells' entries or
+quadrature values is ever built, only a refined mesh's stiffness keeps its
+parents' entries, 1/2^d as many.  Each
+mesh computes its checked cell measures and its CSR pattern once, on first
+use, and keeps them on the MeshLevel instance.  The pattern carries two
+maps: a compact index for every upper local entry (the mesh edges, then the
+diagonal, then one dump slot for entries that couple to a boundary vertex),
+and a gather from that compact index to CSR order.  Every assembly adds
+each block's entries into the compact index, in cell order, and gathers
+once; (i, j) and (j, i) read the same sum, so every matrix is exactly
+symmetric.
 
 A mesh made by ``refine`` takes its cell measures, stiffness and edges from
 its parent's cells, which it reads back from its own children
@@ -41,6 +45,7 @@ from .mesh import (
     cell_edges,
     cell_measures,
     descendant_barycentrics,
+    index_dtype,
     parent_cells,
     refined_edges,
 )
@@ -61,10 +66,10 @@ __all__ = [
     "l2_norm",
 ]
 
-_FIELD_BLOCK = 1 << 16
-# coarse cells per block of the span moments: with 64 descendants of 11
-# points each, a block's point arrays stay near 1.4 MB
-_MOMENT_BLOCK = 256
+# fine cells per block of every assembly and of the span moments: a 3D
+# block's quadrature values, upper entries and, for the span moments, point
+# arrays stay near 1.4 MB
+_BLOCK = 1 << 14
 
 
 def harmonic_potential(points):
@@ -192,7 +197,9 @@ def _parent(mesh):
     for a level-0 or hand-built mesh."""
     if not mesh.n_parent_vertices:
         return None
-    return replace(mesh, cells=parent_cells(mesh)[:, :mesh.dim + 1], n_parent_vertices=0)
+    # a copy, so the whole parent table it is read from is freed
+    cells = parent_cells(mesh)[:, :mesh.dim + 1].copy()
+    return replace(mesh, cells=cells, n_parent_vertices=0)
 
 
 def _checked_measures(mesh):
@@ -227,6 +234,15 @@ class _Pattern(NamedTuple):
     n_compact: int         # edges + diagonal + the dump slot
 
 
+def _cell_blocks(mesh):
+    """(start, stop) of the blocks of _BLOCK cells that every assembly
+    streams, in cell order; on a refined mesh rounded down to whole parents
+    (at least one), so a block's children read their parents' entries."""
+    group = 2 ** mesh.dim if mesh.n_parent_vertices else 1
+    step = max(_BLOCK // group, 1) * group
+    return [(start, min(start + step, mesh.n_cells)) for start in range(0, mesh.n_cells, step)]
+
+
 def _build_pattern(mesh):
     """CSR pattern (indptr, indices) over the interior vertices, the
     compact index of every upper local entry (cell, k), k in
@@ -235,47 +251,65 @@ def _build_pattern(mesh):
     edges, then the diagonal, then one dump slot for every entry that couples
     to a boundary vertex; the two CSR entries of an edge gather its one sum.
     A refined mesh numbers its edges from its parent's, any other mesh by
-    one sort-unique of all its cells' vertex pairs."""
-    n = mesh.n_interior
-    dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    dof[mesh.interior_indices] = np.arange(n)
-    cell_dofs = dof[mesh.cells]
-    iu, ju = np.triu_indices(mesh.dim + 1)
+    one sort-unique of all its cells' vertex pairs.  Vertex, edge and
+    compact ids are :func:`mesh.index_dtype` integers, and the slot map is
+    filled block by block of cells."""
+    n, d = mesh.n_interior, mesh.dim
+    ids = index_dtype(mesh)
+    dof = np.full(mesh.n_vertices, -1, dtype=ids)
+    dof[mesh.interior_indices] = np.arange(n, dtype=ids)
+    iu, ju = np.triu_indices(d + 1)
     off = iu != ju
     if mesh.n_parent_vertices:
-        e_lo, e_hi, edge = _edges_from_parent(mesh, dof, n)
+        e_lo, e_hi, cell_edges_of = _edges_from_parent(mesh, dof, n)
     else:
-        e_lo, e_hi, edge = _edges_by_unique(cell_dofs, iu[off], ju[off], n)
+        e_lo, e_hi, cell_edges_of = _edges_by_unique(mesh, dof, iu[off], ju[off], n)
     n_e = e_lo.size
-    # stored entries: both orientations of every mesh edge, then the diagonal
-    keys = np.concatenate([e_lo * n + e_hi, e_hi * n + e_lo, np.arange(n) * (n + 1)])
-    order = np.argsort(keys)
-    nnz = keys.size
-    idx = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
-    indices = (keys[order] % n).astype(idx)
-    del keys
-    edge_ids = np.arange(n_e, dtype=idx)
-    gather = np.concatenate([edge_ids, edge_ids, np.arange(n_e, n_e + n, dtype=idx)])[order]
-    del order
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.bincount(e_lo, minlength=n) + np.bincount(e_hi, minlength=n) + 1,
-              out=indptr[1:])
-
+    indptr, indices, gather = _csr_order(e_lo, e_hi, n, ids)
+    del e_lo, e_hi
     dump = n_e + n
-    slot = np.empty((len(cell_dofs), iu.size), dtype=idx)
-    slot[:, ~off] = np.where(cell_dofs >= 0, n_e + cell_dofs, dump)
-    slot[:, off] = edge
+    slot = np.empty((mesh.n_cells, iu.size), dtype=ids)
+    for start, stop in _cell_blocks(mesh):
+        cell_dofs = dof[mesh.cells[start:stop]]
+        slot[start:stop, ~off] = np.where(cell_dofs >= 0, n_e + cell_dofs, dump)
+        slot[start:stop, off] = cell_edges_of(start, stop)
     return _Pattern(indptr, indices, slot.ravel(), gather, dump + 1)
 
 
-def _edges_by_unique(cell_dofs, iu, ju, n):
+def _csr_order(e_lo, e_hi, n, ids):
+    """indptr, indices and the gather of the CSR pattern of n dofs with the
+    edges (e_lo, e_hi) and the diagonal: the gather reads edge k at compact
+    index k and diagonal i at n_e + i.  One argsort of the row-major keys of
+    both orientations of every edge and of the diagonal."""
+    n_e = e_lo.size
+    lo, hi = e_lo.astype(np.int64), e_hi.astype(np.int64)
+    keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
+    del lo, hi
+    order = np.argsort(keys)
+    keys = keys[order]
+    np.remainder(keys, n, out=keys)
+    indices = keys.astype(ids)
+    del keys
+    edge_ids = np.arange(n_e, dtype=ids)
+    gather = np.concatenate([edge_ids, edge_ids, np.arange(n_e, n_e + n, dtype=ids)])[order]
+    del order
+    indptr = np.zeros(n + 1, dtype=ids)
+    np.cumsum(np.bincount(e_lo, minlength=n) + np.bincount(e_hi, minlength=n) + 1,
+              out=indptr[1:])
+    return indptr, indices, gather
+
+
+def _edges_by_unique(mesh, dof, iu, ju, n):
     """Edges (e_lo, e_hi) between the dofs of every cell's off-diagonal upper
-    entries (iu, ju), and the compact index of each entry: its edge, or the
-    dump slot n_e + n where one end is not a dof.  One sort-unique of the
-    keys lo * n + hi, built in place; each large temporary is dropped once
-    the next step has read it."""
+    entries (iu, ju), and the compact index of each entry, as a function of
+    a block of cells: its edge, or the dump slot n_e + n where one end is
+    not a dof.  One sort-unique of the keys lo * n + hi over all cells,
+    built in place; each large temporary is dropped once the next step has
+    read it."""
+    cell_dofs = dof[mesh.cells]
     a, b = cell_dofs[:, iu], cell_dofs[:, ju]
-    keys = np.minimum(a, b)
+    del cell_dofs
+    keys = np.minimum(a, b).astype(np.int64)
     np.maximum(a, b, out=b)
     del a
     inner = keys >= 0
@@ -284,43 +318,59 @@ def _edges_by_unique(cell_dofs, iu, ju, n):
     del b
     edges, edge_of = np.unique(keys[inner], return_inverse=True)
     del keys
-    edge = np.full(inner.shape, edges.size + n, dtype=np.int64)
+    edge = np.full(inner.shape, edges.size + n, dtype=dof.dtype)
     edge[inner] = edge_of
     e_lo, e_hi = np.divmod(edges, n)
-    return e_lo, e_hi, edge
+    return e_lo.astype(dof.dtype), e_hi.astype(dof.dtype), lambda start, stop: edge[start:stop]
 
 
 def _edges_from_parent(mesh, dof, n):
     """As :func:`_edges_by_unique`, for a mesh made by refine: the edges come
     from :func:`mesh.refined_edges`, and those with two dof ends keep their
-    order there."""
-    ends, cell_edge = refined_edges(mesh)
+    order there.  A block of whole parents expands its parents' edges to
+    its children's."""
+    ends, parent_edges, columns = refined_edges(mesh)
     lo, hi = dof[ends]
     inner = (lo >= 0) & (hi >= 0)
-    compact = np.cumsum(inner) - 1
+    compact = np.cumsum(inner, dtype=dof.dtype)
+    compact -= 1
     e_lo, e_hi = lo[inner], hi[inner]
     compact[~inner] = e_lo.size + n
-    return e_lo, e_hi, compact[cell_edge]
+    children = 2 ** mesh.dim
+
+    def cell_edges_of(start, stop):
+        parents = parent_edges[start // children:stop // children]
+        return compact[parents[:, columns]].reshape(stop - start, -1)
+
+    return e_lo, e_hi, cell_edges_of
 
 
-def _assemble(pattern, up, work=None, zero_tol=0.0):
-    """CSR matrix from upper local entries (cells, (d+1)(d+2)/2) in
-    ``np.triu_indices(d+1)`` order, on a cached pattern: one bincount into
-    the compact index, then a gather into CSR order.  (i, j) and (j, i)
-    gather the same sum, so the result is exactly symmetric.  Entries at or
-    below ``zero_tol`` times the largest are dropped with the exact zeros."""
+def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
+    """CSR matrix from the upper local entries that ``entries(start, stop)``
+    returns for cells start .. stop-1, as (stop - start, (d+1)(d+2)/2) in
+    ``np.triu_indices(d+1)`` order, on a cached pattern.  Block by block
+    (:func:`_cell_blocks`), in cell order, ``np.add.at`` adds the entries
+    into the compact index; it adds in index order, so every sum is the
+    one a single bincount over all cells gives, bit for bit.  A gather then
+    puts the sums in CSR order.  (i, j) and (j, i) gather the same sum, so
+    the result is exactly symmetric.  Entries at or below ``zero_tol`` times
+    the largest are dropped with the exact zeros."""
     indptr, indices, slot, gather, n_compact = pattern
-    sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
+    width = (mesh.dim + 1) * (mesh.dim + 2) // 2
+    sums = np.zeros(n_compact)
+    for start, stop in _cell_blocks(mesh):
+        np.add.at(sums, slot[start * width:stop * width], entries(start, stop).ravel())
     if zero_tol and n_compact > 1:
         # every compact sum but the last, the dump slot, is a matrix entry
-        stored = np.abs(sums[:-1])
-        sums[:-1][stored <= zero_tol * stored.max()] = 0.0
+        stored = sums[:-1]
+        bound = zero_tol * max(stored.max(), -stored.min())
+        stored[(stored >= -bound) & (stored <= bound)] = 0.0
     n = indptr.size - 1
     # copies of the cached index arrays: the caller owns the matrix
     A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
     A.eliminate_zeros()
     if work is not None:
-        work.count_assembly(up.size)
+        work.count_assembly(slot.size)
     return A
 
 
@@ -350,14 +400,15 @@ def _upper_gram(mesh, diffusion):
     """G_i A G_j for every upper pair (i, j) of every cell, entry-major
     (entries, cells), with G the scaled gradients."""
     G = _scaled_gradients(mesh)
-    DG = np.matmul(diffusion, G)
     iu, ju = np.triu_indices(mesh.dim + 1)
     # one dot product per upper pair, entry-major so every write is
-    # contiguous; gathering G[iu] and DG[ju] instead would copy both
-    # (entries, d, cells) arrays
+    # contiguous; A G_j is formed for one j at a time, and gathering G[iu]
+    # and A G[ju] instead would copy both (entries, d, cells) arrays
     up = np.empty((iu.size, mesh.n_cells))
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        np.einsum("mc,mc->c", G[i], DG[j], out=up[k])
+    for j in range(mesh.dim + 1):
+        DGj = diffusion @ G[j]
+        for k in np.flatnonzero(ju == j):
+            np.einsum("mc,mc->c", G[iu[k]], DGj, out=up[k])
     return up
 
 
@@ -387,17 +438,28 @@ def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, work=None):
     """Matrix of (A grad w, grad v); exact for P1 since gradients are
     cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
     G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here.
-    A refined mesh maps its parent cells' G_a A G_b to its children's by
-    one fixed table; entries at or below 16 eps of the largest are zero."""
+    A refined mesh computes its parent cells' G_a A G_b once and maps each
+    block's to its children by one fixed table; entries at or below 16 eps
+    of the largest are zero."""
     measures, pattern = _measures_and_pattern(mesh)
-    parent = _parent(mesh)
-    if parent is None:
-        up = _upper_gram(mesh, spec.diffusion_matrix).T
+    d, diffusion = mesh.dim, spec.diffusion_matrix
+    scale = factorial(d) ** 2
+    if not mesh.n_parent_vertices:
+        def gram(start, stop):
+            return _upper_gram(replace(mesh, cells=mesh.cells[start:stop]), diffusion).T
     else:
-        up = _upper_gram(parent, spec.diffusion_matrix).T @ _CHILD_GRAM[mesh.dim]
-        up = up.reshape(mesh.n_cells, -1)
-    up /= factorial(mesh.dim) ** 2 * measures[:, None]
-    return _assemble(pattern, up, work, zero_tol=_STIFFNESS_ZERO)
+        parents, children = _upper_gram(_parent(mesh), diffusion), 2 ** d
+
+        def gram(start, stop):
+            block = parents[:, start // children:stop // children].T @ _CHILD_GRAM[d]
+            return block.reshape(stop - start, -1)
+
+    def entries(start, stop):
+        up = gram(start, stop)
+        up /= scale * measures[start:stop, None]
+        return up
+
+    return _assemble(mesh, pattern, entries, work, zero_tol=_STIFFNESS_ZERO)
 
 
 def assemble_mass(mesh: MeshLevel, work=None):
@@ -406,39 +468,33 @@ def assemble_mass(mesh: MeshLevel, work=None):
     iu, ju = np.triu_indices(d + 1)
     base = (1.0 + (iu == ju)) / ((d + 1) * (d + 2))
     measures, pattern = _measures_and_pattern(mesh)
-    return _assemble(pattern, measures[:, None] * base, work)
+    return _assemble(mesh, pattern, lambda start, stop: measures[start:stop, None] * base, work)
 
 
-def _field_at_qpoints(mesh, func, rule):
-    """Analytic field evaluated at the quadrature points of every cell (nc, nq).
-    Each block's points come from one matrix product, (block * d, d+1) @
-    (d+1, nq), and reach the field component-major as a transposed
-    (points, d) view.  Blocks of cells bound the point array and the
-    field's own temporaries, which over a whole fine mesh would set the
-    peak memory of a solve."""
+def _weight_at_qpoints(mesh, weight, rule):
+    """Weight, an analytic field or an FeFunction on the mesh's level, at
+    the quadrature points of a block of cells: a function of (start, stop)
+    that returns a new (stop - start, nq) array.  An analytic field's points
+    come from one matrix product, (block * d, d+1) @ (d+1, nq), and reach
+    the field component-major as a transposed (points, d) view."""
     d, nq = mesh.dim, len(rule.points)
-    bary = rule.points.T
-    vals = np.empty((mesh.n_cells, nq))
-    for start in range(0, mesh.n_cells, _FIELD_BLOCK):
-        cells = mesh.cells[start:start + _FIELD_BLOCK]
-        coords = np.take(mesh.vertices.T, cells, axis=1)          # (d, block, d+1)
-        phys = coords.reshape(-1, d + 1) @ bary                     # (d * block, nq)
-        field = func(phys.reshape(d, -1).T)
-        vals[start:start + len(cells)] = np.asarray(field, dtype=float).reshape(len(cells), nq)
-    return vals
-
-
-def _weight_values_at_qpoints(mesh, weight, rule):
-    """Weight, an analytic field or an FeFunction on the mesh's level,
-    evaluated at the quadrature points of every cell (nc, nq)."""
     if callable(weight):
-        return _field_at_qpoints(mesh, weight, rule)
+        bary = rule.points.T
+
+        def values(start, stop):
+            coords = np.take(mesh.vertices.T, mesh.cells[start:stop], axis=1)   # (d, block, d+1)
+            phys = coords.reshape(-1, d + 1) @ bary                           # (d * block, nq)
+            field = weight(phys.reshape(d, -1).T)
+            return np.array(field, dtype=float).reshape(stop - start, nq)
+
+        return values
     if not isinstance(weight, FeFunction):
         raise TypeError(f"weight must be callable or an FeFunction, got {type(weight).__name__}")
     if weight.level_index != mesh.level_index:
         raise ValueError(
             f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
-    return _full_values(mesh, weight.coefficients)[mesh.cells] @ rule.points.T
+    full = _full_values(mesh, weight.coefficients)
+    return lambda start, stop: full[mesh.cells[start:stop]] @ rule.points.T
 
 
 def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, work=None):
@@ -450,17 +506,20 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, work=None):
         raise AssemblyError(
             f"weighted mass with P1 weight^{power} needs a degree {power + 2} rule; "
             f"only degree {rule.degree} is available")
+    values = _weight_at_qpoints(mesh, weight, rule)
     measures, pattern = _measures_and_pattern(mesh)
-    vals = _weight_values_at_qpoints(mesh, weight, rule)
-    if power != 1:
-        vals **= power
-    vals *= measures[:, None]
-    # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per assembly
+    # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per block
     iu, ju = np.triu_indices(mesh.dim + 1)
     table = rule.weights[:, None] * rule.points[:, iu] * rule.points[:, ju]
-    up = vals @ table
-    del vals
-    return _assemble(pattern, up, work)
+
+    def entries(start, stop):
+        vals = values(start, stop)
+        if power != 1:
+            vals **= power
+        vals *= measures[start:stop, None]
+        return vals @ table
+
+    return _assemble(mesh, pattern, entries, work)
 
 
 class SpanMoments(NamedTuple):
@@ -508,8 +567,9 @@ def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
     n = coarse.n_cells
     s3, s2 = np.empty((n, i3.shape[1])), np.empty((n, i2.shape[1]))
     s1, s0 = np.empty((n, d + 1)), np.empty(n)
-    for start in range(0, n, _MOMENT_BLOCK):
-        stop = min(start + _MOMENT_BLOCK, n)
+    step = max(_BLOCK // len(types), 1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         rows = slice(start * len(types), stop * len(types))
         tq = t[fine.cells[rows]] @ rule.points.T               # (block * types, nq)
         wt = (measures[rows, None] * rule.weights * tq).reshape(stop - start, -1)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+import resource
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -331,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         meta["converged"] = res.converged
         meta["scf_history"] = [asdict(sweep) for sweep in res.history]
         report = ErrorReport(rows=[row], meta=meta)
-        return _maybe_emit(report, cfg)
+        return _finish(report, cfg)
 
     ladder = full_multigrid(run_h, spec, fmg_params_from(cfg))
     traces = ladder.traces
@@ -391,7 +393,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         meta["vcycle_theta"] = list(thetas.values())
 
     report = ErrorReport(rows=rows, meta=meta)
-    return _maybe_emit(report, cfg)
+    return _finish(report, cfg)
 
 
 def _load_reference_file(path):
@@ -412,7 +414,17 @@ def _fill_rates(rows, beta=2):
             setattr(row, name.replace("err_", "rate_"), rate)
 
 
-def _maybe_emit(report, cfg):
+def _peak_rss_mb():
+    """Peak resident memory of this process so far in MiB; ru_maxrss counts
+    KiB on Linux and bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
+def _finish(report, cfg):
+    """Record the run's peak memory in the meta, then write the report if
+    the config names an output file."""
+    report.meta["peak_rss_mb"] = _peak_rss_mb()
     if cfg.output:
         emit_report(report, cfg.output, cfg.format)
     return report

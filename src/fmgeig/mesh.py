@@ -30,6 +30,7 @@ __all__ = [
     "descendant_barycentrics",
     "parent_cells",
     "refined_edges",
+    "index_dtype",
 ]
 
 BOUNDARY_TOL = 1e-12
@@ -136,39 +137,64 @@ def parent_cells(mesh):
     return mesh.cells.reshape(-1, 2 ** d, d + 1)[:, child, position]
 
 
+def index_dtype(mesh):
+    """int32 when every vertex, edge and CSR entry index of the mesh fits in
+    it, else int64: a cell has d(d+1)/2 edges and d+1 vertices, so
+    (d+1)^2 per cell bounds the nonzeros of any P1 pattern (two per edge and
+    one per vertex)."""
+    bound = max(mesh.n_vertices, mesh.n_cells * (mesh.dim + 1) ** 2)
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def refined_edges(mesh):
     """The edges of a mesh made by :func:`refine`, numbered from its parent's.
 
     The halves of parent edge e, whose midpoint is vertex
     ``n_parent_vertices + e``, are edge e (at endpoint
     ``midpoint_parents[e, 0]``) and edge n_e + e (at the other endpoint).
-    The midpoint pairs that children join follow, in sorted order; only
-    they go through ``np.unique``, 13 per parent in 3D (12 face midlines
-    and the m02-m13 cut) and 3 in 2D.  Returns the endpoints of every edge
-    as (2, n_edges) vertex ids and the edge of every cell's off-diagonal
-    upper pair as (n_cells, d(d+1)/2), pairs in ``np.triu_indices(d+1, k=1)``
-    order."""
+    The midpoint pairs that children join follow: in 2D the 3 midlines of
+    each parent triangle, which lie inside it alone, parent by parent; in
+    3D the 13 per parent (12 face midlines, each shared with the parent
+    across the face, and the m02-m13 cut) go through ``np.unique``, in
+    sorted order.  Returns the endpoints of every edge as (2, n_edges)
+    vertex ids, the edges of every parent as (n_parents, n_local) edge ids,
+    and the (2^d, d(d+1)/2) column table through which child k of parent c
+    finds the edge of its off-diagonal upper pair m, pairs in
+    ``np.triu_indices(d+1, k=1)`` order: ``parent_edges[c, columns[k, m]]``.
+    Ids are :func:`index_dtype` integers."""
     d = mesh.dim
+    ids = index_dtype(mesh)
     nv, n_v = mesh.n_parent_vertices, mesh.n_vertices
     n_e = n_v - nv
     columns, mid_pairs = _CHILD_EDGES[d]
-    local = parent_cells(mesh)
+    local = parent_cells(mesh).astype(ids)
     mids = local[:, d + 1:]
     edge = mids - nv
-    first = np.triu_indices(d + 1, k=1)[0]
+    n_half = edge.shape[1]
+    parent_edges = np.empty((len(local), 2 * n_half + len(mid_pairs)), dtype=ids)
     # half of local edge p at its first endpoint: edge[p], or n_e + edge[p]
-    # when that endpoint is the second one of the parent edge
-    at_first = edge + n_e * (local[:, first] != mesh.midpoint_parents[edge, 0])
-    at_second = 2 * edge + n_e - at_first
+    # when that endpoint is the second one of the parent edge; the other
+    # half is the other one
+    at_first = parent_edges[:, 0:2 * n_half:2]
+    at_first[:] = edge
+    first = np.triu_indices(d + 1, k=1)[0]
+    at_first[local[:, first] != mesh.midpoint_parents[edge, 0]] += n_e
+    np.subtract(2 * edge + n_e, at_first, out=parent_edges[:, 1:2 * n_half:2])
     a, b = mids[:, mid_pairs[:, 0]], mids[:, mid_pairs[:, 1]]
-    keys = np.minimum(a, b) * n_v + np.maximum(a, b)
-    pairs, pair_of = np.unique(keys, return_inverse=True)
-    per_parent = np.hstack([np.stack([at_first, at_second], axis=2).reshape(len(local), -1),
-                            2 * n_e + pair_of.reshape(keys.shape)])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if d == 2:
+        parent_edges[:, 2 * n_half:] = np.arange(lo.size).reshape(lo.shape) + 2 * n_e
+    else:
+        keys = lo.astype(np.int64) * n_v + hi
+        # the sort-unique is the largest step of a 3D pattern build
+        del a, b, lo, hi
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        parent_edges[:, 2 * n_half:] = pair_of.reshape(len(local), -1) + 2 * n_e
+        lo, hi = np.divmod(pairs, n_v)
     mid = np.arange(nv, n_v)
-    ends = np.stack([np.concatenate([mesh.midpoint_parents.T.ravel(), pairs // n_v]),
-                     np.concatenate([mid, mid, pairs % n_v])])
-    return ends, per_parent[:, columns].reshape(mesh.n_cells, -1)
+    ends = np.stack([np.concatenate([mesh.midpoint_parents.T.ravel(), lo.ravel()], dtype=ids),
+                     np.concatenate([mid, mid, hi.ravel()], dtype=ids)])
+    return ends, parent_edges, columns
 
 
 @dataclass(frozen=True)

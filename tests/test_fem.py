@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from math import factorial, pi
@@ -369,10 +370,14 @@ def _test_mesh(dim):
 # all the vertices
 @pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_stiffness_and_mass_match_coo_reference(dim, with_boundary):
+def test_stiffness_and_mass_match_coo_reference(dim, with_boundary, monkeypatch):
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
+    # stream many blocks: 17 rounds down to whole parents, 16 cells
+    monkeypatch.setattr(fem, "_BLOCK", 17)
+    blocks = fem._cell_blocks(m)
+    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {16}
     grads, meas = _reference_geometry(m)
     D = _DIFFUSION[dim]
     spec = ProblemSpec(dim=dim, diffusion=D)
@@ -388,10 +393,11 @@ def test_weighted_mass_matches_coo_reference(dim, with_boundary, monkeypatch):
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
-    # analytic weights are evaluated in blocks of cells; cover several blocks
-    # and a ragged last one
-    monkeypatch.setattr(fem, "_FIELD_BLOCK", 17)
-    assert m.n_cells % 17 != 0 and m.n_cells > 2 * 17
+    # weights are evaluated block by block of cells; 17 rounds down to whole
+    # parents, 16 cells, and the blocks cover the mesh
+    monkeypatch.setattr(fem, "_BLOCK", 17)
+    blocks = fem._cell_blocks(m)
+    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {16}
     _, meas = _reference_geometry(m)
     # analytic weight |x|^2 = sum_kl (x_k . x_l) lambda_k lambda_l on a cell
     coords = m.vertices[m.cells]
@@ -508,6 +514,115 @@ def test_cached_slot_map_holds_only_upper_entries(dim, with_boundary):
     assert pattern.slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
     # one gather entry per stored CSR entry
     assert pattern.gather.shape == pattern.indices.shape
+
+
+# --- streamed assembly: blocks of cells against the whole-mesh bincount -----
+
+def _whole_mesh_bincount(mesh, pattern, entries, work=None, zero_tol=0.0):
+    """The assembly before it streamed: every cell's upper entries at once,
+    one bincount into the compact index, then the gather."""
+    indptr, indices, slot, gather, n_compact = pattern
+    up = entries(0, mesh.n_cells)
+    sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
+    if zero_tol and n_compact > 1:
+        stored = np.abs(sums[:-1])
+        sums[:-1][stored <= zero_tol * stored.max()] = 0.0
+    n = indptr.size - 1
+    A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
+def _every_kind(mesh):
+    """One assembly of every kind on the mesh: stiffness with the identity
+    and a general diffusion, mass, the analytic potential and P1 weights."""
+    d = mesh.dim
+    u = FeFunction(mesh.level_index,
+                   np.random.default_rng(8).standard_normal(mesh.n_interior))
+    return [assemble_stiffness(mesh, ProblemSpec(dim=d)),
+            assemble_stiffness(mesh, ProblemSpec(dim=d, diffusion=_DIFFUSION[d])),
+            assemble_mass(mesh),
+            assemble_weighted_mass(mesh, harmonic_potential, 1),
+            assemble_weighted_mass(mesh, u, 1),
+            assemble_weighted_mass(mesh, u, 2)]
+
+
+_STREAM_MESHES = {
+    "refined-2d": lambda: _test_mesh(2),
+    "refined-3d": lambda: _test_mesh(3),
+    "refined-3d-free": lambda: _boundary_free(_test_mesh(3)),
+    "level0-2d": lambda: build_initial_mesh(2, 5),
+    "level0-3d": lambda: build_initial_mesh(3, 2),
+    # fewer cells than one block of 17
+    "tiny-refined-2d": lambda: refine(build_initial_mesh(2, 1)),
+    "tiny-3d": lambda: build_initial_mesh(3, 1),
+}
+
+
+# 17 is no multiple of 2^d, so refined meshes round it down to whole
+# parents; 41 leaves a ragged last block on every mesh above one block
+@pytest.mark.parametrize("block", [17, 41, None])
+@pytest.mark.parametrize("case", sorted(_STREAM_MESHES))
+def test_streamed_assembly_is_bit_identical_to_whole_mesh_bincount(case, block, monkeypatch):
+    mesh = _STREAM_MESHES[case]()
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "_assemble", _whole_mesh_bincount)
+        expected = _every_kind(mesh)
+    if block is not None:
+        monkeypatch.setattr(fem, "_BLOCK", block)
+    blocks = fem._cell_blocks(mesh)
+    assert blocks[0][0] == 0 and blocks[-1][1] == mesh.n_cells
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    if mesh.n_parent_vertices:
+        assert all(start % 2 ** mesh.dim == 0 for start, _ in blocks)
+    if block is None or mesh.n_cells < block:
+        assert len(blocks) == 1
+    # a one-cell block would turn the per-block matrix products into
+    # matrix-vector products, which BLAS may round differently
+    assert mesh.n_cells == 1 or min(stop - start for start, stop in blocks) > 1
+    for streamed, whole in zip(_every_kind(mesh), expected):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(streamed, name), getattr(whole, name))
+
+
+def _transient(call):
+    """Traced peak memory of call() above what is still allocated after it:
+    the peak above live memory, minus the result and any cache it fills."""
+    tracemalloc.reset_peak()
+    result = call()
+    kept, peak = tracemalloc.get_traced_memory()
+    del result
+    return peak - kept
+
+
+def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypatch):
+    # the finest level of build_hierarchy(3, 4, 3), 24,576 cells, in blocks
+    # of 256 cells: no kernel holds all cells' upper entries (or their
+    # quadrature values) at once; the whole-mesh kernels took 1.8-7.5 times
+    # cells * entries * 8 bytes above their results, the pattern build 2.6
+    mesh = build_hierarchy(3, 4, 3).levels[-1]
+    assert mesh.n_cells == 24_576
+    monkeypatch.setattr(fem, "_BLOCK", 256)
+    entries_bytes = mesh.n_cells * 10 * 8
+    u = FeFunction(mesh.level_index,
+                   np.random.default_rng(9).standard_normal(mesh.n_interior))
+    kinds = {"stiffness": lambda: assemble_stiffness(mesh, ProblemSpec(dim=3)),
+             "mass": lambda: assemble_mass(mesh),
+             "potential": lambda: assemble_weighted_mass(mesh, harmonic_potential, 1),
+             "nonlinear": lambda: assemble_weighted_mass(mesh, u, 2)}
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        pattern = _transient(lambda: fem._build_pattern(mesh))
+        fem._measures_and_pattern(mesh)
+        transients = {name: _transient(call) for name, call in kinds.items()}
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert pattern < 1.3 * entries_bytes
+    for name, transient in transients.items():
+        assert transient < 0.5 * entries_bytes, name
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -359,6 +359,21 @@ def test_json_meta_reports_augmented_convergence(tmp_path):
     assert meta["work_total_over_finest"] == sum(work) / work[-1]
 
 
+@pytest.mark.parametrize("study", ["work-scaling", "single-solve"])
+def test_json_meta_reports_peak_rss_mb(tmp_path, study):
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 2, "n_levels": 2},
+        "study": study,
+        "format": "json",
+        "output": str(tmp_path / "out.json"),
+    })
+    run_experiment(cfg)
+    peak = json.loads((tmp_path / "out.json").read_text())["meta"]["peak_rss_mb"]
+    # the interpreter with numpy and scipy loaded holds well over 1 MiB
+    assert isinstance(peak, float) and math.isfinite(peak) and peak > 1.0
+
+
 @pytest.mark.parametrize("study, key", [("single-solve", "scf_history"),
                                         ("convergence", "reference_scf_history")])
 def test_json_meta_holds_one_entry_per_scf_sweep(tmp_path, monkeypatch, study, key):
