@@ -223,7 +223,7 @@ class LevelSpace:
 
     @classmethod
     def build(cls, mesh, spec, work=None, prolongations=None):
-        A = assemble_stiffness(mesh, spec, work=work)
+        A = assemble_stiffness(mesh, work=work)
         M = assemble_mass(mesh, work=work)
         MW = None
         if spec.potential is not None:

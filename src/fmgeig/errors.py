@@ -17,7 +17,7 @@ class AssemblyError(RuntimeError):
 
 
 class MeshBudgetError(RuntimeError):
-    """Refinement would exceed the configured memory budget."""
+    """Refinement would exceed the vertex budget, ``mesh.MAX_VERTICES``."""
 
     def __init__(self, message, level_index):
         super().__init__(message)

@@ -1,9 +1,8 @@
 """P1 finite element assembly on one mesh level.
 
-Stiffness with a constant SPD diffusion matrix, mass, weighted mass for
-the potential and the frozen nonlinearity, the nonlinear residual, and
-the energy / L2 norms.  All systems are reduced to interior degrees of
-freedom.
+Stiffness of the Laplacian, mass, weighted mass for the potential and the
+frozen nonlinearity, the nonlinear residual, and the energy / L2 norms.
+All systems are reduced to interior degrees of freedom.
 
 Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
 6 in 2D and 10 in 3D, in ``np.triu_indices(d+1)`` order, and streams them
@@ -53,9 +52,7 @@ from .mesh import (
 __all__ = [
     "ProblemSpec",
     "FeFunction",
-    "QuadratureRule",
     "harmonic_potential",
-    "quadrature_rule",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_weighted_mass",
@@ -84,11 +81,11 @@ def harmonic_potential(points):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """PDE data: -div(A grad u) + W u + zeta |u|^(2 sigma) u = lambda u on the
-    unit box with zero boundary values and the L2 normalization b(u,u)=1."""
+    """PDE data: -Laplace u + W u + zeta |u|^(2 sigma) u = lambda u on the
+    unit box (0,1)^d with zero boundary values and the L2 normalization
+    b(u,u)=1."""
 
     dim: int
-    diffusion: np.ndarray | None = None   # None means identity
     potential: object = harmonic_potential  # callable W(x) >= 0, or None for W=0
     zeta: float = 1.0
     sigma: int = 1
@@ -100,21 +97,6 @@ class ProblemSpec:
             raise ValueError("zeta must be nonnegative")
         if self.sigma < 1 or int(self.sigma) != self.sigma:
             raise ValueError("sigma must be a positive integer")
-        if self.diffusion is not None:
-            A = np.asarray(self.diffusion, dtype=float)
-            if A.shape != (self.dim, self.dim):
-                raise ValueError("diffusion matrix has wrong shape")
-            if not np.allclose(A, A.T, atol=1e-14):
-                raise ValueError("diffusion matrix must be symmetric")
-            if np.linalg.eigvalsh(A).min() <= 0:
-                raise ValueError("diffusion matrix must be positive definite")
-            object.__setattr__(self, "diffusion", A)
-
-    @property
-    def diffusion_matrix(self):
-        if self.diffusion is None:
-            return np.eye(self.dim)
-        return self.diffusion
 
 
 @dataclass
@@ -171,15 +153,8 @@ def _tetrahedron_rule_deg4():
     return QuadratureRule(np.array(pts), np.array(wts), degree=4)
 
 
+# symmetric volume rules exact for polynomials up to degree 4
 _RULES = {2: _triangle_rule_deg4(), 3: _tetrahedron_rule_deg4()}
-
-
-def quadrature_rule(dim, degree=4) -> QuadratureRule:
-    """Symmetric volume rule exact for polynomials up to `degree`."""
-    rule = _RULES.get(dim)
-    if rule is None or degree > rule.degree:
-        raise AssemblyError(f"no quadrature rule of degree {degree} in {dim}D")
-    return rule
 
 
 def _cached(mesh: MeshLevel, key, build):
@@ -203,15 +178,17 @@ def _parent(mesh):
 
 
 def _checked_measures(mesh):
-    """Unsigned cell measures (nc,); a degenerate cell raises AssemblyError.
-    A refined mesh's children each take 1/2^d of their parent's measure."""
+    """Unsigned cell measures (nc,); a cell at or below 1e-14 of the largest
+    measure is degenerate and raises AssemblyError, as does a mesh whose
+    cells all have zero measure.  A refined mesh's children each take 1/2^d
+    of their parent's measure."""
     parent = _parent(mesh)
     if parent is None:
         measures = cell_measures(mesh)
     else:
         children = 2 ** mesh.dim
         measures = np.repeat(cell_measures(parent) / children, children)
-    bad = np.flatnonzero(measures < 1e-14 * mesh.mesh_size ** mesh.dim)
+    bad = np.flatnonzero(measures <= 1e-14 * measures.max())
     if bad.size:
         raise AssemblyError(f"degenerate cell {int(bad[0])}")
     return measures
@@ -396,29 +373,27 @@ def _scaled_gradients(mesh):
     return G
 
 
-def _upper_gram(mesh, diffusion):
-    """G_i A G_j for every upper pair (i, j) of every cell, entry-major
+def _upper_gram(mesh):
+    """G_i . G_j for every upper pair (i, j) of every cell, entry-major
     (entries, cells), with G the scaled gradients."""
     G = _scaled_gradients(mesh)
     iu, ju = np.triu_indices(mesh.dim + 1)
     # one dot product per upper pair, entry-major so every write is
-    # contiguous; A G_j is formed for one j at a time, and gathering G[iu]
-    # and A G[ju] instead would copy both (entries, d, cells) arrays
+    # contiguous; gathering G[iu] and G[ju] instead would copy both
+    # (entries, d, cells) arrays
     up = np.empty((iu.size, mesh.n_cells))
-    for j in range(mesh.dim + 1):
-        DGj = diffusion @ G[j]
-        for k in np.flatnonzero(ju == j):
-            np.einsum("mc,mc->c", G[iu[k]], DGj, out=up[k])
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        np.einsum("mc,mc->c", G[i], G[j], out=up[k])
     return up
 
 
 def _child_gram(d):
     """Fixed (entries, 2^d * entries) map from a parent's upper Gram entries
-    G_a A G_b to those of its children, child-major.  A child's barycentrics
+    G_a . G_b to those of its children, child-major.  A child's barycentrics
     are C_k = (V_k^T)^-1 times the parent's, V_k its vertices in the
     parent's barycentrics (integer entries), and its det is det(V_k) = ±2^-d
-    times the parent's, so G^k_i A G^k_j = 4^-d sum_ab C_k[i, a] C_k[j, b]
-    G_a A G_b; the symmetric (a, b) and (b, a) terms share one upper entry."""
+    times the parent's, so G^k_i . G^k_j = 4^-d sum_ab C_k[i, a] C_k[j, b]
+    G_a . G_b; the symmetric (a, b) and (b, a) terms share one upper entry."""
     V = descendant_barycentrics(d, 1)
     C = np.rint(np.linalg.inv(V.transpose(0, 2, 1)))
     iu, ju = np.triu_indices(d + 1)
@@ -434,21 +409,21 @@ _CHILD_GRAM = {d: _child_gram(d) for d in (2, 3)}
 _STIFFNESS_ZERO = 16 * np.finfo(float).eps
 
 
-def assemble_stiffness(mesh: MeshLevel, spec: ProblemSpec, work=None):
-    """Matrix of (A grad w, grad v); exact for P1 since gradients are
-    cellwise constant.  With G = det * gradients, |K| grad_i A grad_j equals
-    G_i A G_j / (d!^2 |K|), so no determinant or inverse is needed here.
-    A refined mesh computes its parent cells' G_a A G_b once and maps each
-    block's to its children by one fixed table; entries at or below 16 eps
-    of the largest are zero."""
+def assemble_stiffness(mesh: MeshLevel, work=None):
+    """Matrix of (grad w, grad v), the Laplacian; exact for P1 since
+    gradients are cellwise constant.  With G = det * gradients,
+    |K| grad_i . grad_j equals G_i . G_j / (d!^2 |K|), so no determinant or
+    inverse is needed here.  A refined mesh computes its parent cells'
+    G_a . G_b once and maps each block's to its children by one fixed table;
+    entries at or below 16 eps of the largest are zero."""
     measures, pattern = _measures_and_pattern(mesh)
-    d, diffusion = mesh.dim, spec.diffusion_matrix
+    d = mesh.dim
     scale = factorial(d) ** 2
     if not mesh.n_parent_vertices:
         def gram(start, stop):
-            return _upper_gram(replace(mesh, cells=mesh.cells[start:stop]), diffusion).T
+            return _upper_gram(replace(mesh, cells=mesh.cells[start:stop])).T
     else:
-        parents, children = _upper_gram(_parent(mesh), diffusion), 2 ** d
+        parents, children = _upper_gram(_parent(mesh)), 2 ** d
 
         def gram(start, stop):
             block = parents[:, start // children:stop // children].T @ _CHILD_GRAM[d]
@@ -602,9 +577,9 @@ def _coeff_array(u):
 
 def apply_nonlinear_residual(mesh: MeshLevel, spec: ProblemSpec, u, lam):
     """Dual vector of v -> a(u, v) - lam b(u, v) over interior basis functions,
-    with a(u, v) = (A grad u, grad v) + (W u + zeta u^(2 sigma) u, v)."""
+    with a(u, v) = (grad u, grad v) + (W u + zeta u^(2 sigma) u, v)."""
     c = _coeff_array(u)
-    A = assemble_stiffness(mesh, spec)
+    A = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     if spec.potential is not None:
         A = A + assemble_weighted_mass(mesh, spec.potential, 1)

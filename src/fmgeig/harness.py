@@ -474,9 +474,8 @@ def emit_report(report: ErrorReport, path, fmt="csv"):
 def measure_mg_contraction(divisions, n_levels, seed=0, trials=20, pre=3, post=3, dim=2):
     """Worst observed per-cycle energy-error contraction of the V-cycle on the
     pure diffusion (auxiliary) problem, per level, over random initial errors."""
-    spec = ProblemSpec(dim=dim, potential=None, zeta=0.0)
     h = build_hierarchy(dim, divisions, n_levels)
-    mats = [assemble_stiffness(lv, spec) for lv in h.levels]
+    mats = [assemble_stiffness(lv) for lv in h.levels]
     prols = [h.interior_prolongation(k) for k in range(n_levels - 1)]
     ctx = MgContext(mats, prols, pre_steps=pre, post_steps=post)
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
-"""Nested simplicial meshes on axis-aligned boxes.
+"""Nested simplicial meshes of the unit box (0,1)^d.
 
-Builds the initial triangulation of a box (2 triangles per square in 2D,
+Builds the initial triangulation of the box (2 triangles per square in 2D,
 6 tetrahedra per cube in 3D), refines it regularly so that every level's
 vertex set is a prefix of the next level's, and assembles the sparse
 coarse-to-fine interpolation operators that realize the nesting of the
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
+# the largest vertex count build_hierarchy refines to
+MAX_VERTICES = 30_000_000
 
 # Children of a refined triangle in terms of the local indices
 # (v0, v1, v2, m01, m02, m12); all four keep the parent's orientation.
@@ -207,10 +209,6 @@ class MeshLevel:
     parent endpoints of new vertex ``n_parent_vertices + i``; their cells
     keep refine's child order, from which :func:`parent_cells` reads the
     parent's cells back.
-
-    ``mesh_size`` is the longest cell edge, derived from the box and the
-    refinement rather than measured over the cells; only the degenerate-cell
-    check of the assembly reads it.
     """
 
     dim: int
@@ -218,8 +216,6 @@ class MeshLevel:
     cells: np.ndarray             # (n_cells, dim+1) int, refinement-canonical order
     boundary_vertex: np.ndarray   # (n_vertices,) bool
     level_index: int
-    mesh_size: float
-    box: tuple
     n_parent_vertices: int = 0
     midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
 
@@ -240,12 +236,12 @@ class MeshLevel:
         return int(np.count_nonzero(~self.boundary_vertex))
 
 
-def _boundary_flags(vertices, box):
+def _boundary_flags(vertices):
+    """The vertices on a face of the unit box."""
     flags = np.zeros(vertices.shape[0], dtype=bool)
-    for axis, (lo, hi) in enumerate(box):
-        x = vertices[:, axis]
-        flags |= np.abs(x - lo) <= BOUNDARY_TOL
-        flags |= np.abs(x - hi) <= BOUNDARY_TOL
+    for x in vertices.T:
+        for face in (0.0, 1.0):
+            flags |= np.abs(x - face) <= BOUNDARY_TOL
     return flags
 
 
@@ -271,8 +267,8 @@ def cell_measures(mesh):
     return np.abs(det) / factorial(mesh.dim)
 
 
-def build_initial_mesh(dim, divisions_per_axis, box=None):
-    """Uniform simplicial mesh of a box.
+def build_initial_mesh(dim, divisions_per_axis):
+    """Uniform simplicial mesh of the unit box.
 
     Each of the ``divisions_per_axis**dim`` sub-boxes is split into 2
     triangles (2D) or into the 6 path tetrahedra along the main diagonal
@@ -283,16 +279,10 @@ def build_initial_mesh(dim, divisions_per_axis, box=None):
     n = int(divisions_per_axis)
     if n < 1:
         raise ValueError("divisions_per_axis must be >= 1")
-    if box is None:
-        box = tuple(((0.0, 1.0),) * dim)
-    else:
-        box = tuple(tuple(map(float, b)) for b in box)
-        if len(box) != dim or any(hi <= lo for lo, hi in box):
-            raise ValueError(f"invalid box {box!r}")
 
-    axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
+    axis = np.linspace(0.0, 1.0, n + 1)
     if dim == 2:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="xy")
+        X, Y = np.meshgrid(axis, axis, indexing="xy")
         vertices = np.column_stack([X.ravel(), Y.ravel()])
 
         def vid(ix, iy):
@@ -309,7 +299,7 @@ def build_initial_mesh(dim, divisions_per_axis, box=None):
             np.column_stack([v00, v11, v01]),
         ])
     else:
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
+        X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
         # vid(ix, iy, iz) = (iz*(n+1) + iy)*(n+1) + ix
         vertices = np.column_stack([
             np.transpose(X, (2, 1, 0)).ravel(),
@@ -335,16 +325,12 @@ def build_initial_mesh(dim, divisions_per_axis, box=None):
             blocks.append(np.column_stack(tet))
         cells = np.concatenate(blocks)
 
-    cells = np.ascontiguousarray(cells, dtype=np.int64)
-    # every cell contains the diagonal of its sub-box, the longest edge
     return MeshLevel(
         dim=dim,
         vertices=vertices,
-        cells=cells,
-        boundary_vertex=_boundary_flags(vertices, box),
+        cells=np.ascontiguousarray(cells, dtype=np.int64),
+        boundary_vertex=_boundary_flags(vertices),
         level_index=0,
-        mesh_size=float(np.sqrt(sum(((hi - lo) / n) ** 2 for lo, hi in box))),
-        box=box,
     )
 
 
@@ -352,9 +338,7 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     """One regular refinement step: every edge midpoint becomes a vertex,
     every triangle splits into 4 children, every tetrahedron into 8.
 
-    Parent vertices keep their indices as a prefix of the child mesh.  The
-    child's ``mesh_size`` is half the parent's in 2D; in 3D it is the larger
-    of that and the longest interior m02-m13 diagonal.
+    Parent vertices keep their indices as a prefix of the child mesh.
     """
     d = coarse.dim
     nv = coarse.n_vertices
@@ -378,21 +362,12 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     table = _CHILD_TABLE[d]
     children = local[:, table.ravel()].reshape(-1, d + 1)
 
-    # Every child edge is half a parent edge or a midline of a parent face,
-    # half the edge it parallels; in 3D the m02-m13 cut is the only other one.
-    mesh_size = 0.5 * coarse.mesh_size
-    if d == 3:
-        cut = midpoints[mid[:, 1]] - midpoints[mid[:, 4]]
-        mesh_size = max(mesh_size, float(np.linalg.norm(cut, axis=1).max()))
-
     return MeshLevel(
         dim=d,
         vertices=vertices,
         cells=np.ascontiguousarray(children, dtype=np.int64),
-        boundary_vertex=_boundary_flags(vertices, coarse.box),
+        boundary_vertex=_boundary_flags(vertices),
         level_index=coarse.level_index + 1,
-        mesh_size=mesh_size,
-        box=coarse.box,
         n_parent_vertices=nv,
         midpoint_parents=np.column_stack([edge_lo, edge_hi]),
     )
@@ -482,26 +457,25 @@ class MeshHierarchy:
         return MeshHierarchy(meshes=self.meshes[: self.first + n], first=self.first)
 
 
-def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0, box=None,
-                    max_vertices=30_000_000) -> MeshHierarchy:
-    """Build the nested mesh chain.
+def build_hierarchy(dim, divisions_per_axis, n_levels, coarse_offset=0) -> MeshHierarchy:
+    """Build the nested mesh chain on the unit box.
 
     ``coarse_offset`` refinements separate the correction space from the
     first solve level; 0 (the default) identifies the two.  Raises
-    :class:`MeshBudgetError` if a level would exceed ``max_vertices``.
+    :class:`MeshBudgetError` if a level would exceed :data:`MAX_VERTICES`.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     if coarse_offset < 0:
         raise ValueError("coarse_offset must be >= 0")
 
-    chain = [build_initial_mesh(dim, divisions_per_axis, box=box)]
+    chain = [build_initial_mesh(dim, divisions_per_axis)]
     for k in range(1, coarse_offset + n_levels):
         predicted = chain[-1].n_vertices * 2 ** dim
-        if predicted > max_vertices:
+        if predicted > MAX_VERTICES:
             raise MeshBudgetError(
                 f"level {k} would need about {predicted} vertices "
-                f"(budget {max_vertices})", level_index=k)
+                f"(budget {MAX_VERTICES})", level_index=k)
         chain.append(refine(chain[-1]))
 
     return MeshHierarchy(meshes=chain, first=coarse_offset)

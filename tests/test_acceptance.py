@@ -234,8 +234,8 @@ def test_criterion_9_property_suites():
         assert abs(M.sum() - 1.0) <= 1e-12
     # Galerkin coarsening reproduces the assembled coarse stiffness
     h = build_hierarchy(2, 4, 2)
-    A_c = assemble_stiffness(h.levels[0], GPE).toarray()
-    A_f = assemble_stiffness(h.levels[1], GPE)
+    A_c = assemble_stiffness(h.levels[0]).toarray()
+    A_f = assemble_stiffness(h.levels[1])
     P = h.interior_prolongation(0)
     assert np.abs((P.T @ A_f @ P).toarray() - A_c).max() <= 1e-12 * np.abs(A_c).max()
     # every returned eigenpair is b-normalized

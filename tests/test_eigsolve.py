@@ -158,7 +158,7 @@ def brute_force_gpe(mesh, spec, damping=0.3, tol=1e-10, max_sweeps=500):
     """Independent oracle: slow damped fixed-point iteration with dense
     full-spectrum inner eigensolves.  It stops on the fixed-point residual
     ||x - w||_M, as scf_solve does, and raises if it runs out of sweeps."""
-    A = assemble_stiffness(mesh, spec).toarray()
+    A = assemble_stiffness(mesh).toarray()
     M = assemble_mass(mesh).toarray()
     L = A + assemble_weighted_mass(mesh, harmonic_potential, 1).toarray()
 

@@ -22,12 +22,8 @@ from fmgeig.fem import (
     assemble_weighted_mass,
     harmonic_potential,
     l2_norm,
-    quadrature_rule,
 )
 from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, cell_measures, refine
-
-
-LAPLACE_2D = ProblemSpec(dim=2, potential=None, zeta=0.0)
 
 
 def _boundary_free(mesh):
@@ -36,24 +32,34 @@ def _boundary_free(mesh):
     return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
 
 
+# general linear maps: the cells of a mesh's image under T have the Gram
+# entries G_a (T^-1 T^-T) G_b det(T)^2 of the mesh's own G, so an image
+# exercises what a general SPD diffusion matrix would
+_SKEW = {2: np.array([[1.2, 0.4], [-0.3, 0.9]]),
+         3: np.array([[1.1, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.3]])}
+
+
+def _image(mesh, T):
+    """The mesh with its vertices mapped by the linear map T; boundary
+    flags and the refinement record are kept."""
+    return replace(mesh, vertices=mesh.vertices @ T.T)
+
+
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=2, zeta=-1.0)
     with pytest.raises(ValueError):
         ProblemSpec(dim=2, sigma=0)
     with pytest.raises(ValueError):
-        ProblemSpec(dim=2, diffusion=np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        ProblemSpec(dim=2, diffusion=np.array([[1.0, 0.0], [0.0, -1.0]]))
-    spec = ProblemSpec(dim=2, diffusion=np.diag([2.0, 3.0]))
-    assert np.allclose(spec.diffusion_matrix, np.diag([2.0, 3.0]))
+        ProblemSpec(dim=4)
 
 
 def test_quadrature_exact_to_degree_four():
     # Oracle: int over the reference simplex of a barycentric monomial is
     # d! * prod(e_i!) / (sum(e) + d)!  in volume-1 normalization.
     for dim in (2, 3):
-        rule = quadrature_rule(dim, 4)
+        rule = fem._RULES[dim]
+        assert rule.degree == 4
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
         for exps in product(range(5), repeat=dim + 1):
             if sum(exps) > 4:
@@ -64,13 +70,19 @@ def test_quadrature_exact_to_degree_four():
 
 
 def test_quadrature_degree_limit():
-    with pytest.raises(AssemblyError):
-        quadrature_rule(2, 6)
+    # a P1 weight to the power p needs a degree p + 2 rule: 2 is the highest
+    # power the degree-4 rules integrate exactly
+    for dim in (2, 3):
+        m = build_initial_mesh(dim, 2)
+        w = FeFunction(0, np.ones(m.n_interior))
+        assemble_weighted_mass(m, w, 2)
+        with pytest.raises(AssemblyError, match="degree 5"):
+            assemble_weighted_mass(m, w, 3)
 
 
 def test_stiffness_no_interior_dofs():
     m = build_initial_mesh(2, 1)
-    A = assemble_stiffness(m, LAPLACE_2D)
+    A = assemble_stiffness(m)
     assert A.shape == (0, 0)
 
 
@@ -78,7 +90,7 @@ def test_stiffness_five_point_stencil():
     # Oracle: on the uniform right-triangle pair the assembled P1 Laplacian
     # is the classical 5-point stencil, built here from grid adjacency alone.
     m = build_initial_mesh(2, 4)
-    A = assemble_stiffness(m, LAPLACE_2D).toarray()
+    A = assemble_stiffness(m).toarray()
     idx = {tuple(np.round(m.vertices[v] * 4).astype(int)): j
            for j, v in enumerate(m.interior_indices)}
     expected = np.zeros((9, 9))
@@ -93,7 +105,7 @@ def test_stiffness_five_point_stencil():
 
 def test_stiffness_spd():
     m = build_initial_mesh(2, 4)
-    A = assemble_stiffness(m, LAPLACE_2D)
+    A = assemble_stiffness(m)
     rng = np.random.default_rng(0)
     for _ in range(10):
         v = rng.standard_normal(A.shape[0])
@@ -172,8 +184,7 @@ def test_weighted_mass_degree_limit():
 
 def test_assembled_matrices_exactly_symmetric():
     m = build_initial_mesh(2, 5)
-    spec = ProblemSpec(dim=2, diffusion=np.array([[2.0, 0.5], [0.5, 1.0]]), zeta=1.0)
-    A = assemble_stiffness(m, spec)
+    A = assemble_stiffness(_image(m, _SKEW[2]))
     rng = np.random.default_rng(3)
     w = FeFunction(0, rng.standard_normal(m.n_interior))
     K = assemble_weighted_mass(m, w, 2)
@@ -187,17 +198,55 @@ def test_degenerate_cell_reported():
     bad_cells = m.cells.copy()
     bad_cells[1, 1] = bad_cells[1, 0]  # collapse an edge
     broken = MeshLevel(dim=2, vertices=m.vertices, cells=bad_cells,
-                       boundary_vertex=m.boundary_vertex, level_index=0,
-                       mesh_size=m.mesh_size, box=m.box)
+                       boundary_vertex=m.boundary_vertex, level_index=0)
     with pytest.raises(AssemblyError, match="cell 1"):
-        assemble_stiffness(broken, LAPLACE_2D)
+        assemble_stiffness(broken)
+
+
+def _hand_mesh(vertices, cells):
+    vertices = np.array(vertices, dtype=float)
+    return MeshLevel(dim=vertices.shape[1], vertices=vertices, cells=np.array(cells),
+                     boundary_vertex=np.zeros(len(vertices), dtype=bool), level_index=0)
+
+
+def test_sliver_cell_reported_by_index():
+    # cells 0 and 1 have measure 1/2 and cell 2 that times its height: a
+    # cell at or below 1e-14 of the largest measure is degenerate
+    for height, degenerate in ((1e-15, True), (1e-12, False)):
+        m = _hand_mesh([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, height]],
+                       [[0, 1, 2], [1, 3, 2], [0, 1, 4]])
+        if degenerate:
+            with pytest.raises(AssemblyError, match=r"degenerate cell 2\b"):
+                assemble_stiffness(m)
+        else:
+            assert assemble_mass(m).sum() == pytest.approx(1.0 + height / 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mesh_on_one_line_is_rejected(dim):
+    # every cell has measure zero, so no cell sets a scale
+    m = _hand_mesh([[t] * dim for t in range(dim + 2)],
+                   [list(range(dim + 1)), list(range(1, dim + 2))])
+    with pytest.raises(AssemblyError, match=r"degenerate cell 0\b"):
+        assemble_mass(m)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scaled_down_box_assembles(dim):
+    # the degenerate-cell check is relative, so a box of side 1e-6 is
+    # fine: its stiffness is the unit box's times 1e-6^(d-2), its mass
+    # 1e-6^d times
+    m = build_initial_mesh(dim, 4)
+    tiny = replace(m, vertices=1e-6 * m.vertices)
+    for assemble, power in ((assemble_stiffness, dim - 2), (assemble_mass, dim)):
+        expected = 1e-6 ** power * assemble(m)
+        assert abs(assemble(tiny) - expected).max() <= 1e-14 * abs(expected).max()
 
 
 def test_galerkin_coarsening_exact():
     h = build_hierarchy(2, 4, 2)
-    spec = ProblemSpec(dim=2)
     P = h.interior_prolongation(0)
-    for assemble in (lambda lv: assemble_stiffness(lv, spec), assemble_mass):
+    for assemble in (assemble_stiffness, assemble_mass):
         coarse = assemble(h.levels[0]).toarray()
         fine = assemble(h.levels[1])
         galerkin = (P.T @ fine @ P).toarray()
@@ -218,7 +267,7 @@ def test_residual_linear_case_exact():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(m.n_interior)
     lam = 11.0
-    A = assemble_stiffness(m, spec)
+    A = assemble_stiffness(m)
     MW = assemble_weighted_mass(m, harmonic_potential, 1)
     M = assemble_mass(m)
     expected = (A + MW) @ u - lam * (M @ u)
@@ -228,7 +277,7 @@ def test_residual_linear_case_exact():
 
 def test_a_norm_zero_and_mismatch():
     m = build_initial_mesh(2, 4)
-    A = assemble_stiffness(m, LAPLACE_2D)
+    A = assemble_stiffness(m)
     assert a_norm(np.zeros(m.n_interior), A) == 0.0
     with pytest.raises(ValueError):
         a_norm(np.zeros(3), A)
@@ -243,7 +292,7 @@ def test_a_norm_dirichlet_energy_of_sine_interpolant():
     errs = []
     for n in (16, 32, 64):
         m = build_initial_mesh(2, n)
-        A = assemble_stiffness(m, LAPLACE_2D)
+        A = assemble_stiffness(m)
         vals = np.sin(pi * m.vertices[:, 0]) * np.sin(pi * m.vertices[:, 1])
         errs.append(abs(a_norm(vals[m.interior_indices], A) ** 2 - target))
     assert errs[-1] / target < 1e-3
@@ -255,7 +304,7 @@ def test_a_norm_dirichlet_energy_of_sine_interpolant():
 @given(st.lists(st.floats(-5, 5), min_size=9, max_size=9))
 def test_a_norm_sign_flip_invariant(vals):
     m = build_initial_mesh(2, 4)
-    A = assemble_stiffness(m, LAPLACE_2D)
+    A = assemble_stiffness(m)
     u = np.array(vals)
     assert a_norm(u, A) == a_norm(-u, A)
 
@@ -266,7 +315,7 @@ def test_assumption_a_witness_bounded():
     # |(f(w) - f(v), psi)| / ||w - v||_0 stays below a fixed constant.
     spec = ProblemSpec(dim=2)
     m = build_initial_mesh(2, 16)
-    A = assemble_stiffness(m, spec)
+    A = assemble_stiffness(m)
     M = assemble_mass(m)
     MW = assemble_weighted_mass(m, harmonic_potential, 1)
     rng = np.random.default_rng(42)
@@ -286,7 +335,7 @@ def test_assumption_a_witness_bounded():
 def _integrate_power(mesh, vertex_values, exponent):
     """Integral of u^exponent for P1 u given by full vertex values, by the
     degree-4 volume rule: exact for exponent <= 4."""
-    rule = quadrature_rule(mesh.dim)
+    rule = fem._RULES[mesh.dim]
     vals = vertex_values[mesh.cells] @ rule.points.T
     return float(np.einsum("c,cq,q->", cell_measures(mesh), vals ** exponent, rule.weights))
 
@@ -358,12 +407,11 @@ def _assert_matches(assembled, reference):
     assert err <= 1e-14 * np.abs(reference).max()
 
 
-_DIFFUSION = {2: np.array([[2.0, 0.5], [0.5, 1.0]]),
-              3: np.array([[2.0, 0.3, -0.2], [0.3, 1.5, 0.4], [-0.2, 0.4, 1.0]])}
+_TEST_DIVISIONS = {2: 3, 3: 2}
 
 
 def _test_mesh(dim):
-    return refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
+    return refine(build_initial_mesh(dim, _TEST_DIVISIONS[dim]))
 
 
 # with_boundary=False runs on a boundary-free copy, whose interior dofs are
@@ -371,7 +419,7 @@ def _test_mesh(dim):
 @pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stiffness_and_mass_match_coo_reference(dim, with_boundary, monkeypatch):
-    m = _test_mesh(dim)
+    m = _image(_test_mesh(dim), _SKEW[dim])
     if not with_boundary:
         m = _boundary_free(m)
     # stream many blocks: 17 rounds down to whole parents, 16 cells
@@ -379,10 +427,8 @@ def test_stiffness_and_mass_match_coo_reference(dim, with_boundary, monkeypatch)
     blocks = fem._cell_blocks(m)
     assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {16}
     grads, meas = _reference_geometry(m)
-    D = _DIFFUSION[dim]
-    spec = ProblemSpec(dim=dim, diffusion=D)
-    local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
-    _assert_matches(assemble_stiffness(m, spec), _coo_reference(m, local_a))
+    local_a = np.einsum("c,cid,cjd->cij", meas, grads, grads)
+    _assert_matches(assemble_stiffness(m), _coo_reference(m, local_a))
     local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
     _assert_matches(assemble_mass(m), _coo_reference(m, local_m))
 
@@ -442,8 +488,7 @@ def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, with_boundary
     if not with_boundary:
         m = _boundary_free(m)
     w = FeFunction(0, np.random.default_rng(2).standard_normal(m.n_interior))
-    spec = ProblemSpec(dim=2)
-    assemblers = [lambda: assemble_stiffness(m, spec),
+    assemblers = [lambda: assemble_stiffness(m),
                   lambda: assemble_mass(m),
                   lambda: assemble_weighted_mass(m, w, 2)]
     for assemble in assemblers:
@@ -472,7 +517,7 @@ def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
     monkeypatch.setattr(sp.coo_array, "tocsr", forbidden)
     assert np.array_equal(assemble_weighted_mass(m, w, 2).toarray(), expected)
     assemble_mass(m)
-    assemble_stiffness(m, ProblemSpec(dim=3))
+    assemble_stiffness(m)
 
 
 def _forbid(monkeypatch, *targets):
@@ -488,16 +533,15 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
     # cell measures and scaled gradients are written out in closed form, so
     # even the first assembly on a fresh mesh (measures, pattern, kernels)
     # runs without a batched determinant, inverse or cross product
-    m = _test_mesh(dim)
+    m = _image(_test_mesh(dim), _SKEW[dim])
     grads, meas = _reference_geometry(m)
-    D = _DIFFUSION[dim]
-    local_a = np.einsum("c,cid,de,cje->cij", meas, grads, D, grads)
+    local_a = np.einsum("c,cid,cjd->cij", meas, grads, grads)
     local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
     expected_a = _coo_reference(m, local_a)
     expected_m = _coo_reference(m, local_m)
-    fresh = refine(build_initial_mesh(dim, 3 if dim == 2 else 2))
+    fresh = _image(_test_mesh(dim), _SKEW[dim])
     _forbid(monkeypatch, (np.linalg, "det"), (np.linalg, "inv"), (np, "cross"))
-    _assert_matches(assemble_stiffness(fresh, ProblemSpec(dim=dim, diffusion=D)), expected_a)
+    _assert_matches(assemble_stiffness(fresh), expected_a)
     _assert_matches(assemble_mass(fresh), expected_m)
     assemble_weighted_mass(fresh, harmonic_potential, 1)
     assemble_weighted_mass(fresh, FeFunction(fresh.level_index, np.ones(fresh.n_interior)), 2)
@@ -534,13 +578,13 @@ def _whole_mesh_bincount(mesh, pattern, entries, work=None, zero_tol=0.0):
 
 
 def _every_kind(mesh):
-    """One assembly of every kind on the mesh: stiffness with the identity
-    and a general diffusion, mass, the analytic potential and P1 weights."""
-    d = mesh.dim
+    """One assembly of every kind on the mesh: stiffness of the mesh and of
+    a general linear image of it, mass, the analytic potential and P1
+    weights."""
     u = FeFunction(mesh.level_index,
                    np.random.default_rng(8).standard_normal(mesh.n_interior))
-    return [assemble_stiffness(mesh, ProblemSpec(dim=d)),
-            assemble_stiffness(mesh, ProblemSpec(dim=d, diffusion=_DIFFUSION[d])),
+    return [assemble_stiffness(mesh),
+            assemble_stiffness(_image(mesh, _SKEW[mesh.dim])),
             assemble_mass(mesh),
             assemble_weighted_mass(mesh, harmonic_potential, 1),
             assemble_weighted_mass(mesh, u, 1),
@@ -606,7 +650,7 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
     entries_bytes = mesh.n_cells * 10 * 8
     u = FeFunction(mesh.level_index,
                    np.random.default_rng(9).standard_normal(mesh.n_interior))
-    kinds = {"stiffness": lambda: assemble_stiffness(mesh, ProblemSpec(dim=3)),
+    kinds = {"stiffness": lambda: assemble_stiffness(mesh),
              "mass": lambda: assemble_mass(mesh),
              "potential": lambda: assemble_weighted_mass(mesh, harmonic_potential, 1),
              "nonlinear": lambda: assemble_weighted_mass(mesh, u, 2)}
@@ -634,10 +678,10 @@ def test_cell_measures_match_determinant_reference(dim):
     cells = m.cells.copy()
     cells[::2, [0, 1]] = cells[::2, [1, 0]]
     jitter = np.random.default_rng(6).uniform(-1.0, 1.0, m.vertices.shape)
-    for vertices, rtol in ((m.vertices, 1e-15), (m.vertices + 0.2 * m.mesh_size * jitter, 1e-14)):
-        mesh = MeshLevel(dim=dim, vertices=vertices, cells=cells,
-                         boundary_vertex=m.boundary_vertex, level_index=m.level_index,
-                         mesh_size=m.mesh_size, box=m.box)
+    # the longest edge, the diagonal of a refined grid cell
+    size = np.sqrt(dim) / (2 * _TEST_DIVISIONS[dim])
+    for vertices, rtol in ((m.vertices, 1e-15), (m.vertices + 0.2 * size * jitter, 1e-14)):
+        mesh = replace(m, vertices=vertices, cells=cells)
         coords = vertices[cells]
         reference = np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / factorial(dim)
         measures = cell_measures(mesh)
@@ -659,11 +703,10 @@ def test_refined_levels_assemble_bit_identical_to_closed_form(config):
     # measures, mapped Gram entries and derived edges reproduce the closed
     # forms exactly
     h = build_hierarchy(*config)
-    spec = ProblemSpec(dim=config[0])
     for mesh in h.meshes:
         u = FeFunction(mesh.level_index,
                        np.random.default_rng(mesh.level_index).standard_normal(mesh.n_interior))
-        for assemble in (lambda m: assemble_stiffness(m, spec), assemble_mass,
+        for assemble in (assemble_stiffness, assemble_mass,
                          lambda m: assemble_weighted_mass(m, harmonic_potential, 1),
                          lambda m: assemble_weighted_mass(m, u, 2)):
             derived, closed = assemble(mesh), assemble(_closed_form(mesh))
@@ -671,7 +714,7 @@ def test_refined_levels_assemble_bit_identical_to_closed_form(config):
                 assert np.array_equal(getattr(derived, name), getattr(closed, name))
 
 
-def _sparse_stiffness_reference(mesh, diffusion, block=1 << 14):
+def _sparse_stiffness_reference(mesh, block=1 << 14):
     """Interior stiffness summed from plain COO triplets of the inverted
     vertex matrices, block by block of cells."""
     n_loc = mesh.dim + 1
@@ -679,7 +722,7 @@ def _sparse_stiffness_reference(mesh, diffusion, block=1 << 14):
     for start in range(0, mesh.n_cells, block):
         cells = mesh.cells[start:start + block]
         grads, meas = _reference_geometry(mesh, cells)
-        local = np.einsum("c,cid,de,cje->cij", meas, grads, diffusion, grads)
+        local = np.einsum("c,cid,cjd->cij", meas, grads, grads)
         rows = np.repeat(cells, n_loc, axis=1).ravel()
         cols = np.tile(cells, (1, n_loc)).ravel()
         A = A + sp.coo_matrix((local.ravel(), (rows, cols)), shape=A.shape).tocsr()
@@ -687,8 +730,9 @@ def _sparse_stiffness_reference(mesh, diffusion, block=1 << 14):
     return A[idx][:, idx]
 
 
-_NON_BINARY = {"2d": (2, 3, ((0.0, 1.0), (0.0, 0.3))), "3d": (3, 5, None),
-               "3d-skew": (3, 7, ((0.0, 1.3), (0.0, 1.0), (0.0, 0.9)))}
+# (dim, divisions, the sides of the box the unit box is scaled to)
+_NON_BINARY = {"2d": (2, 3, (1.0, 0.3)), "3d": (3, 5, (1.0, 1.0, 1.0)),
+               "3d-skew": (3, 7, (1.3, 1.0, 0.9))}
 
 
 # depth 3 of the skew box (1.05M cells) is left out for its size
@@ -698,24 +742,25 @@ def test_refined_stiffness_on_non_binary_meshes(case, depth):
     # vertices that are not binary fractions: the mapped Gram entries round
     # differently from the closed form, so the values agree to rounding,
     # the drop of rounding residue keeps the closed form's nonzeros, and
-    # the derived edges give the closed form's pattern
-    dim, divisions, box = _NON_BINARY[case]
-    mesh = build_initial_mesh(dim, divisions, box=box)
+    # the derived edges give the closed form's pattern; on the box and on a
+    # general linear image of the refined mesh
+    dim, divisions, sides = _NON_BINARY[case]
+    refined = build_initial_mesh(dim, divisions)
     for _ in range(depth):
-        mesh = refine(mesh)
-    closed = _closed_form(mesh)
-    for diffusion in (None, _DIFFUSION[dim]):
-        spec = ProblemSpec(dim=dim, diffusion=diffusion)
-        A, C = assemble_stiffness(mesh, spec), assemble_stiffness(closed, spec)
+        refined = refine(refined)
+    for T, on_box in ((np.diag(sides), True), (_SKEW[dim], False)):
+        mesh = _image(refined, T)
+        closed = _closed_form(mesh)
+        A, C = assemble_stiffness(mesh), assemble_stiffness(closed)
         derived, reference = (m.__dict__["_fem_pattern"] for m in (mesh, closed))
         assert np.array_equal(derived.indptr, reference.indptr)
         assert np.array_equal(derived.indices, reference.indices)
         assert derived.n_compact == reference.n_compact
-        if diffusion is None:
+        if on_box:
             assert A.nnz == C.nnz
         else:
             assert A.nnz <= C.nnz
-        R = _sparse_stiffness_reference(mesh, spec.diffusion_matrix)
+        R = _sparse_stiffness_reference(mesh)
         assert abs(A - R).max() <= 1e-14 * abs(R).max()
 
 
@@ -739,7 +784,7 @@ def test_refined_mesh_reads_only_its_parent_cells(monkeypatch):
     monkeypatch.setattr(np, "unique", recorder("unique", np.unique, np.size))
     # the boundary-free copy builds its own measures and full-vertex pattern
     for target in (mesh, _boundary_free(mesh)):
-        assemble_stiffness(target, ProblemSpec(dim=3, diffusion=_DIFFUSION[3]))
+        assemble_stiffness(target)
     assemble_mass(mesh)
     assemble_weighted_mass(mesh, harmonic_potential, 1)
     assert seen["gradients"] == [parents, parents]
@@ -753,8 +798,7 @@ def test_refining_a_collapsed_cell_is_reported(dim):
     bad_cells = m.cells.copy()
     bad_cells[1, 1] = bad_cells[1, 0]
     broken = MeshLevel(dim=dim, vertices=m.vertices, cells=bad_cells,
-                       boundary_vertex=m.boundary_vertex, level_index=0,
-                       mesh_size=m.mesh_size, box=m.box)
+                       boundary_vertex=m.boundary_vertex, level_index=0)
     child = refine(broken)
     with pytest.raises(AssemblyError, match=f"cell {2 ** dim}"):
-        assemble_stiffness(child, ProblemSpec(dim=dim))
+        assemble_stiffness(child)

@@ -33,6 +33,21 @@ def test_default_config_is_valid():
     assert cfg.algorithm.pre_smooth == 3 and cfg.algorithm.post_smooth == 3
 
 
+def test_readme_full_config_is_valid():
+    # the JSON block after "A full config looks like" in the README passes
+    # validation and sets every field it names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("A full config looks like", 1)[1]
+    data = json.loads(after.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = config_from_dict(data)
+    for key, value in data.items():
+        if isinstance(value, dict):
+            for field, v in value.items():
+                assert getattr(getattr(cfg, key), field) == v, f"{key}.{field}"
+        else:
+            assert getattr(cfg, key) == value, key
+
+
 def test_unknown_field_reports_path():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"mesh": {"divisions": 4}})

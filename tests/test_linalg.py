@@ -2,7 +2,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fmgeig.fem import ProblemSpec, assemble_stiffness
+from fmgeig.fem import assemble_stiffness
 from fmgeig.linalg import (
     MgContext,
     WorkReport,
@@ -14,12 +14,10 @@ from fmgeig.linalg import (
 )
 from fmgeig.mesh import build_hierarchy, build_initial_mesh
 
-LAPLACE = ProblemSpec(dim=2, potential=None, zeta=0.0)
-
 
 def poisson_context(divisions=8, n_levels=3, pre=3, post=3):
     h = build_hierarchy(2, divisions, n_levels)
-    mats = [assemble_stiffness(lv, LAPLACE) for lv in h.levels]
+    mats = [assemble_stiffness(lv) for lv in h.levels]
     prols = [h.interior_prolongation(k) for k in range(n_levels - 1)]
     return MgContext(mats, prols, pre_steps=pre, post_steps=post)
 
@@ -77,7 +75,7 @@ def test_cg_finite_termination():
 def test_cg_energy_error_strictly_decreases():
     # 9x9 five-point system; exact solution from SuperLU.
     m = build_initial_mesh(2, 4)
-    A = assemble_stiffness(m, LAPLACE)
+    A = assemble_stiffness(m)
     rng = np.random.default_rng(4)
     b = rng.standard_normal(9)
     xstar = spla.spsolve(A.tocsc(), b)
@@ -197,7 +195,7 @@ def test_work_counter_monotone_and_proportional():
 
 def test_galerkin_chain_matches_assembled():
     h = build_hierarchy(2, 4, 3)
-    mats = [assemble_stiffness(lv, LAPLACE) for lv in h.levels]
+    mats = [assemble_stiffness(lv) for lv in h.levels]
     prols = [h.interior_prolongation(k) for k in range(2)]
     chain = galerkin_chain(mats[-1], prols)
     for direct, coarse in zip(mats, chain):

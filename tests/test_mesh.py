@@ -5,10 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from fmgeig import mesh as mesh_module
 from fmgeig.eigsolve import LevelSpace, build_augmented_space
 from fmgeig.errors import MeshBudgetError
 from fmgeig.fem import ProblemSpec
 from fmgeig.mesh import (
+    MeshHierarchy,
     build_hierarchy,
     build_initial_mesh,
     cell_measures,
@@ -21,6 +23,17 @@ from fmgeig.mesh import (
 def _boundary_free(mesh):
     """Copy of the mesh with no boundary vertex: every vertex is a dof."""
     return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
+
+
+def _box_image(hierarchy, box):
+    """The hierarchy with every mesh's vertices mapped onto ``box`` by
+    x -> lo + (hi - lo) x per axis (None keeps the unit box); boundary flags
+    and refinement records are kept, so the box faces stay the boundary."""
+    if box is None:
+        return hierarchy
+    lo, hi = np.array(box, dtype=float).T
+    meshes = [replace(m, vertices=lo + (hi - lo) * m.vertices) for m in hierarchy.meshes]
+    return MeshHierarchy(meshes=meshes, first=hierarchy.first)
 
 
 def _vertex_prolongation(coarse, fine):
@@ -145,14 +158,6 @@ def test_hierarchy_single_level():
     assert h.n_levels == 1 and len(h.meshes) == 1
 
 
-def test_hierarchy_mesh_size_halving():
-    h = build_hierarchy(2, 2, 4)
-    sizes = [lv.mesh_size for lv in h.levels]
-    for k in range(1, 4):
-        assert sizes[k] == pytest.approx(sizes[k - 1] / 2, rel=1e-12)
-    assert sizes[0] / sizes[3] == pytest.approx(8.0, rel=1e-12)
-
-
 def _longest_edge(mesh):
     """Brute-force reference: every vertex pair of every cell."""
     coords = mesh.vertices[mesh.cells]
@@ -173,9 +178,15 @@ def _longest_edge(mesh):
 ])
 @pytest.mark.parametrize("divisions", [1, 2, 3])
 def test_mesh_size_is_the_longest_edge(dim, box, divisions):
-    h = build_hierarchy(dim, divisions, 3, box=box)
-    for lv in h.levels:
-        assert lv.mesh_size == pytest.approx(_longest_edge(lv), rel=1e-14)
+    # the mesh size of level k, the diagonal of a level-0 sub-box over 2^k,
+    # is its longest cell edge: no refinement lengthens an edge beyond the
+    # halved grid's (in 3D the m02-m13 cut is half a face diagonal), also on
+    # the axis-scaled images of the unit box
+    h = _box_image(build_hierarchy(dim, divisions, 3), box)
+    lo, hi = np.array(box if box else ((0, 1),) * dim, dtype=float).T
+    diagonal = np.linalg.norm((hi - lo) / divisions)
+    for k, lv in enumerate(h.levels):
+        assert _longest_edge(lv) == pytest.approx(diagonal / 2 ** k, rel=1e-14)
 
 
 @pytest.mark.parametrize("dim, box", [
@@ -187,9 +198,9 @@ def test_mesh_size_is_the_longest_edge(dim, box, divisions):
 def test_descendant_table_places_every_fine_cell(dim, box):
     # fine cell i descends from coarse cell i // n as type i % n, and its
     # vertices are that type's barycentrics of the ancestor's vertices
-    h = build_hierarchy(dim, 1, 4, box=box)
+    h = _box_image(build_hierarchy(dim, 1, 4), box)
     coarse = h.levels[0]
-    size = max(abs(x) for axis in coarse.box for x in axis)
+    size = np.abs(coarse.vertices).max()
     for depth in (1, 2, 3):
         fine = h.levels[depth]
         table = descendant_barycentrics(dim, depth)
@@ -239,10 +250,13 @@ def test_interior_dof_ratio_tends_to_one():
     assert ratios[-1] > 0.9
 
 
-def test_budget_error_names_level():
-    with pytest.raises(MeshBudgetError) as err:
-        build_hierarchy(2, 8, 10, max_vertices=10_000)
-    assert err.value.level_index >= 1
+def test_budget_error_names_level(monkeypatch):
+    # 9^2 vertices on level 0, about 4x as many per refinement: level 2
+    # would pass 1000
+    monkeypatch.setattr(mesh_module, "MAX_VERTICES", 1000)
+    with pytest.raises(MeshBudgetError, match="budget 1000") as err:
+        build_hierarchy(2, 8, 10)
+    assert err.value.level_index == 2
 
 
 def test_prolongation_reproduces_constants():
@@ -361,10 +375,12 @@ def test_interior_prolongation_shape():
 def test_interior_prolongation_matches_the_sliced_vertex_prolongation(dim, divisions,
                                                                      offset, box):
     # built from the refinement, the interior map holds exactly the arrays
-    # of the full-vertex map restricted to interior rows and columns
+    # of the full-vertex map restricted to interior rows and columns; it
+    # reads no coordinates, so an anisotropic image of the meshes gives the
+    # same map
     if box is not None:
         box = ((0, 2), (-1, 0.5), (0, 0.25))[:dim]
-    h = build_hierarchy(dim, divisions, 2, coarse_offset=offset, box=box)
+    h = _box_image(build_hierarchy(dim, divisions, 2, coarse_offset=offset), box)
     for k in range(-offset, h.n_levels - 1):
         coarse, fine = h.meshes[offset + k], h.meshes[offset + k + 1]
         ref = _vertex_prolongation(coarse, fine)
