@@ -6,11 +6,10 @@ smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
 under an energy line search.  The augmented space is the correction
 space V_H, a LevelSpace, bordered by the span of one fine function t: a
 small dense pencil, which LAPACK solves.  Nothing is assembled for it:
-its V_H blocks are V_H's own matrices (the potential's the Galerkin
-product B' W_h B), its borders are fine matvecs with t (K_h t + W_h t
-and M_h t), and the t-dependent parts of its nonlinear matrix contract
-the moments of t against the coarse barycentrics, integrated once per
-space.  On a mesh level the inner eigensolve is LOBPCG, with no shifts,
+its V_H blocks are V_H's own matrices, its borders are fine matvecs with t
+(K_h t + W_h t and M_h t), and the t-dependent parts of its nonlinear
+matrix contract the moments of t against the coarse barycentrics,
+integrated once per space.  On a mesh level the inner eigensolve is LOBPCG, with no shifts,
 preconditioned by one V-cycle of the level's own multigrid context: the
 Galerkin chain of the linear part L, built once, whose top and coarse
 diagonals each sweep updates in place to the pencil L + zeta Mnl (a
@@ -227,7 +226,7 @@ class LevelSpace:
         M = assemble_mass(mesh, work=work)
         MW = None
         if spec.potential is not None:
-            MW = assemble_weighted_mass(mesh, spec.potential, 1, work=work)
+            MW = assemble_weighted_mass(mesh, spec.potential, work=work)
         return cls(mesh=mesh, spec=spec, stiffness=A, mass=M, potential_mass=MW,
                    prolongations=prolongations)
 
@@ -253,7 +252,7 @@ class LevelSpace:
 
     def nonlinear_matrix(self, coeffs, work=None):
         w = FeFunction(self.mesh.level_index, np.asarray(coeffs, dtype=float))
-        return assemble_weighted_mass(self.mesh, w, 2 * self.spec.sigma, work=work)
+        return assemble_weighted_mass(self.mesh, w, work=work)
 
     def multigrid(self, nonlinear=None, work=None):
         """This space's multigrid context, built on first use and kept: the
@@ -319,9 +318,10 @@ class AugmentedSpace:
     Coefficients (U, s) stand for the fine function w = B U + s t on
     ``mesh``, with B the interior map from V_H to that level; ``span`` is
     None when t lies in V_H, and the space is then V_H itself.  For nested
-    P1 spaces with exact integration the V_H blocks of the stiffness, mass
-    and nonlinear matrices are V_H's own; the potential's is B' W_h B,
-    since coarse quadrature does not restrict a general W exactly."""
+    P1 spaces with exact integration the V_H blocks of the stiffness, mass,
+    potential and nonlinear matrices are V_H's own: W = |x|^2 and u^2 make
+    every integrand a degree-4 polynomial on each cell, which the degree-4
+    rules integrate exactly on both meshes."""
 
     coarse: LevelSpace
     prolongation: sp.csr_matrix       # B: (fine interior dofs) x (V_H dofs)
@@ -342,9 +342,8 @@ class AugmentedSpace:
         return w if self.span is None else w + c[-1] * self.span
 
     def nonlinear_matrix(self, coeffs, work=None):
-        """B' Mnl(w) B for w = u_H + s t, as a dense matrix.  With sigma = 1
-        (the only power the degree-4 rules integrate exactly, checked by the
-        coarse assembly) it is quadratic in (U, s): the coarse block is
+        """B' Mnl(w) B for w = u_H + s t, as a dense matrix.  It is
+        quadratic in (U, s): the coarse block is
         Mnl_H(u_H) + 2 s S3.U + s^2 S2, the border S3:UU + 2 s S2.U + s^2 S1
         and the corner UU:S2 + 2 s U.S1 + s^2 S0, summed over coarse cells.
         Counts the coarse assembly and one unit per moment entry read."""
@@ -406,15 +405,9 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
         raise SolverError("cannot augment with the zero function")
     t = u / bnorm
 
-    # nested P1 with exact integration: B' K_h B = K_H and B' M_h B = M_H
-    L_H = coarse.stiffness.toarray()
+    # nested P1 with exact integration: B' L_h B = L_H and B' M_h B = M_H
+    L_H = coarse.linear_matrix.toarray()
     M_H = coarse.mass.toarray()
-    if ops.potential_mass is not None:
-        WB = ops.potential_mass @ B
-        W_H = (B.T @ WB).toarray()
-        if work is not None:
-            work.add(ops.potential_mass.nnz + WB.nnz + B.nnz)
-        L_H += 0.5 * (W_H + W_H.T)
     Mt = counted_matvec(M, t, work)
     rhs = counted_matvec(B.T, Mt, work)
     c_proj = scipy.linalg.solve(M_H, rhs, assume_a="pos")
@@ -490,9 +483,9 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     capped at 3 sweeps by design); an energy that rises on three
     consecutive sweeps raises SolverError.
 
-    zeta and sigma are the space's own (an augmented space's are its
-    correction space's), which its pencil and nonlinear matrix read; a
-    `spec` with other values raises ValueError.
+    zeta is the space's own (an augmented space's is its correction
+    space's), which its pencil reads; a `spec` with another zeta raises
+    ValueError.
     """
     settings = settings or ScfSettings()
     M = space.mass_matrix
@@ -500,10 +493,9 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
     level = isinstance(space, LevelSpace)
     own = space.spec if level else space.coarse.spec
-    if (spec.zeta, spec.sigma) != (own.zeta, own.sigma):
-        raise ValueError(f"spec has zeta={spec.zeta}, sigma={spec.sigma}; the space "
-                         f"has zeta={own.zeta}, sigma={own.sigma}")
-    zeta, sigma = own.zeta, own.sigma
+    if spec.zeta != own.zeta:
+        raise ValueError(f"spec has zeta={spec.zeta}; the space has zeta={own.zeta}")
+    zeta = own.zeta
     # inner eigensolver tolerance: tight enough that the iterate noise stays
     # below the SCF tolerances, but above the rounding floor of the residual,
     # which grows like sqrt(n) through cancellation in A x - rho M x
@@ -544,7 +536,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         quartic = float(v @ (Mnl_v @ v))
         linear = float(v @ (L @ v))
         lam_v = linear + zeta * quartic
-        energy = linear + zeta / (sigma + 1) * quartic
+        energy = linear + zeta / 2 * quartic
         return lam_v, energy
 
     Mnl = space.nonlinear_matrix(w, work)

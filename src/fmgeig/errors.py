@@ -13,7 +13,7 @@ class SolverError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """Finite element assembly failed (degenerate cell, missing quadrature)."""
+    """Finite element assembly failed on a degenerate cell."""
 
 
 class MeshBudgetError(RuntimeError):

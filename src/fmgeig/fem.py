@@ -70,9 +70,9 @@ _BLOCK = 1 << 14
 
 
 def harmonic_potential(points):
-    """W(x) = |x|^2, the trapping potential of both benchmark problems.
-    Summed one coordinate at a time, so the component-major point arrays
-    of the assembly (a transposed view) are read without a copy."""
+    """W(x) = |x|^2, the trapping potential and the only potential besides
+    W = 0.  Summed one coordinate at a time, so the component-major point
+    arrays of the assembly (a transposed view) are read without a copy."""
     w = points[..., 0] ** 2
     for k in range(1, points.shape[-1]):
         w += points[..., k] ** 2
@@ -81,22 +81,20 @@ def harmonic_potential(points):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """PDE data: -Laplace u + W u + zeta |u|^(2 sigma) u = lambda u on the
-    unit box (0,1)^d with zero boundary values and the L2 normalization
-    b(u,u)=1."""
+    """PDE data: -Laplace u + W u + zeta |u|^2 u = lambda u on the unit box
+    (0,1)^d with zero boundary values and the L2 normalization b(u,u)=1."""
 
     dim: int
-    potential: object = harmonic_potential  # callable W(x) >= 0, or None for W=0
+    potential: object = harmonic_potential  # harmonic_potential, or None for W=0
     zeta: float = 1.0
-    sigma: int = 1
 
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.potential is not None and self.potential is not harmonic_potential:
+            raise ValueError("potential must be harmonic_potential or None")
         if self.zeta < 0:
             raise ValueError("zeta must be nonnegative")
-        if self.sigma < 1 or int(self.sigma) != self.sigma:
-            raise ValueError("sigma must be a positive integer")
 
 
 @dataclass
@@ -178,17 +176,17 @@ def _parent(mesh):
 
 
 def _checked_measures(mesh):
-    """Unsigned cell measures (nc,); a cell at or below 1e-14 of the largest
-    measure is degenerate and raises AssemblyError, as does a mesh whose
-    cells all have zero measure.  A refined mesh's children each take 1/2^d
-    of their parent's measure."""
+    """Unsigned cell measures (nc,); a cell at or below 1e-14 of the volume
+    of the vertices' bounding box is degenerate and raises AssemblyError,
+    so a mesh of rounding-size slivers is rejected as a whole.  A refined
+    mesh's children each take 1/2^d of their parent's measure."""
     parent = _parent(mesh)
     if parent is None:
         measures = cell_measures(mesh)
     else:
         children = 2 ** mesh.dim
         measures = np.repeat(cell_measures(parent) / children, children)
-    bad = np.flatnonzero(measures <= 1e-14 * measures.max())
+    bad = np.flatnonzero(measures <= 1e-14 * np.prod(np.ptp(mesh.vertices, axis=0)))
     if bad.size:
         raise AssemblyError(f"degenerate cell {int(bad[0])}")
     return measures
@@ -447,40 +445,37 @@ def assemble_mass(mesh: MeshLevel, work=None):
 
 
 def _weight_at_qpoints(mesh, weight, rule):
-    """Weight, an analytic field or an FeFunction on the mesh's level, at
-    the quadrature points of a block of cells: a function of (start, stop)
-    that returns a new (stop - start, nq) array.  An analytic field's points
-    come from one matrix product, (block * d, d+1) @ (d+1, nq), and reach
-    the field component-major as a transposed (points, d) view."""
+    """|x|^2 (weight=harmonic_potential) or u^2 (an FeFunction u on the mesh's
+    level) at the quadrature points of a block of cells: a function of
+    (start, stop) that returns a new (stop - start, nq) array.  The points
+    x come from one matrix product, (block * d, d+1) @ (d+1, nq), and reach
+    |x|^2 component-major as a transposed (points, d) view."""
     d, nq = mesh.dim, len(rule.points)
-    if callable(weight):
+    if weight is harmonic_potential:
         bary = rule.points.T
 
         def values(start, stop):
             coords = np.take(mesh.vertices.T, mesh.cells[start:stop], axis=1)   # (d, block, d+1)
             phys = coords.reshape(-1, d + 1) @ bary                           # (d * block, nq)
-            field = weight(phys.reshape(d, -1).T)
-            return np.array(field, dtype=float).reshape(stop - start, nq)
+            return harmonic_potential(phys.reshape(d, -1).T).reshape(stop - start, nq)
 
         return values
     if not isinstance(weight, FeFunction):
-        raise TypeError(f"weight must be callable or an FeFunction, got {type(weight).__name__}")
+        raise TypeError(
+            f"weight must be harmonic_potential or an FeFunction, got {type(weight).__name__}")
     if weight.level_index != mesh.level_index:
         raise ValueError(
             f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
     full = _full_values(mesh, weight.coefficients)
-    return lambda start, stop: full[mesh.cells[start:stop]] @ rule.points.T
+    return lambda start, stop: np.square(full[mesh.cells[start:stop]] @ rule.points.T)
 
 
-def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, work=None):
-    """Matrix of (w^power u, v) for a P1 weight (an FeFunction) or an analytic
-    field.  For P1 weights the quadrature is exact, which requires
-    power + 2 <= 4 with the built-in rules."""
+def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
+    """Matrix of (W w, v) for W = |x|^2 (weight=harmonic_potential), or of
+    the frozen nonlinearity (u^2 w, v) for an FeFunction u.  Both integrands
+    are degree-4 polynomials on each cell, which the degree-4 rules
+    integrate exactly."""
     rule = _RULES[mesh.dim]
-    if not callable(weight) and power + 2 > rule.degree:
-        raise AssemblyError(
-            f"weighted mass with P1 weight^{power} needs a degree {power + 2} rule; "
-            f"only degree {rule.degree} is available")
     values = _weight_at_qpoints(mesh, weight, rule)
     measures, pattern = _measures_and_pattern(mesh)
     # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per block
@@ -489,8 +484,6 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, power=1, work=None):
 
     def entries(start, stop):
         vals = values(start, stop)
-        if power != 1:
-            vals **= power
         vals *= measures[start:stop, None]
         return vals @ table
 
@@ -577,15 +570,14 @@ def _coeff_array(u):
 
 def apply_nonlinear_residual(mesh: MeshLevel, spec: ProblemSpec, u, lam):
     """Dual vector of v -> a(u, v) - lam b(u, v) over interior basis functions,
-    with a(u, v) = (grad u, grad v) + (W u + zeta u^(2 sigma) u, v)."""
+    with a(u, v) = (grad u, grad v) + (W u + zeta u^3, v)."""
     c = _coeff_array(u)
     A = assemble_stiffness(mesh)
     M = assemble_mass(mesh)
     if spec.potential is not None:
-        A = A + assemble_weighted_mass(mesh, spec.potential, 1)
+        A = A + assemble_weighted_mass(mesh, spec.potential)
     if spec.zeta != 0.0:
-        uf = FeFunction(mesh.level_index, c)
-        A = A + spec.zeta * assemble_weighted_mass(mesh, uf, 2 * spec.sigma)
+        A = A + spec.zeta * assemble_weighted_mass(mesh, FeFunction(mesh.level_index, c))
     return A @ c - lam * (M @ c)
 
 

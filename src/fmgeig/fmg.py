@@ -92,6 +92,7 @@ class FmgResult:
     traces: list
     work: WorkReport
     level_spaces: list       # the workspace's assembled LevelSpace per level
+    level0_scf_history: list  # one ScfSweep per sweep of level 0's SCF
 
     @property
     def lambdas(self):
@@ -100,8 +101,7 @@ class FmgResult:
 
 class FmgWorkspace:
     """Per-level matrices, the correction space V_H (``level_spaces[0]``, or
-    built once more on a strictly coarser mesh as part of level 0's setup,
-    without the potential, which its augmented blocks never read),
+    built once more on a strictly coarser mesh as part of level 0's setup),
     the stiffness multigrid context, and the shared work counter for one
     full-multigrid run."""
 
@@ -118,10 +118,8 @@ class FmgWorkspace:
             self.setup_work.append(self.work.work_units - before)
         self.coarse_space = self.level_spaces[0]
         if hierarchy.first:
-            # the augmented potential block is B' W_h B, so V_H needs no W_H
             before = self.work.work_units
-            self.coarse_space = LevelSpace.build(hierarchy.coarse, replace(spec, potential=None),
-                                                 work=self.work)
+            self.coarse_space = LevelSpace.build(hierarchy.coarse, spec, work=self.work)
             self.setup_work[0] += self.work.work_units - before
         self.mg = MgContext(
             matrices=[ls.stiffness for ls in self.level_spaces],
@@ -138,8 +136,8 @@ def build_workspace(hierarchy, spec, params=None, work=None) -> FmgWorkspace:
 
 
 def _aux_rhs(ws: FmgWorkspace, level, lam, u):
-    """Dual vector of (lam u - W u - zeta u^(2 sigma) u, v): the right side of
-    the auxiliary problem, whose bilinear form is the plain diffusion form."""
+    """Dual vector of (lam u - W u - zeta u^3, v): the right side of the
+    auxiliary problem, whose bilinear form is the Laplacian's."""
     ops = ws.level_spaces[level]
     rhs = lam * counted_matvec(ops.mass, u, ws.work)
     if ops.potential_mass is not None:
@@ -198,7 +196,7 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
         records = []
         if k == 0:
             res = scf_solve(ws.level_spaces[0], spec, params.scf, work=ws.work)
-            lam, u = res.pair.lam, res.pair.u.coefficients
+            lam, u, history = res.pair.lam, res.pair.u.coefficients, res.history
         else:
             u = counted_matvec(ws.hierarchy.interior_prolongation(k - 1), u, ws.work)
         iterates = [u]
@@ -218,4 +216,5 @@ def full_multigrid(hierarchy, spec: ProblemSpec, params: FmgParams | None = None
         ))
 
     pair = EigenPair(lam=float(lam), u=FeFunction(hierarchy.levels[-1].level_index, u))
-    return FmgResult(pair=pair, traces=traces, work=ws.work, level_spaces=ws.level_spaces)
+    return FmgResult(pair=pair, traces=traces, work=ws.work, level_spaces=ws.level_spaces,
+                     level0_scf_history=history)

@@ -54,7 +54,6 @@ FORMATS = ("csv", "json")
 class ProblemConfig:
     dim: int = 2
     zeta: float = 1.0
-    sigma: int = 1
     potential: str = "harmonic"
 
 
@@ -155,10 +154,6 @@ def _check_fields(obj, path=""):
 def validate_config(cfg: ExperimentConfig):
     _check_fields(cfg)
     m, a = cfg.mesh, cfg.algorithm
-    if cfg.problem.sigma != 1:
-        # the frozen nonlinearity u^(2 sigma) needs a rule of degree
-        # 2 sigma + 2; the built-in rules stop at degree 4
-        raise ConfigError("problem.sigma", "only sigma = 1 is supported")
     # the first nonlinear solve runs on the first level (FMG studies) or the
     # finest one (single-solve); with fewer than 2 cells per axis it has no
     # interior vertex and the eigensolver has nothing to work on
@@ -188,8 +183,7 @@ def load_config(path) -> ExperimentConfig:
 
 def problem_spec_from(cfg: ExperimentConfig) -> ProblemSpec:
     potential = harmonic_potential if cfg.problem.potential == "harmonic" else None
-    return ProblemSpec(dim=cfg.problem.dim, potential=potential,
-                       zeta=cfg.problem.zeta, sigma=cfg.problem.sigma)
+    return ProblemSpec(dim=cfg.problem.dim, potential=potential, zeta=cfg.problem.zeta)
 
 
 def fmg_params_from(cfg: ExperimentConfig) -> FmgParams:
@@ -256,8 +250,9 @@ def fitted_rate(errors, beta, window=3):
 @dataclass
 class SurrogateReference:
     """High-accuracy direct solution on the extra-fine level, together with
-    the matrices needed to evaluate errors there and the SCF history of the
-    solve (one ScfSweep per sweep)."""
+    the matrices needed to evaluate errors there, the SCF history of the
+    solve (one ScfSweep per sweep) and what the solve cost: its work
+    report and wall time, assembly included."""
 
     hierarchy: object
     level: int
@@ -265,6 +260,8 @@ class SurrogateReference:
     lam: float
     coefficients: np.ndarray
     history: list
+    work: WorkReport
+    wall_seconds: float
 
     def errors(self, level, lam, coefficients):
         """(err_lambda, err_a, err_l2) of a level iterate, evaluated on the
@@ -285,11 +282,13 @@ def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=N
     """Direct SCF solve on the finest level of `hierarchy_full`, warm-started
     from a coarser iterate when one is supplied.  ``space`` is that level's
     LevelSpace when it is already assembled; it gains the transfer chain."""
+    t0 = time.perf_counter()
+    work = WorkReport()
     ref_level = hierarchy_full.n_levels - 1
     prols = [hierarchy_full.interior_prolongation(j) for j in range(ref_level)]
     if space is None:
         ref_space = LevelSpace.build(hierarchy_full.levels[ref_level], spec,
-                                     prolongations=prols)
+                                     prolongations=prols, work=work)
     else:
         ref_space = replace(space, prolongations=prols)
     if warm is not None:
@@ -298,12 +297,13 @@ def solve_reference(hierarchy_full, spec, ref_tol=1e-12, warm=None, warm_level=N
     ref = scf_solve(ref_space, spec,
                     ScfSettings(tol_lambda=ref_tol, tol_u=max(ref_tol, 1e-10),
                                 max_iter=500),
-                    initial=warm)
+                    initial=warm, work=work)
     if not ref.converged:
         raise SolverError("reference solve did not converge")
     return SurrogateReference(hierarchy=hierarchy_full, level=ref_level,
                               space=ref_space, lam=ref.pair.lam,
-                              coefficients=ref.pair.u.coefficients, history=ref.history)
+                              coefficients=ref.pair.u.coefficients, history=ref.history,
+                              work=work, wall_seconds=time.perf_counter() - t0)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
@@ -337,6 +337,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
     ladder = full_multigrid(run_h, spec, fmg_params_from(cfg))
     traces = ladder.traces
+    meta["level0_scf_history"] = [asdict(sweep) for sweep in ladder.level0_scf_history]
     # the contraction study's same-level reference solves reuse the ladder's
     # assembled levels; no other study keeps them alive
     level_spaces = ladder.level_spaces if cfg.study == "contraction" else None
@@ -358,6 +359,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                                         warm=traces[-1].coefficients, warm_level=n - 1)
             meta["reference_lambda"] = reference.lam
             meta["reference_scf_history"] = [asdict(sweep) for sweep in reference.history]
+            meta["reference_work_units"] = reference.work.work_units
+            meta["reference_wall_seconds"] = reference.wall_seconds
             for k, (row, t) in enumerate(zip(rows, traces)):
                 row.err_lambda, row.err_a, row.err_l2 = reference.errors(k, t.lam, t.coefficients)
         else:
@@ -373,11 +376,14 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
         # reference solve, warm-started from the ladder's first level and then
         # from the reference below
         warm = traces[0].coefficients
+        meta["reference_work_units"], meta["reference_wall_seconds"] = [], []
         for k, (row, t) in enumerate(zip(rows, traces)):
             ref = solve_reference(run_h.truncated(k + 1), spec, cfg.reference_tol,
                                   warm=warm, warm_level=max(k - 1, 0),
                                   space=level_spaces[k])
             warm = ref.coefficients
+            meta["reference_work_units"].append(ref.work.work_units)
+            meta["reference_wall_seconds"].append(ref.wall_seconds)
             errs = [ref.errors(k, t.lam, v)[1] for v in t.iterates]
             row.err_lambda = abs(t.lam - ref.lam)
             if t.records:

@@ -34,8 +34,8 @@ class WorkReport:
     only the (d+1)(d+2)/2 upper entries of each cell's symmetric local
     matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  An
     augmented space assembles nothing when it is built: it adds its border
-    matvecs, the triple product B' W_h B, and one unit per unique moment
-    entry of every fine cell, 20n in 2D and 35n in 3D; each of its
+    matvecs and one unit per unique moment entry of every fine cell, 20n
+    in 2D and 35n in 3D; each of its
     nonlinear matrices adds its coarse assembly and one unit per moment
     entry it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  A
     mesh level's multigrid context counts its Galerkin chain once, when it

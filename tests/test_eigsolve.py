@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from fmgeig import eigsolve, linalg
-from fmgeig.errors import AssemblyError, SolverError
+from fmgeig.errors import SolverError
 from fmgeig.eigsolve import (
     FORCING,
     FORCING_CAP,
@@ -160,7 +160,7 @@ def brute_force_gpe(mesh, spec, damping=0.3, tol=1e-10, max_sweeps=500):
     ||x - w||_M, as scf_solve does, and raises if it runs out of sweeps."""
     A = assemble_stiffness(mesh).toarray()
     M = assemble_mass(mesh).toarray()
-    L = A + assemble_weighted_mass(mesh, harmonic_potential, 1).toarray()
+    L = A + assemble_weighted_mass(mesh, harmonic_potential).toarray()
 
     def bn(c):
         return np.sqrt(c @ M @ c)
@@ -168,7 +168,7 @@ def brute_force_gpe(mesh, spec, damping=0.3, tol=1e-10, max_sweeps=500):
     w = scipy.linalg.eigh(L, M)[1][:, 0]
     w /= bn(w)
     for _ in range(max_sweeps):
-        Mnl = assemble_weighted_mass(mesh, FeFunction(mesh.level_index, w), 2).toarray()
+        Mnl = assemble_weighted_mass(mesh, FeFunction(mesh.level_index, w)).toarray()
         x = scipy.linalg.eigh(L + spec.zeta * Mnl, M)[1][:, 0]
         if x @ M @ w < 0:
             x = -x
@@ -338,25 +338,7 @@ def test_augmented_matrices_match_the_basis_map_reduction(dim, divisions, n_leve
                 Mnl = aug.nonlinear_matrix(c)
                 assert np.array_equal(Mnl, Mnl.T)
                 _assert_matches(Mnl, _reduced_by_basis_map(
-                    assemble_weighted_mass(ops.mesh, FeFunction(ops.mesh.level_index, w), 2), B))
-
-
-@pytest.mark.parametrize("lift", [False, True])
-def test_augmented_nonlinear_matrix_rejects_sigma_2(lift):
-    # the degree-4 rules integrate only sigma = 1 exactly, on the augmented
-    # space as on the level
-    spec = ProblemSpec(dim=2, sigma=2)
-    h = build_hierarchy(2, 4, 2)
-    spaces = [LevelSpace.build(lv, spec) for lv in h.levels]
-    u_t = np.ones(spaces[1].n_dofs)
-    if lift:
-        u_t = h.interior_prolongation(0) @ np.ones(h.levels[0].n_interior)
-    aug = augment(h, spaces, 1, u_t)
-    assert (aug.span is None) == lift
-    with pytest.raises(AssemblyError):
-        spaces[1].nonlinear_matrix(u_t)
-    with pytest.raises(AssemblyError):
-        aug.nonlinear_matrix(aug.initial_coeffs)
+                    assemble_weighted_mass(ops.mesh, FeFunction(ops.mesh.level_index, w)), B))
 
 
 def test_augmented_pair_is_a_function_on_its_level():
@@ -374,17 +356,16 @@ def test_augmented_pair_is_a_function_on_its_level():
 
 
 def test_scf_rejects_a_spec_with_other_zeta_or_sigma_than_its_space():
-    # the pencil and the nonlinear matrix read zeta and sigma from the space
-    # (an augmented space's from its correction space), so a spec with other
-    # values would mix two problems; the potential is the space's own
+    # the pencil reads zeta from the space (an augmented space's from its
+    # correction space), so a spec with another zeta would mix two
+    # problems; the potential is the space's own
     h = build_hierarchy(2, 4, 2, coarse_offset=1)
     ops = LevelSpace.build(h.levels[1], GPE_2D)
-    coarse = LevelSpace.build(h.coarse, replace(GPE_2D, potential=None))
+    coarse = LevelSpace.build(h.coarse, GPE_2D)
     aug = build_augmented_space(coarse, h.coarse_to_level_interior(1), ops, np.ones(ops.n_dofs))
     for space, initial in ((ops, None), (aug, aug.initial_coeffs)):
-        for other in (replace(GPE_2D, zeta=2.0), replace(GPE_2D, sigma=2)):
-            with pytest.raises(ValueError, match="zeta"):
-                scf_solve(space, other, ScfSettings(max_iter=3), initial=initial)
+        with pytest.raises(ValueError, match="zeta"):
+            scf_solve(space, replace(GPE_2D, zeta=2.0), ScfSettings(max_iter=3), initial=initial)
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert np.isfinite(res.pair.lam)
 
@@ -464,7 +445,7 @@ def test_scf_energy_never_rises_across_accepted_sweeps(monkeypatch):
 
     def energy(u):
         quartic = u @ (space.nonlinear_matrix(u) @ u)
-        return u @ (space.linear_matrix @ u) + spec.zeta / (spec.sigma + 1) * quartic
+        return u @ (space.linear_matrix @ u) + spec.zeta / 2 * quartic
 
     energies = [energy(u) for u in iterates]
     for before, after in zip(energies, energies[1:]):

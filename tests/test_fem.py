@@ -48,8 +48,9 @@ def _image(mesh, T):
 def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(dim=2, zeta=-1.0)
-    with pytest.raises(ValueError):
-        ProblemSpec(dim=2, sigma=0)
+    # the potential is |x|^2 or none: any other callable is refused
+    with pytest.raises(ValueError, match="potential"):
+        ProblemSpec(dim=2, potential=lambda x: (x ** 2).sum(axis=-1))
     with pytest.raises(ValueError):
         ProblemSpec(dim=4)
 
@@ -67,17 +68,6 @@ def test_quadrature_exact_to_degree_four():
             quad = float(np.sum(rule.weights * np.prod(rule.points ** np.array(exps), axis=1)))
             exact = factorial(dim) * np.prod([factorial(e) for e in exps]) / factorial(sum(exps) + dim)
             assert quad == pytest.approx(exact, abs=1e-14)
-
-
-def test_quadrature_degree_limit():
-    # a P1 weight to the power p needs a degree p + 2 rule: 2 is the highest
-    # power the degree-4 rules integrate exactly
-    for dim in (2, 3):
-        m = build_initial_mesh(dim, 2)
-        w = FeFunction(0, np.ones(m.n_interior))
-        assemble_weighted_mass(m, w, 2)
-        with pytest.raises(AssemblyError, match="degree 5"):
-            assemble_weighted_mass(m, w, 3)
 
 
 def test_stiffness_no_interior_dofs():
@@ -144,21 +134,21 @@ def test_mass_positive_definite():
 
 def test_weighted_mass_zero_weight():
     m = _boundary_free(build_initial_mesh(2, 2))
-    Z = assemble_weighted_mass(m, FeFunction(0, np.zeros(m.n_vertices)), 1)
+    Z = assemble_weighted_mass(m, FeFunction(0, np.zeros(m.n_vertices)))
     assert Z.nnz == 0 or np.abs(Z.data).max() == 0.0
 
 
 def test_weighted_mass_unit_weight_equals_mass():
     m = _boundary_free(build_initial_mesh(2, 3))
     M = assemble_mass(m).toarray()
-    W1 = assemble_weighted_mass(m, FeFunction(0, np.ones(m.n_vertices)), 1).toarray()
+    W1 = assemble_weighted_mass(m, FeFunction(0, np.ones(m.n_vertices))).toarray()
     assert np.allclose(W1, M, rtol=1e-13)
 
 
 def test_weighted_mass_harmonic_total():
     # int over the unit square of x^2 + y^2 = 2/3
     m = _boundary_free(build_initial_mesh(2, 1))
-    MW = assemble_weighted_mass(m, harmonic_potential, 1)
+    MW = assemble_weighted_mass(m, harmonic_potential)
     assert MW.sum() == pytest.approx(2.0 / 3.0, rel=1e-13)
 
 
@@ -166,20 +156,20 @@ def test_weighted_mass_wrong_level_rejected():
     h = build_hierarchy(2, 2, 2)
     w = FeFunction(0, np.ones(h.levels[0].n_interior))
     with pytest.raises(ValueError):
-        assemble_weighted_mass(h.levels[1], w, 2)
+        assemble_weighted_mass(h.levels[1], w)
 
 
 def test_weighted_mass_rejects_a_raw_array():
     m = build_initial_mesh(2, 2)
     with pytest.raises(TypeError, match="FeFunction"):
-        assemble_weighted_mass(m, np.ones(m.n_interior), 1)
+        assemble_weighted_mass(m, np.ones(m.n_interior))
 
 
-def test_weighted_mass_degree_limit():
+def test_weighted_mass_rejects_another_potential():
+    # |x|^2 is the one analytic weight; another callable is not evaluated
     m = build_initial_mesh(2, 2)
-    w = FeFunction(0, np.ones(m.n_interior))
-    with pytest.raises(AssemblyError):
-        assemble_weighted_mass(m, w, 4)  # sigma = 2 nonlinearity
+    with pytest.raises(TypeError, match="harmonic_potential"):
+        assemble_weighted_mass(m, lambda x: (x ** 2).sum(axis=-1))
 
 
 def test_assembled_matrices_exactly_symmetric():
@@ -187,7 +177,7 @@ def test_assembled_matrices_exactly_symmetric():
     A = assemble_stiffness(_image(m, _SKEW[2]))
     rng = np.random.default_rng(3)
     w = FeFunction(0, rng.standard_normal(m.n_interior))
-    K = assemble_weighted_mass(m, w, 2)
+    K = assemble_weighted_mass(m, w)
     for mat in (A, assemble_mass(m), K):
         diff = (mat - mat.T).tocsr()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
@@ -220,6 +210,17 @@ def test_sliver_cell_reported_by_index():
                 assemble_stiffness(m)
         else:
             assert assemble_mass(m).sum() == pytest.approx(1.0 + height / 2, rel=1e-14)
+
+
+def test_mesh_of_rounding_size_slivers_is_rejected():
+    # four vertices on one line up to rounding: the two cells measure
+    # 5.6e-17 and 2.2e-16, far below 1e-14 of the vertices' bounding box
+    # (area 7), though neither is small against the other
+    m = _hand_mesh([[0.1, 0.7], [0.3, 2.1], [0.7, 4.9], [1.1, 7.7]],
+                   [[0, 1, 2], [1, 2, 3]])
+    assert 0 < cell_measures(m).max() < 1e-15
+    with pytest.raises(AssemblyError, match=r"degenerate cell 0\b"):
+        assemble_stiffness(m)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -268,7 +269,7 @@ def test_residual_linear_case_exact():
     u = rng.standard_normal(m.n_interior)
     lam = 11.0
     A = assemble_stiffness(m)
-    MW = assemble_weighted_mass(m, harmonic_potential, 1)
+    MW = assemble_weighted_mass(m, harmonic_potential)
     M = assemble_mass(m)
     expected = (A + MW) @ u - lam * (M @ u)
     r = apply_nonlinear_residual(m, spec, u, lam)
@@ -317,7 +318,7 @@ def test_assumption_a_witness_bounded():
     m = build_initial_mesh(2, 16)
     A = assemble_stiffness(m)
     M = assemble_mass(m)
-    MW = assemble_weighted_mass(m, harmonic_potential, 1)
+    MW = assemble_weighted_mass(m, harmonic_potential)
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(30):
@@ -325,8 +326,8 @@ def test_assumption_a_witness_bounded():
         w /= a_norm(w, A)
         v /= a_norm(v, A)
         psi /= a_norm(psi, A)
-        Mw2 = assemble_weighted_mass(m, FeFunction(0, w), 2)
-        Mv2 = assemble_weighted_mass(m, FeFunction(0, v), 2)
+        Mw2 = assemble_weighted_mass(m, FeFunction(0, w))
+        Mv2 = assemble_weighted_mass(m, FeFunction(0, v))
         val = psi @ (MW @ (w - v)) + spec.zeta * (psi @ (Mw2 @ w - Mv2 @ v))
         worst = max(worst, abs(val) / l2_norm(w - v, M))
     assert worst <= 0.01
@@ -349,7 +350,7 @@ def test_integrate_power_against_analytic():
     assert _integrate_power(m, u, 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert _integrate_power(m, u, 4) == pytest.approx(1.0 / 5.0, rel=1e-13)
     M = assemble_mass(m)
-    Mu2 = assemble_weighted_mass(m, FeFunction(0, u), 2)
+    Mu2 = assemble_weighted_mass(m, FeFunction(0, u))
     assert u @ (M @ u) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert u @ (Mu2 @ u) == pytest.approx(1.0 / 5.0, rel=1e-13)
 
@@ -358,7 +359,7 @@ def test_integrate_power_matches_weighted_mass_quadratic_form():
     m = build_initial_mesh(2, 4)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(m.n_interior)
-    Mu2 = assemble_weighted_mass(m, FeFunction(0, u), 2)
+    Mu2 = assemble_weighted_mass(m, FeFunction(0, u))
     assert u @ (Mu2 @ u) == pytest.approx(_integrate_power(m, _full_values(m, u), 4), rel=1e-12)
 
 
@@ -449,17 +450,15 @@ def test_weighted_mass_matches_coo_reference(dim, with_boundary, monkeypatch):
     coords = m.vertices[m.cells]
     gram = np.einsum("ckd,cld->ckl", coords, coords)
     local = np.einsum("c,ckl,klij->cij", meas, gram, _moment_tensor(dim, 4))
-    _assert_matches(assemble_weighted_mass(m, harmonic_potential, 1), _coo_reference(m, local))
-    # P1 weight at powers 1 and 2, zero on the boundary the mesh has; on the
+    _assert_matches(assemble_weighted_mass(m, harmonic_potential), _coo_reference(m, local))
+    # the square of a P1 weight, zero on the boundary the mesh has; on the
     # boundary-free copy it is nonzero on the box faces too
     w = np.random.default_rng(11).uniform(-1.0, 2.0, m.n_vertices)
     w[m.boundary_vertex] = 0.0
     weight = FeFunction(m.level_index, w[m.interior_indices])
     wc = w[m.cells]
-    local1 = np.einsum("c,ck,kij->cij", meas, wc, _moment_tensor(dim, 3))
-    local2 = np.einsum("c,ck,cl,klij->cij", meas, wc, wc, _moment_tensor(dim, 4))
-    for power, local in ((1, local1), (2, local2)):
-        _assert_matches(assemble_weighted_mass(m, weight, power), _coo_reference(m, local))
+    local = np.einsum("c,ck,cl,klij->cij", meas, wc, wc, _moment_tensor(dim, 4))
+    _assert_matches(assemble_weighted_mass(m, weight), _coo_reference(m, local))
 
 
 def _scale_data(A):
@@ -490,7 +489,7 @@ def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, with_boundary
     w = FeFunction(0, np.random.default_rng(2).standard_normal(m.n_interior))
     assemblers = [lambda: assemble_stiffness(m),
                   lambda: assemble_mass(m),
-                  lambda: assemble_weighted_mass(m, w, 2)]
+                  lambda: assemble_weighted_mass(m, w)]
     for assemble in assemblers:
         first = assemble()
         expected = first.toarray()
@@ -505,7 +504,7 @@ def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
     # refills values: no determinant, inverse, sort-unique or COO->CSR pass
     m = _test_mesh(3)
     w = FeFunction(m.level_index, np.random.default_rng(4).standard_normal(m.n_interior))
-    expected = assemble_weighted_mass(m, w, 2).toarray()
+    expected = assemble_weighted_mass(m, w).toarray()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("repeated on reassembly")
@@ -515,7 +514,7 @@ def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
     monkeypatch.setattr(np, "unique", forbidden)
     monkeypatch.setattr(sp.coo_matrix, "tocsr", forbidden)
     monkeypatch.setattr(sp.coo_array, "tocsr", forbidden)
-    assert np.array_equal(assemble_weighted_mass(m, w, 2).toarray(), expected)
+    assert np.array_equal(assemble_weighted_mass(m, w).toarray(), expected)
     assemble_mass(m)
     assemble_stiffness(m)
 
@@ -543,8 +542,8 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
     _forbid(monkeypatch, (np.linalg, "det"), (np.linalg, "inv"), (np, "cross"))
     _assert_matches(assemble_stiffness(fresh), expected_a)
     _assert_matches(assemble_mass(fresh), expected_m)
-    assemble_weighted_mass(fresh, harmonic_potential, 1)
-    assemble_weighted_mass(fresh, FeFunction(fresh.level_index, np.ones(fresh.n_interior)), 2)
+    assemble_weighted_mass(fresh, harmonic_potential)
+    assemble_weighted_mass(fresh, FeFunction(fresh.level_index, np.ones(fresh.n_interior)))
 
 
 @pytest.mark.parametrize("with_boundary", [True, False])
@@ -579,16 +578,15 @@ def _whole_mesh_bincount(mesh, pattern, entries, work=None, zero_tol=0.0):
 
 def _every_kind(mesh):
     """One assembly of every kind on the mesh: stiffness of the mesh and of
-    a general linear image of it, mass, the analytic potential and P1
-    weights."""
+    a general linear image of it, mass, the analytic potential and the
+    square of a P1 weight."""
     u = FeFunction(mesh.level_index,
                    np.random.default_rng(8).standard_normal(mesh.n_interior))
     return [assemble_stiffness(mesh),
             assemble_stiffness(_image(mesh, _SKEW[mesh.dim])),
             assemble_mass(mesh),
-            assemble_weighted_mass(mesh, harmonic_potential, 1),
-            assemble_weighted_mass(mesh, u, 1),
-            assemble_weighted_mass(mesh, u, 2)]
+            assemble_weighted_mass(mesh, harmonic_potential),
+            assemble_weighted_mass(mesh, u)]
 
 
 _STREAM_MESHES = {
@@ -652,8 +650,8 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
                    np.random.default_rng(9).standard_normal(mesh.n_interior))
     kinds = {"stiffness": lambda: assemble_stiffness(mesh),
              "mass": lambda: assemble_mass(mesh),
-             "potential": lambda: assemble_weighted_mass(mesh, harmonic_potential, 1),
-             "nonlinear": lambda: assemble_weighted_mass(mesh, u, 2)}
+             "potential": lambda: assemble_weighted_mass(mesh, harmonic_potential),
+             "nonlinear": lambda: assemble_weighted_mass(mesh, u)}
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -707,8 +705,8 @@ def test_refined_levels_assemble_bit_identical_to_closed_form(config):
         u = FeFunction(mesh.level_index,
                        np.random.default_rng(mesh.level_index).standard_normal(mesh.n_interior))
         for assemble in (assemble_stiffness, assemble_mass,
-                         lambda m: assemble_weighted_mass(m, harmonic_potential, 1),
-                         lambda m: assemble_weighted_mass(m, u, 2)):
+                         lambda m: assemble_weighted_mass(m, harmonic_potential),
+                         lambda m: assemble_weighted_mass(m, u)):
             derived, closed = assemble(mesh), assemble(_closed_form(mesh))
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(derived, name), getattr(closed, name))
@@ -786,7 +784,7 @@ def test_refined_mesh_reads_only_its_parent_cells(monkeypatch):
     for target in (mesh, _boundary_free(mesh)):
         assemble_stiffness(target)
     assemble_mass(mesh)
-    assemble_weighted_mass(mesh, harmonic_potential, 1)
+    assemble_weighted_mass(mesh, harmonic_potential)
     assert seen["gradients"] == [parents, parents]
     assert seen["measures"] == [parents, parents]
     assert seen["unique"] and max(seen["unique"]) <= 13 * parents

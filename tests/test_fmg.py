@@ -157,10 +157,10 @@ def test_full_multigrid_with_strictly_coarser_correction_space():
 
 @pytest.mark.parametrize("offset", [0, 1])
 def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
-    # the workspace assembles each level and the correction space once;
-    # the corrections assemble nothing on the correction mesh, and the
-    # analytic potential is assembled on the solve levels only; only level
-    # 0's SCF forms L = K + W, the corrections border with K t + W t
+    # the workspace assembles each level and the correction space once,
+    # the analytic potential included; the corrections assemble nothing on
+    # the correction mesh; only level 0's SCF forms L = K + W on a solve
+    # level, the corrections border with K t + W t
     calls = Counter()
 
     def counting(name):
@@ -179,7 +179,7 @@ def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
     assert [ls._linear is not None for ls in res.level_spaces] == [True, False, False]
     expected = Counter({(name, mesh.level_index): 1 for mesh in h.meshes
                         for name in ("assemble_stiffness", "assemble_mass")})
-    expected.update(("assemble_weighted_mass", mesh.level_index) for mesh in h.levels)
+    expected.update(("assemble_weighted_mass", mesh.level_index) for mesh in h.meshes)
     assert calls == expected
 
 

@@ -54,6 +54,9 @@ def test_unknown_field_reports_path():
     assert "mesh.divisions" in str(err.value)
     with pytest.raises(ConfigError):
         config_from_dict({"bogus": 1})
+    # the nonlinearity is |u|^2 u, so sigma is no field
+    with pytest.raises(ConfigError, match=r"problem\.sigma: unknown field"):
+        config_from_dict({"problem": {"sigma": 1}})
 
 
 @pytest.mark.parametrize("patch,field", [
@@ -197,7 +200,7 @@ def test_contraction_study_gamma_column():
     }
     for name, values in pinned.items():
         assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
-    assert rep.column("work_units") == [40043, 84682, 239697]
+    assert rep.column("work_units") == [40043, 82033, 228552]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
@@ -479,6 +482,57 @@ def test_cli_happy_path(tmp_path, capsys):
     assert out.splitlines()[0] == CSV_HEADER
 
 
+@pytest.mark.parametrize("study", ["convergence", "contraction"])
+def test_json_meta_times_and_counts_the_reference_solves(tmp_path, study):
+    # the convergence study's one reference solve, the contraction study's
+    # one per level
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 4, "n_levels": 2},
+        "study": study,
+        "format": "json",
+        "output": str(tmp_path / "out.json"),
+    })
+    run_experiment(cfg)
+    meta = json.loads((tmp_path / "out.json").read_text())["meta"]
+    work, wall = meta["reference_work_units"], meta["reference_wall_seconds"]
+    if study == "contraction":
+        assert len(work) == len(wall) == 2
+    else:
+        work, wall = [work], [wall]
+    assert all(isinstance(w, int) and w > 0 for w in work)
+    assert all(isinstance(t, float) and t > 0.0 for t in wall)
+
+
+def test_json_meta_holds_the_level0_scf_history(tmp_path, monkeypatch):
+    # one entry per sweep of the ladder's first-level SCF
+    from fmgeig import eigsolve, fmg
+
+    level0 = []
+
+    def recording_scf(space, *args, **kwargs):
+        res = eigsolve.scf_solve(space, *args, **kwargs)
+        if isinstance(space, eigsolve.LevelSpace):
+            level0.append(res)
+        return res
+
+    monkeypatch.setattr(fmg, "scf_solve", recording_scf)
+    cfg = config_from_dict({
+        "problem": {"dim": 2, "zeta": 1.0},
+        "mesh": {"divisions_per_axis": 8, "n_levels": 2},
+        "study": "work-scaling",
+        "format": "json",
+        "output": str(tmp_path / "out.json"),
+    })
+    run_experiment(cfg)
+    history = json.loads((tmp_path / "out.json").read_text())["meta"]["level0_scf_history"]
+    (res,) = level0
+    assert len(history) == res.iterations > 1
+    assert history == [{"delta_lambda": sweep.delta_lambda, "delta_u": sweep.delta_u,
+                        "residual": sweep.residual, "eig_tol": sweep.eig_tol}
+                       for sweep in res.history]
+
+
 def test_cli_flag_overrides(tmp_path):
     out = tmp_path / "r.csv"
     code = cli.main(["--study", "single-solve", "--levels", "1",
@@ -499,7 +553,7 @@ def test_cli_missing_config_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config,field", [
-    # the P1 weight^4 of sigma = 2 needs a degree-6 rule
+    # sigma is no field: the nonlinearity is |u|^2 u
     ({"problem": {"sigma": 2}}, "problem.sigma"),
     # one division per axis: the first FMG level has no interior vertex
     ({"mesh": {"divisions_per_axis": 1}}, "mesh.divisions_per_axis"),
