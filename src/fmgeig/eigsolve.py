@@ -6,14 +6,17 @@ smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
 under an energy line search.  The augmented space is the correction
 space V_H, a LevelSpace, bordered by the span of one fine function t: a
 small dense pencil, which LAPACK solves.  Nothing is assembled for it:
-its V_H blocks are V_H's own matrices, its borders are fine matvecs with t
-(K_h t + W_h t and M_h t), and the t-dependent parts of its nonlinear
-matrix contract the moments of t against the coarse barycentrics,
-integrated once per space.  On a mesh level the inner eigensolve is LOBPCG, with no shifts,
-preconditioned by one V-cycle of the level's own multigrid context: the
-Galerkin chain of the linear part L, built once, whose top and coarse
-diagonals each sweep updates in place to the pencil L + zeta Mnl (a
-level without coarser levels keeps a sparse LU solve of the pencil).
+its V_H blocks are V_H's own matrices, and its borders are the fine
+matvecs K_h t and M_h t plus the potential's part.  That part and the
+t-dependent parts of its nonlinear matrix contract the moments of t
+against the coarse barycentrics, integrated once per space.  A LevelSpace
+assembles K and M when built, and the potential W only when a solve first
+needs its linear part L = K + W.  On a mesh level the inner eigensolve is
+LOBPCG, with no shifts, preconditioned by one V-cycle of the level's own
+multigrid context: the Galerkin chain of the linear part L, built once,
+whose top and coarse diagonals each sweep updates in place to the pencil
+L + zeta Mnl (a level without coarser levels keeps a sparse LU solve of
+the pencil).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .fem import (
     assemble_stiffness,
     assemble_weighted_mass,
     span_moments,
+    span_potential,
 )
 from .linalg import MgContext, WorkReport, counted_matvec, galerkin_chain, v_cycle
 
@@ -206,13 +210,14 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
 
 @dataclass
 class LevelSpace:
-    """Interior-dof matrices of one mesh level plus solver plumbing."""
+    """Interior-dof matrices of one mesh level plus solver plumbing: the
+    stiffness K and the mass M, assembled when built, and the linear part
+    L = K + W, assembled on first use (:meth:`linear`)."""
 
     mesh: object
     spec: ProblemSpec
     stiffness: sp.csr_matrix
     mass: sp.csr_matrix
-    potential_mass: sp.csr_matrix | None
     prolongations: list | None = None   # interior chain below this level, for MG
     # caches, never copied by dataclasses.replace: L = K + W, the multigrid
     # context and, per coarse level, its diagonal slots, diag(L_k) and P_k 1
@@ -222,13 +227,8 @@ class LevelSpace:
 
     @classmethod
     def build(cls, mesh, spec, work=None, prolongations=None):
-        A = assemble_stiffness(mesh, work=work)
-        M = assemble_mass(mesh, work=work)
-        MW = None
-        if spec.potential is not None:
-            MW = assemble_weighted_mass(mesh, spec.potential, work=work)
-        return cls(mesh=mesh, spec=spec, stiffness=A, mass=M, potential_mass=MW,
-                   prolongations=prolongations)
+        return cls(mesh=mesh, spec=spec, stiffness=assemble_stiffness(mesh, work=work),
+                   mass=assemble_mass(mesh, work=work), prolongations=prolongations)
 
     @property
     def n_dofs(self):
@@ -238,13 +238,14 @@ class LevelSpace:
     def mass_matrix(self):
         return self.mass
 
-    @property
-    def linear_matrix(self):
+    def linear(self, work=None):
+        """L = K + W, kept from its first call, which assembles W and counts
+        it in `work`; K itself when W = 0."""
         if self._linear is None:
-            if self.potential_mass is not None:
-                self._linear = (self.stiffness + self.potential_mass).tocsr()
-            else:
-                self._linear = self.stiffness
+            self._linear = self.stiffness
+            if self.spec.potential is not None:
+                W = assemble_weighted_mass(self.mesh, self.spec.potential, work=work)
+                self._linear = (self.stiffness + W).tocsr()
         return self._linear
 
     def to_fine(self, coeffs):
@@ -272,7 +273,7 @@ class LevelSpace:
         entries for its new LU; it forms no sparse product.
         """
         work = work if work is not None else WorkReport()
-        L = self.linear_matrix
+        L = self.linear(work)
         if self._mg is None:
             prols = self.prolongations or []
             mats = galerkin_chain(L, prols, work)
@@ -321,7 +322,9 @@ class AugmentedSpace:
     P1 spaces with exact integration the V_H blocks of the stiffness, mass,
     potential and nonlinear matrices are V_H's own: W = |x|^2 and u^2 make
     every integrand a degree-4 polynomial on each cell, which the degree-4
-    rules integrate exactly on both meshes."""
+    rules integrate exactly on both meshes.  The borders of the linear part
+    are B' K_h t and t' K_h t plus the potential's, which
+    :func:`fem.span_potential` contracts from the moments of t."""
 
     coarse: LevelSpace
     prolongation: sp.csr_matrix       # B: (fine interior dofs) x (V_H dofs)
@@ -390,7 +393,9 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     must be a uniform refinement of the correction mesh (a ValueError
     otherwise); `prolongation` is the interior map B between the two.  If
     u_tilde lies in V_H to within SPAN_TOL in the L2 norm the span is
-    dropped and the space is V_H itself.
+    dropped and the space is V_H itself.  Of the fine level it reads only
+    K_h and M_h; the first call assembles V_H's L = K + W, counted in
+    `work`.
     """
     fine = ops.mesh
     depth = fine.level_index - coarse.mesh.level_index
@@ -406,7 +411,7 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     t = u / bnorm
 
     # nested P1 with exact integration: B' L_h B = L_H and B' M_h B = M_H
-    L_H = coarse.linear_matrix.toarray()
+    L_H = coarse.linear(work).toarray()
     M_H = coarse.mass.toarray()
     Mt = counted_matvec(M, t, work)
     rhs = counted_matvec(B.T, Mt, work)
@@ -421,16 +426,17 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
         span = t
         initial = np.zeros(coarse.n_dofs + 1)
         initial[-1] = 1.0
-        # L_h t as K_h t + W_h t, so L_h is never formed on a correction level
+        # B' L_h t and t' L_h t: the stiffness part from the fine matvec
+        # K_h t, the potential's from the moments of t, so no W_h is needed
+        moments = span_moments(coarse.mesh, fine, t, work)
         Kt = counted_matvec(ops.stiffness, t, work)
         border, corner = counted_matvec(B.T, Kt, work), t @ Kt
-        if ops.potential_mass is not None:
-            Wt = counted_matvec(ops.potential_mass, t, work)
-            border = border + counted_matvec(B.T, Wt, work)
-            corner += t @ Wt
+        if coarse.spec.potential is not None:
+            W_border, W_corner = span_potential(coarse.mesh, moments, work)
+            border += W_border
+            corner += W_corner
         L_red = _bordered(L_H, border, corner)
         M_red = _bordered(M_H, rhs, t @ Mt)
-        moments = span_moments(coarse.mesh, fine, t, work)
     return AugmentedSpace(
         coarse=coarse,
         prolongation=B,
@@ -488,10 +494,10 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     ValueError.
     """
     settings = settings or ScfSettings()
-    M = space.mass_matrix
-    L = space.linear_matrix
     # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
     level = isinstance(space, LevelSpace)
+    M = space.mass_matrix
+    L = space.linear(work) if level else space.linear_matrix
     own = space.spec if level else space.coarse.spec
     if spec.zeta != own.zeta:
         raise ValueError(f"spec has zeta={spec.zeta}; the space has zeta={own.zeta}")

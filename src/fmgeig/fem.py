@@ -2,7 +2,10 @@
 
 Stiffness of the Laplacian, mass, weighted mass for the potential and the
 frozen nonlinearity, the nonlinear residual, and the energy / L2 norms.
-All systems are reduced to interior degrees of freedom.
+All systems are reduced to interior degrees of freedom.  Two kernels stand
+in for matrices a correction level never assembles: the load vector
+(W u + zeta u^3, v), one streamed pass, and the potential's products with
+a fine function t, contracted from t's moments over the coarse cells.
 
 Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
 6 in 2D and 10 in 3D, in ``np.triu_indices(d+1)`` order, and streams them
@@ -58,6 +61,8 @@ __all__ = [
     "assemble_weighted_mass",
     "SpanMoments",
     "span_moments",
+    "span_potential",
+    "nonlinear_load",
     "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
@@ -329,7 +334,7 @@ def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
     one a single bincount over all cells gives, bit for bit.  A gather then
     puts the sums in CSR order.  (i, j) and (j, i) gather the same sum, so
     the result is exactly symmetric.  Entries at or below ``zero_tol`` times
-    the largest are dropped with the exact zeros."""
+    the largest are dropped with the exact zeros, before the gather."""
     indptr, indices, slot, gather, n_compact = pattern
     width = (mesh.dim + 1) * (mesh.dim + 2) // 2
     sums = np.zeros(n_compact)
@@ -341,9 +346,21 @@ def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
         bound = zero_tol * max(stored.max(), -stored.min())
         stored[(stored >= -bound) & (stored <= bound)] = 0.0
     n = indptr.size - 1
-    # copies of the cached index arrays: the caller owns the matrix
-    A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
-    A.eliminate_zeros()
+    # the caller owns the matrix, so the cached index arrays are copied;
+    # zero sums (couplings the stiffness cancels) are dropped at the compact
+    # index first, so only kept entries are gathered.  The dump slot, last,
+    # is never gathered, and every pattern row holds its diagonal, so no
+    # reduceat segment is empty.  np.take gathers faster with int32 indices
+    # but copies them to int64 whole: the per-block cell gathers take, these
+    # whole-pattern gathers index
+    nonzero = sums != 0.0
+    if nonzero[:-1].all():
+        A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
+    else:
+        keep = nonzero[gather]
+        kept = np.zeros_like(indptr)
+        np.cumsum(np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype), out=kept[1:])
+        A = sp.csr_matrix((sums[gather[keep]], indices[keep], kept), shape=(n, n))
     if work is not None:
         work.count_assembly(slot.size)
     return A
@@ -467,7 +484,7 @@ def _weight_at_qpoints(mesh, weight, rule):
         raise ValueError(
             f"weight lives on level {weight.level_index}, mesh is level {mesh.level_index}")
     full = _full_values(mesh, weight.coefficients)
-    return lambda start, stop: np.square(full[mesh.cells[start:stop]] @ rule.points.T)
+    return lambda start, stop: np.square(np.take(full, mesh.cells[start:stop]) @ rule.points.T)
 
 
 def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
@@ -488,6 +505,38 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
         return vals @ table
 
     return _assemble(mesh, pattern, entries, work)
+
+
+def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):
+    """Dual vector of v -> (W u + zeta u^3, v) over the interior basis
+    functions, for interior coefficients u: W_h u + zeta Mnl(u) u up to
+    rounding, with neither matrix built.  Both integrands are degree-4
+    polynomials on each cell, which the degree-4 rule integrates exactly.
+    One pass over the blocks of cells; each block's (cells, d+1) local
+    vectors go into the vertices by one bincount.  Counts one work unit per
+    local entry, d+1 per cell; with W = 0 and zeta = 0 it is zero and
+    counts nothing."""
+    if spec.potential is None and spec.zeta == 0.0:
+        return np.zeros(mesh.n_interior)
+    rule = _RULES[mesh.dim]
+    full = _full_values(mesh, _coeff_array(u))
+    potential = None if spec.potential is None else _weight_at_qpoints(mesh, spec.potential, rule)
+    measures = _cached(mesh, "_fem_measures", _checked_measures)
+    table = rule.weights[:, None] * rule.points           # (nq, d+1): w_q phi_i(q)
+    out = np.zeros(mesh.n_vertices)
+    for start, stop in _cell_blocks(mesh):
+        cells = mesh.cells[start:stop]
+        uq = np.take(full, cells) @ rule.points.T          # (block, nq)
+        # (W + zeta u^2) u at the points, times the cell measures
+        f = np.zeros_like(uq) if potential is None else potential(start, stop)
+        if spec.zeta != 0.0:
+            f += spec.zeta * np.square(uq)
+        f *= uq
+        f *= measures[start:stop, None]
+        out += np.bincount(cells.ravel(), (f @ table).ravel(), minlength=mesh.n_vertices)
+    if work is not None:
+        work.add(mesh.n_cells * (mesh.dim + 1))
+    return out[mesh.interior_indices]
 
 
 class SpanMoments(NamedTuple):
@@ -539,7 +588,7 @@ def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
     for start in range(0, n, step):
         stop = min(start + step, n)
         rows = slice(start * len(types), stop * len(types))
-        tq = t[fine.cells[rows]] @ rule.points.T               # (block * types, nq)
+        tq = np.take(t, fine.cells[rows]) @ rule.points.T      # (block * types, nq)
         wt = (measures[rows, None] * rule.weights * tq).reshape(stop - start, -1)
         tq = tq.reshape(stop - start, -1)
         s3[start:stop] = wt @ mono3
@@ -552,6 +601,27 @@ def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
     if work is not None:
         work.add(fine.n_cells * (i3.shape[1] + i2.shape[1] + d + 2))
     return SpanMoments(s3[:, full3], s2[:, full2], s1, s0)
+
+
+def span_potential(coarse: MeshLevel, moments: SpanMoments, work=None):
+    """((W t, phi_k) for every interior vertex k of `coarse`, (W t, t)) for
+    W = |x|^2 and the fine function t whose SpanMoments over the cells of
+    `coarse` are `moments`.  On a cell with vertices X_a, x = sum_a l_a X_a,
+    so |x|^2 = sum_ab l_a l_b G_ab exactly, with G_ab = X_a . X_b the cell's
+    vertex Gram matrix: the first is sum_ab G_ab s3[a, b, k] added into
+    vertex k, the second sum_ab G_ab s2[a, b], over the cells.  No fine
+    product is formed.  Counts one work unit per moment entry read."""
+    X = coarse.vertices[coarse.cells]                      # (cells, d+1, d)
+    G = X @ X.transpose(0, 2, 1)
+    local = np.einsum("cab,cabk->ck", G, moments.s3)
+    n = coarse.n_interior
+    # interior dof of every cell vertex, n for a boundary vertex
+    dof = np.full(coarse.n_vertices, n)
+    dof[coarse.interior_indices] = np.arange(n)
+    border = np.bincount(dof[coarse.cells].ravel(), local.ravel(), minlength=n + 1)[:n]
+    if work is not None:
+        work.add(moments.s3.size + moments.s2.size)
+    return border, float(np.vdot(G, moments.s2))
 
 
 def _full_values(mesh: MeshLevel, interior_coeffs):

@@ -2,7 +2,15 @@
 auxiliary problem followed by a small eigensolve on the augmented space) and
 the full multigrid sweep over the level hierarchy: a nonlinear solve on the
 first level, then linear multigrid solves and augmented-space eigensolves on
-the finer ones."""
+the finer ones.
+
+Every mesh assembles its stiffness K and mass M once.  The potential W
+and the frozen nonlinearity are assembled only where a solve needs them:
+on the first level, for its SCF, and on the correction space V_H, whose
+L = K + W and nonlinear matrices the augmented pencils read.  A correction
+level holds only K and M: the right side of its auxiliary problem is one
+load pass, and the potential part of its border comes from the moments of
+the multigrid update."""
 
 from __future__ import annotations
 
@@ -19,7 +27,7 @@ from .eigsolve import (
     apply_sign_convention,
     scf_solve,
 )
-from .fem import FeFunction, ProblemSpec
+from .fem import FeFunction, ProblemSpec, nonlinear_load
 from .linalg import MgContext, WorkReport, counted_matvec, mg_solve
 
 __all__ = [
@@ -91,7 +99,7 @@ class FmgResult:
     pair: EigenPair
     traces: list
     work: WorkReport
-    level_spaces: list       # the workspace's assembled LevelSpace per level
+    level_spaces: list       # the workspace's LevelSpace per level (K and M; L on level 0)
     level0_scf_history: list  # one ScfSweep per sweep of level 0's SCF
 
     @property
@@ -100,10 +108,10 @@ class FmgResult:
 
 
 class FmgWorkspace:
-    """Per-level matrices, the correction space V_H (``level_spaces[0]``, or
-    built once more on a strictly coarser mesh as part of level 0's setup),
-    the stiffness multigrid context, and the shared work counter for one
-    full-multigrid run."""
+    """Per-level stiffness and mass matrices, the correction space V_H
+    (``level_spaces[0]``, or built once more on a strictly coarser mesh as
+    part of level 0's setup), the stiffness multigrid context, and the
+    shared work counter for one full-multigrid run."""
 
     def __init__(self, hierarchy, spec: ProblemSpec, params: FmgParams, work=None):
         self.hierarchy = hierarchy
@@ -137,15 +145,11 @@ def build_workspace(hierarchy, spec, params=None, work=None) -> FmgWorkspace:
 
 def _aux_rhs(ws: FmgWorkspace, level, lam, u):
     """Dual vector of (lam u - W u - zeta u^3, v): the right side of the
-    auxiliary problem, whose bilinear form is the Laplacian's."""
+    auxiliary problem, whose bilinear form is the Laplacian's.  One mass
+    matvec and one streamed load pass; no potential or nonlinear matrix."""
     ops = ws.level_spaces[level]
-    rhs = lam * counted_matvec(ops.mass, u, ws.work)
-    if ops.potential_mass is not None:
-        rhs = rhs - counted_matvec(ops.potential_mass, u, ws.work)
-    if ws.spec.zeta != 0.0:
-        Mnl = ops.nonlinear_matrix(u, work=ws.work)
-        rhs = rhs - ws.spec.zeta * counted_matvec(Mnl, u, ws.work)
-    return rhs
+    load = nonlinear_load(ops.mesh, ws.spec, u, ws.work)
+    return lam * counted_matvec(ops.mass, u, ws.work) - load
 
 
 def one_correction_step(ws: FmgWorkspace, level, lam, u):

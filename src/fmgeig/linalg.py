@@ -32,12 +32,16 @@ class WorkReport:
     nonzero (matvec, transfer, triple product, factor application) and
     every generated local assembly entry adds to it.  Assembly generates
     only the (d+1)(d+2)/2 upper entries of each cell's symmetric local
-    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  An
-    augmented space assembles nothing when it is built: it adds its border
-    matvecs and one unit per unique moment entry of every fine cell, 20n
-    in 2D and 35n in 3D; each of its
-    nonlinear matrices adds its coarse assembly and one unit per moment
-    entry it contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  A
+    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  A
+    LevelSpace's potential W is counted by the solve that first needs
+    L = K + W.  The load pass of a correction's right side generates d+1
+    local entries per cell and adds 3n in 2D and 4n in 3D.  An augmented
+    space assembles nothing when it is built: it adds its border matvecs,
+    one unit per unique moment entry of every fine cell, 20n in 2D and 35n
+    in 3D, and with the potential one unit per s3 and s2 moment entry it
+    contracts, (d+1)^3 + (d+1)^2 per coarse cell; each of its nonlinear
+    matrices adds its coarse assembly and one unit per moment entry it
+    contracts, (d+1)^3 + (d+1)^2 + (d+1) + 1 per coarse cell.  A
     mesh level's multigrid context counts its Galerkin chain once, when it
     is built; each SCF sweep's in-place update of it to the sweep's pencil
     adds one Mnl matvec, one restriction per coarser level and the stored

@@ -143,8 +143,13 @@ def index_dtype(mesh):
     """int32 when every vertex, edge and CSR entry index of the mesh fits in
     it, else int64: a cell has d(d+1)/2 edges and d+1 vertices, so
     (d+1)^2 per cell bounds the nonzeros of any P1 pattern (two per edge and
-    one per vertex)."""
-    bound = max(mesh.n_vertices, mesh.n_cells * (mesh.dim + 1) ** 2)
+    one per vertex).  :func:`build_initial_mesh` and :func:`refine` store
+    cells and midpoint parents in it."""
+    return _index_dtype(mesh.n_vertices, mesh.n_cells, mesh.dim)
+
+
+def _index_dtype(n_vertices, n_cells, dim):
+    bound = max(n_vertices, n_cells * (dim + 1) ** 2)
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
@@ -213,11 +218,11 @@ class MeshLevel:
 
     dim: int
     vertices: np.ndarray          # (n_vertices, dim) float
-    cells: np.ndarray             # (n_cells, dim+1) int, refinement-canonical order
+    cells: np.ndarray             # (n_cells, dim+1) index_dtype, refinement-canonical order
     boundary_vertex: np.ndarray   # (n_vertices,) bool
     level_index: int
     n_parent_vertices: int = 0
-    midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
+    midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int32))
 
     @property
     def n_vertices(self):
@@ -328,7 +333,7 @@ def build_initial_mesh(dim, divisions_per_axis):
     return MeshLevel(
         dim=dim,
         vertices=vertices,
-        cells=np.ascontiguousarray(cells, dtype=np.int64),
+        cells=np.ascontiguousarray(cells, dtype=_index_dtype(len(vertices), len(cells), dim)),
         boundary_vertex=_boundary_flags(vertices),
         level_index=0,
     )
@@ -357,19 +362,20 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     midpoints = 0.5 * (coarse.vertices[edge_lo] + coarse.vertices[edge_hi])
     vertices = np.vstack([coarse.vertices, midpoints])
 
-    mid = inverse.reshape(keys.shape)
-    local = np.hstack([cells, nv + mid])
+    ids = _index_dtype(len(vertices), coarse.n_cells * 2 ** d, d)
+    mid = (nv + inverse.reshape(keys.shape)).astype(ids)
+    local = np.hstack([cells.astype(ids, copy=False), mid])
     table = _CHILD_TABLE[d]
     children = local[:, table.ravel()].reshape(-1, d + 1)
 
     return MeshLevel(
         dim=d,
         vertices=vertices,
-        cells=np.ascontiguousarray(children, dtype=np.int64),
+        cells=children,
         boundary_vertex=_boundary_flags(vertices),
         level_index=coarse.level_index + 1,
         n_parent_vertices=nv,
-        midpoint_parents=np.column_stack([edge_lo, edge_hi]),
+        midpoint_parents=np.column_stack([edge_lo, edge_hi]).astype(ids),
     )
 
 

@@ -22,7 +22,11 @@ from fmgeig.fem import (
     assemble_weighted_mass,
     harmonic_potential,
     l2_norm,
+    nonlinear_load,
+    span_moments,
+    span_potential,
 )
+from fmgeig.linalg import WorkReport
 from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, cell_measures, refine
 
 
@@ -800,3 +804,47 @@ def test_refining_a_collapsed_cell_is_reported(dim):
     child = refine(broken)
     with pytest.raises(AssemblyError, match=f"cell {2 ** dim}"):
         assemble_stiffness(child)
+
+
+# --- what the correction levels compute without W_h or Mnl_h ---------------
+
+@pytest.mark.parametrize("zeta", [0.0, 1.0])
+@pytest.mark.parametrize("potential", [harmonic_potential, None])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nonlinear_load_matches_the_assembled_matrices(dim, potential, zeta, monkeypatch):
+    # one streamed pass over ragged blocks gives W_h u + zeta Mnl(u) u up to
+    # rounding, and counts one work unit per local entry
+    mesh = _test_mesh(dim)
+    monkeypatch.setattr(fem, "_BLOCK", 41)
+    spec = ProblemSpec(dim=dim, potential=potential, zeta=zeta)
+    u = np.random.default_rng(12).standard_normal(mesh.n_interior)
+    expected = np.zeros(mesh.n_interior)
+    if potential is not None:
+        expected += assemble_weighted_mass(mesh, potential) @ u
+    if zeta:
+        expected += zeta * (assemble_weighted_mass(mesh, FeFunction(mesh.level_index, u)) @ u)
+    work = WorkReport()
+    load = nonlinear_load(mesh, spec, u, work)
+    if potential is None and not zeta:
+        assert np.all(load == 0.0) and work.work_units == 0
+        return
+    assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert work.work_units == mesh.n_cells * (dim + 1)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_span_potential_matches_the_fine_potential_products(dim, depth):
+    # B' W_h t and t' W_h t from the span moments of t and the coarse
+    # cells' vertex Gram matrices, one and two refinements below V_H
+    h = build_hierarchy(dim, 3 if dim == 2 else 2, depth + 1)
+    coarse, fine = h.levels[0], h.levels[depth]
+    t = np.random.default_rng(13).standard_normal(fine.n_interior)
+    Wt = assemble_weighted_mass(fine, harmonic_potential) @ t
+    expected = h.coarse_to_level_interior(depth).T @ Wt
+    moments = span_moments(coarse, fine, t)
+    work = WorkReport()
+    border, corner = span_potential(coarse, moments, work)
+    assert np.abs(border - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert abs(corner - t @ Wt) <= 1e-13 * abs(t @ Wt)
+    assert work.work_units == moments.s3.size + moments.s2.size

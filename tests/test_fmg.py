@@ -157,18 +157,21 @@ def test_full_multigrid_with_strictly_coarser_correction_space():
 
 @pytest.mark.parametrize("offset", [0, 1])
 def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
-    # the workspace assembles each level and the correction space once,
-    # the analytic potential included; the corrections assemble nothing on
-    # the correction mesh; only level 0's SCF forms L = K + W on a solve
-    # level, the corrections border with K t + W t
+    # every mesh assembles its stiffness and mass once, and the potential
+    # only where a solve needs L = K + W: level 0's SCF and the correction
+    # space V_H (one mesh when the offset is 0).  The correction levels
+    # assemble no potential and no nonlinear matrix: their right sides are
+    # load passes, their borders K t and the moments of t
     calls = Counter()
 
     def counting(name):
         original = getattr(eigsolve, name)
 
         def counted(mesh, *args, **kwargs):
-            if name != "assemble_weighted_mass" or callable(args[0]):
-                calls[name, mesh.level_index] += 1
+            kind = name
+            if name == "assemble_weighted_mass":
+                kind = "potential" if callable(args[0]) else "nonlinear"
+            calls[kind, mesh.level_index] += 1
             return original(mesh, *args, **kwargs)
         return counted
 
@@ -177,10 +180,13 @@ def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
     h = build_hierarchy(2, 4, 3, coarse_offset=offset)
     res = full_multigrid(h, GPE)
     assert [ls._linear is not None for ls in res.level_spaces] == [True, False, False]
+    nonlinear = Counter({key: n for key, n in calls.items() if key[0] == "nonlinear"})
+    assert set(nonlinear) == {("nonlinear", h.coarse.level_index),
+                              ("nonlinear", h.levels[0].level_index)}
     expected = Counter({(name, mesh.level_index): 1 for mesh in h.meshes
                         for name in ("assemble_stiffness", "assemble_mass")})
-    expected.update(("assemble_weighted_mass", mesh.level_index) for mesh in h.meshes)
-    assert calls == expected
+    expected.update({("potential", h.coarse.level_index), ("potential", h.levels[0].level_index)})
+    assert calls - nonlinear == expected
 
 
 def test_work_report_shared_and_monotone():

@@ -15,6 +15,7 @@ from fmgeig.mesh import (
     build_initial_mesh,
     cell_measures,
     descendant_barycentrics,
+    index_dtype,
     interior_prolongation,
     refine,
 )
@@ -151,6 +152,16 @@ def test_refinement_shape_quality_stays_fixed_3d():
 def test_hierarchy_element_ladder_3d():
     h = build_hierarchy(3, 8, 3)
     assert [lv.n_cells for lv in h.levels] == [3072, 24576, 196608]
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
+def test_hierarchy_stores_int32_cells(config):
+    # every index of these meshes fits in int32, so every level's cell and
+    # midpoint tables are int32, half the bytes of int64
+    h = build_hierarchy(*config)
+    for m in h.meshes:
+        assert index_dtype(m) is np.int32
+        assert m.cells.dtype == np.int32 and m.midpoint_parents.dtype == np.int32
 
 
 def test_hierarchy_single_level():
