@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import AssemblyError, ConfigError, MeshBudgetError, SolverError
+from .errors import ConfigError, MeshBudgetError, SolverError
 from .harness import (
     ExperimentConfig,
     STUDIES,
@@ -67,7 +67,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (SolverError, MeshBudgetError, AssemblyError) as err:
+    except (SolverError, MeshBudgetError) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
     if not cfg.output:

@@ -234,10 +234,6 @@ class LevelSpace:
     def n_dofs(self):
         return self.mass.shape[0]
 
-    @property
-    def mass_matrix(self):
-        return self.mass
-
     def linear(self, work=None):
         """L = K + W, kept from its first call, which assembles W and counts
         it in `work`; K itself when W = 0."""
@@ -331,13 +327,13 @@ class AugmentedSpace:
     mesh: object                      # the level's mesh, where to_fine lands
     span: np.ndarray | None
     linear_matrix: np.ndarray
-    mass_matrix: np.ndarray
+    mass: np.ndarray
     initial_coeffs: np.ndarray
     moments: SpanMoments | None       # None when span is None
 
     @property
     def n_dofs(self):
-        return self.mass_matrix.shape[0]
+        return self.mass.shape[0]
 
     def to_fine(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
@@ -443,7 +439,7 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
         mesh=fine,
         span=span,
         linear_matrix=L_red,
-        mass_matrix=M_red,
+        mass=M_red,
         initial_coeffs=initial,
         moments=moments,
     )
@@ -496,7 +492,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     settings = settings or ScfSettings()
     # mesh levels: sparse pencils, iterative inner solves, Anderson mixing
     level = isinstance(space, LevelSpace)
-    M = space.mass_matrix
+    M = space.mass
     L = space.linear(work) if level else space.linear_matrix
     own = space.spec if level else space.coarse.spec
     if spec.zeta != own.zeta:

@@ -13,7 +13,9 @@ class SolverError(RuntimeError):
 
 
 class AssemblyError(RuntimeError):
-    """Finite element assembly failed on a degenerate cell."""
+    """Finite element assembly failed on a degenerate cell.  No longer
+    raised: every cell is a reference shape (``mesh.SHAPES``).  The class
+    stays because the benchmark (``perfbench/run.py``) names it."""
 
 
 class MeshBudgetError(RuntimeError):

@@ -7,33 +7,30 @@ in for matrices a correction level never assembles: the load vector
 (W u + zeta u^3, v), one streamed pass, and the potential's products with
 a fine function t, contracted from t's moments over the coarse cells.
 
+Meshes come from :func:`mesh.build_initial_mesh` and :func:`mesh.refine`
+alone: every cell is a shape of :data:`mesh.SHAPES` scaled by the spacing
+h, so its measure is h^d / d! and its local stiffness its shape's table
+times h^(d-2).  Only the potential reads vertex positions.
+
 Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
 6 in 2D and 10 in 3D, in ``np.triu_indices(d+1)`` order, and streams them
 block by block of ``_BLOCK`` cells, the one block constant of the module
 (the span moments use it too): no array of all cells' entries or
-quadrature values is ever built, only a refined mesh's stiffness keeps its
-parents' entries, 1/2^d as many.  Each
-mesh computes its checked cell measures and its CSR pattern once, on first
-use, and keeps them on the MeshLevel instance.  The pattern carries two
-maps: a compact index for every upper local entry (the mesh edges, then the
-diagonal, then one dump slot for entries that couple to a boundary vertex),
-and a gather from that compact index to CSR order.  Every assembly adds
-each block's entries into the compact index, in cell order, and gathers
-once; (i, j) and (j, i) read the same sum, so every matrix is exactly
-symmetric.
-
-A mesh made by ``refine`` takes its cell measures, stiffness and edges from
-its parent's cells, which it reads back from its own children
-(:func:`mesh.parent_cells`): a child's measure is its parent's / 2^d, its
-upper Gram entries are one fixed linear map of its parent's, and its edges
-are the halves of the parent's edges and the midpoint pairs its children
-join (:func:`mesh.refined_edges`).  Level-0 and hand-built meshes take the
-closed forms, which also compute the parents.
+quadrature values is ever built.  Each mesh builds its CSR pattern once,
+on first use, and keeps it on the MeshLevel instance.  The pattern carries
+two maps: a compact index for every upper local entry (the mesh edges, then
+the diagonal, then one dump slot for entries that couple to a boundary
+vertex), and a gather from that compact index to CSR order.  Every assembly
+adds each block's entries into the compact index, in cell order, and
+gathers once; (i, j) and (j, i) read the same sum, so every matrix is
+exactly symmetric.  A mesh made by ``refine`` numbers its edges from its
+parent's cells, which it reads back from its own children
+(:func:`mesh.refined_edges`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import factorial, sqrt
 from typing import NamedTuple
@@ -41,16 +38,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AssemblyError
-from .mesh import (
-    MeshLevel,
-    cell_edges,
-    cell_measures,
-    descendant_barycentrics,
-    index_dtype,
-    parent_cells,
-    refined_edges,
-)
+from .mesh import SHAPES, MeshLevel, descendant_barycentrics, index_dtype, refined_edges
 
 __all__ = [
     "ProblemSpec",
@@ -70,7 +58,8 @@ __all__ = [
 
 # fine cells per block of every assembly and of the span moments: a 3D
 # block's quadrature values, upper entries and, for the span moments, point
-# arrays stay near 1.4 MB
+# arrays stay near 1.4 MB; whole parents on a refined mesh, whose edges
+# come from its parents' cells
 _BLOCK = 1 << 14
 
 
@@ -160,50 +149,20 @@ def _tetrahedron_rule_deg4():
 _RULES = {2: _triangle_rule_deg4(), 3: _tetrahedron_rule_deg4()}
 
 
-def _cached(mesh: MeshLevel, key, build):
-    """build(mesh), memoized in the instance dict of the (frozen) mesh so the
-    value lives exactly as long as the mesh does."""
+def _pattern(mesh):
+    """The mesh's CSR pattern, built on first use and kept in the instance
+    dict of the (frozen) mesh, so it lives exactly as long as the mesh does.
+    Every assembly fetches it before it builds any local entries, so the
+    pattern's one-time temporaries never coexist with them."""
     cache = mesh.__dict__
-    if key not in cache:
-        cache[key] = build(mesh)
-    return cache[key]
+    if "_fem_pattern" not in cache:
+        cache["_fem_pattern"] = _build_pattern(mesh)
+    return cache["_fem_pattern"]
 
 
-def _parent(mesh):
-    """The parent cells of a mesh made by :func:`mesh.refine`, as a mesh on
-    the same vertex array (the parent's vertices are its prefix), or None
-    for a level-0 or hand-built mesh."""
-    if not mesh.n_parent_vertices:
-        return None
-    # a copy, so the whole parent table it is read from is freed
-    cells = parent_cells(mesh)[:, :mesh.dim + 1].copy()
-    return replace(mesh, cells=cells, n_parent_vertices=0)
-
-
-def _checked_measures(mesh):
-    """Unsigned cell measures (nc,); a cell at or below 1e-14 of the volume
-    of the vertices' bounding box is degenerate and raises AssemblyError,
-    so a mesh of rounding-size slivers is rejected as a whole.  A refined
-    mesh's children each take 1/2^d of their parent's measure."""
-    parent = _parent(mesh)
-    if parent is None:
-        measures = cell_measures(mesh)
-    else:
-        children = 2 ** mesh.dim
-        measures = np.repeat(cell_measures(parent) / children, children)
-    bad = np.flatnonzero(measures <= 1e-14 * np.prod(np.ptp(mesh.vertices, axis=0)))
-    if bad.size:
-        raise AssemblyError(f"degenerate cell {int(bad[0])}")
-    return measures
-
-
-def _measures_and_pattern(mesh: MeshLevel):
-    """Cell measures and the CSR pattern of the mesh, each built once per mesh.
-    The cell check runs first, so a degenerate cell is reported before any
-    pattern is built; callers fetch both before computing local matrices so
-    the pattern's one-time temporaries never coexist with them."""
-    measures = _cached(mesh, "_fem_measures", _checked_measures)
-    return measures, _cached(mesh, "_fem_pattern", _build_pattern)
+def _measure(mesh):
+    """The measure h^d / d! of every cell: |det| = 1 for every shape."""
+    return mesh.spacing ** mesh.dim / factorial(mesh.dim)
 
 
 class _Pattern(NamedTuple):
@@ -217,7 +176,7 @@ class _Pattern(NamedTuple):
 def _cell_blocks(mesh):
     """(start, stop) of the blocks of _BLOCK cells that every assembly
     streams, in cell order; on a refined mesh rounded down to whole parents
-    (at least one), so a block's children read their parents' entries."""
+    (at least one), so a block's children read their parents' edges."""
     group = 2 ** mesh.dim if mesh.n_parent_vertices else 1
     step = max(_BLOCK // group, 1) * group
     return [(start, min(start + step, mesh.n_cells)) for start in range(0, mesh.n_cells, step)]
@@ -325,7 +284,7 @@ def _edges_from_parent(mesh, dof, n):
     return e_lo, e_hi, cell_edges_of
 
 
-def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
+def _assemble(mesh, pattern, entries, work=None):
     """CSR matrix from the upper local entries that ``entries(start, stop)``
     returns for cells start .. stop-1, as (stop - start, (d+1)(d+2)/2) in
     ``np.triu_indices(d+1)`` order, on a cached pattern.  Block by block
@@ -333,18 +292,12 @@ def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
     into the compact index; it adds in index order, so every sum is the
     one a single bincount over all cells gives, bit for bit.  A gather then
     puts the sums in CSR order.  (i, j) and (j, i) gather the same sum, so
-    the result is exactly symmetric.  Entries at or below ``zero_tol`` times
-    the largest are dropped with the exact zeros, before the gather."""
+    the result is exactly symmetric."""
     indptr, indices, slot, gather, n_compact = pattern
     width = (mesh.dim + 1) * (mesh.dim + 2) // 2
     sums = np.zeros(n_compact)
     for start, stop in _cell_blocks(mesh):
         np.add.at(sums, slot[start * width:stop * width], entries(start, stop).ravel())
-    if zero_tol and n_compact > 1:
-        # every compact sum but the last, the dump slot, is a matrix entry
-        stored = sums[:-1]
-        bound = zero_tol * max(stored.max(), -stored.min())
-        stored[(stored >= -bound) & (stored <= bound)] = 0.0
     n = indptr.size - 1
     # the caller owns the matrix, so the cached index arrays are copied;
     # zero sums (couplings the stiffness cancels) are dropped at the compact
@@ -366,90 +319,29 @@ def _assemble(mesh, pattern, entries, work=None, zero_tol=0.0):
     return A
 
 
-def _scaled_gradients(mesh):
-    """det(x_1 - x_0, ..., x_d - x_0) times the barycentric gradients,
-    component-major (d+1, d, cells): rows 1..d are the cofactor rows of the
-    edge matrix, written out (in 3D the cross products b x c, c x a, a x b
-    of the edges a, b, c), and row 0 is minus their sum."""
-    G = np.empty((mesh.dim + 1, mesh.dim, mesh.n_cells))
-    if mesh.dim == 2:
-        (ax, ay), (bx, by) = cell_edges(mesh)
-        G[1, 0], G[1, 1] = by, -bx
-        G[2, 0], G[2, 1] = -ay, ax
-    else:
-        a, b, c = cell_edges(mesh)
-        for row, (u, v) in enumerate(((b, c), (c, a), (a, b)), start=1):
-            np.subtract(u[1] * v[2], u[2] * v[1], out=G[row, 0])
-            np.subtract(u[2] * v[0], u[0] * v[2], out=G[row, 1])
-            np.subtract(u[0] * v[1], u[1] * v[0], out=G[row, 2])
-    np.negative(G[1], out=G[0])
-    for row in G[2:]:
-        G[0] -= row
-    return G
-
-
-def _upper_gram(mesh):
-    """G_i . G_j for every upper pair (i, j) of every cell, entry-major
-    (entries, cells), with G the scaled gradients."""
-    G = _scaled_gradients(mesh)
-    iu, ju = np.triu_indices(mesh.dim + 1)
-    # one dot product per upper pair, entry-major so every write is
-    # contiguous; gathering G[iu] and G[ju] instead would copy both
-    # (entries, d, cells) arrays
-    up = np.empty((iu.size, mesh.n_cells))
-    for k, (i, j) in enumerate(zip(iu, ju)):
-        np.einsum("mc,mc->c", G[i], G[j], out=up[k])
-    return up
-
-
-def _child_gram(d):
-    """Fixed (entries, 2^d * entries) map from a parent's upper Gram entries
-    G_a . G_b to those of its children, child-major.  A child's barycentrics
-    are C_k = (V_k^T)^-1 times the parent's, V_k its vertices in the
-    parent's barycentrics (integer entries), and its det is det(V_k) = ±2^-d
-    times the parent's, so G^k_i . G^k_j = 4^-d sum_ab C_k[i, a] C_k[j, b]
-    G_a . G_b; the symmetric (a, b) and (b, a) terms share one upper entry."""
-    V = descendant_barycentrics(d, 1)
-    C = np.rint(np.linalg.inv(V.transpose(0, 2, 1)))
+def _shape_stiffness(d):
+    """Upper local stiffness entries |K| grad_i . grad_j of every shape of
+    :data:`mesh.SHAPES` at spacing 1, (n_shapes, (d+1)(d+2)/2).  For edge
+    rows E, the barycentric gradients 1..d are the columns of E^-1, an
+    integer matrix since |det E| = 1, and |K| = 1/d!."""
+    inv = np.rint(np.linalg.inv(SHAPES[d]))
+    grads = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
     iu, ju = np.triu_indices(d + 1)
-    full = np.einsum("kia,kjb->abkij", C, C)[:, :, :, iu, ju]     # (d+1, d+1, 2^d, entries)
-    table = full[iu, ju] + (iu != ju)[:, None, None] * full[ju, iu]
-    return table.reshape(iu.size, -1) / 4 ** d
+    return np.einsum("ski,skj->sij", grads, grads)[:, iu, ju] / factorial(d)
 
 
 # built at import: the inverse runs once, not in any assembly
-_CHILD_GRAM = {d: _child_gram(d) for d in (2, 3)}
-# stiffness entries at or below this fraction of the largest are rounding
-# residue of the mapped sums, where the closed form gives exact zeros
-_STIFFNESS_ZERO = 16 * np.finfo(float).eps
+_STIFFNESS = {d: _shape_stiffness(d) for d in SHAPES}
 
 
 def assemble_stiffness(mesh: MeshLevel, work=None):
     """Matrix of (grad w, grad v), the Laplacian; exact for P1 since
-    gradients are cellwise constant.  With G = det * gradients,
-    |K| grad_i . grad_j equals G_i . G_j / (d!^2 |K|), so no determinant or
-    inverse is needed here.  A refined mesh computes its parent cells'
-    G_a . G_b once and maps each block's to its children by one fixed table;
-    entries at or below 16 eps of the largest are zero."""
-    measures, pattern = _measures_and_pattern(mesh)
-    d = mesh.dim
-    scale = factorial(d) ** 2
-    if not mesh.n_parent_vertices:
-        def gram(start, stop):
-            return _upper_gram(replace(mesh, cells=mesh.cells[start:stop])).T
-    else:
-        parents, children = _upper_gram(_parent(mesh)), 2 ** d
-
-        def gram(start, stop):
-            block = parents[:, start // children:stop // children].T @ _CHILD_GRAM[d]
-            return block.reshape(stop - start, -1)
-
-    def entries(start, stop):
-        up = gram(start, stop)
-        up /= scale * measures[start:stop, None]
-        return up
-
-    return _assemble(mesh, pattern, entries, work, zero_tol=_STIFFNESS_ZERO)
+    gradients are cellwise constant.  Each cell's entries are its shape's
+    table times h^(d-2), one gather per block.  Every entry is an integer
+    multiple of one float, so couplings that cancel sum to exact zeros."""
+    pattern = _pattern(mesh)
+    local = _STIFFNESS[mesh.dim] * mesh.spacing ** (mesh.dim - 2)
+    return _assemble(mesh, pattern, lambda start, stop: local[mesh.shapes[start:stop]], work)
 
 
 def assemble_mass(mesh: MeshLevel, work=None):
@@ -457,8 +349,10 @@ def assemble_mass(mesh: MeshLevel, work=None):
     d = mesh.dim
     iu, ju = np.triu_indices(d + 1)
     base = (1.0 + (iu == ju)) / ((d + 1) * (d + 2))
-    measures, pattern = _measures_and_pattern(mesh)
-    return _assemble(mesh, pattern, lambda start, stop: measures[start:stop, None] * base, work)
+    pattern = _pattern(mesh)
+    local = _measure(mesh) * base
+    return _assemble(mesh, pattern,
+                     lambda start, stop: np.broadcast_to(local, (stop - start, local.size)), work)
 
 
 def _weight_at_qpoints(mesh, weight, rule):
@@ -494,14 +388,15 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
     integrate exactly."""
     rule = _RULES[mesh.dim]
     values = _weight_at_qpoints(mesh, weight, rule)
-    measures, pattern = _measures_and_pattern(mesh)
+    pattern = _pattern(mesh)
+    measure = _measure(mesh)
     # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per block
     iu, ju = np.triu_indices(mesh.dim + 1)
     table = rule.weights[:, None] * rule.points[:, iu] * rule.points[:, ju]
 
     def entries(start, stop):
         vals = values(start, stop)
-        vals *= measures[start:stop, None]
+        vals *= measure
         return vals @ table
 
     return _assemble(mesh, pattern, entries, work)
@@ -521,18 +416,18 @@ def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):
     rule = _RULES[mesh.dim]
     full = _full_values(mesh, _coeff_array(u))
     potential = None if spec.potential is None else _weight_at_qpoints(mesh, spec.potential, rule)
-    measures = _cached(mesh, "_fem_measures", _checked_measures)
+    measure = _measure(mesh)
     table = rule.weights[:, None] * rule.points           # (nq, d+1): w_q phi_i(q)
     out = np.zeros(mesh.n_vertices)
     for start, stop in _cell_blocks(mesh):
         cells = mesh.cells[start:stop]
         uq = np.take(full, cells) @ rule.points.T          # (block, nq)
-        # (W + zeta u^2) u at the points, times the cell measures
+        # (W + zeta u^2) u at the points, times the cell measure
         f = np.zeros_like(uq) if potential is None else potential(start, stop)
         if spec.zeta != 0.0:
             f += spec.zeta * np.square(uq)
         f *= uq
-        f *= measures[start:stop, None]
+        f *= measure
         out += np.bincount(cells.ravel(), (f @ table).ravel(), minlength=mesh.n_vertices)
     if work is not None:
         work.add(mesh.n_cells * (mesh.dim + 1))
@@ -579,7 +474,7 @@ def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
     i2, full2 = _symmetric_index(d, 2)
     mono3 = bary[:, i3[0]] * bary[:, i3[1]] * bary[:, i3[2]]
     mono2 = bary[:, i2[0]] * bary[:, i2[1]]
-    measures = _cached(fine, "_fem_measures", _checked_measures)
+    weights = _measure(fine) * rule.weights
     t = _full_values(fine, span)
     n = coarse.n_cells
     s3, s2 = np.empty((n, i3.shape[1])), np.empty((n, i2.shape[1]))
@@ -589,7 +484,7 @@ def span_moments(coarse: MeshLevel, fine: MeshLevel, span, work=None):
         stop = min(start + step, n)
         rows = slice(start * len(types), stop * len(types))
         tq = np.take(t, fine.cells[rows]) @ rule.points.T      # (block * types, nq)
-        wt = (measures[rows, None] * rule.weights * tq).reshape(stop - start, -1)
+        wt = (weights * tq).reshape(stop - start, -1)
         tq = tq.reshape(stop - start, -1)
         s3[start:stop] = wt @ mono3
         wt *= tq

@@ -5,13 +5,17 @@ Builds the initial triangulation of the box (2 triangles per square in 2D,
 vertex set is a prefix of the next level's, and assembles the sparse
 coarse-to-fine interpolation operators that realize the nesting of the
 P1 spaces with zero boundary values, over interior dofs.
+
+Every cell is one of six reference shapes (:data:`SHAPES`, the
+Kuhn/Freudenthal simplices; Bey, Computing 55, 1995) scaled by its mesh's
+grid spacing, and each mesh records both, so ``fem`` reads no cell's
+geometry from its vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +29,8 @@ __all__ = [
     "refine",
     "build_hierarchy",
     "interior_prolongation",
-    "cell_edges",
-    "cell_measures",
+    "SHAPES",
+    "SHAPE_CHILDREN",
     "descendant_barycentrics",
     "parent_cells",
     "refined_edges",
@@ -75,10 +79,11 @@ def descendant_barycentrics(dim, depth):
     ``depth`` refinements down descends from cell ``i // n_types`` of the
     ancestor level as type ``i % n_types``; the first refinement's child
     index is the most significant digit.  All entries are dyadic, so exact.
-    Readers of this child order: :func:`parent_cells` and
-    :func:`refined_edges` here, and ``fem``, whose refined meshes take
-    their cell measures, stiffness and edges from their parent's cells and
-    whose span moments integrate over each coarse cell's descendants.
+    Readers of this child order: :func:`parent_cells`,
+    :func:`refined_edges` and the shape closure (:data:`SHAPE_CHILDREN`)
+    here, and ``fem``, whose refined meshes take their edges from their
+    parent's cells and whose span moments integrate over each coarse
+    cell's descendants.
     """
     d = dim
     pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
@@ -213,7 +218,8 @@ class MeshLevel:
     ``0 .. n_parent_vertices-1`` and ``midpoint_parents[i]`` gives the two
     parent endpoints of new vertex ``n_parent_vertices + i``; their cells
     keep refine's child order, from which :func:`parent_cells` reads the
-    parent's cells back.
+    parent's cells back.  The edge vectors x_i - x_0 of cell c are
+    ``SHAPES[dim][shapes[c]] * spacing``.
     """
 
     dim: int
@@ -221,6 +227,8 @@ class MeshLevel:
     cells: np.ndarray             # (n_cells, dim+1) index_dtype, refinement-canonical order
     boundary_vertex: np.ndarray   # (n_vertices,) bool
     level_index: int
+    spacing: float                # grid spacing h: 1/n on level 0, halved by refine
+    shapes: np.ndarray            # (n_cells,) int8 index into SHAPES[dim]
     n_parent_vertices: int = 0
     midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int32))
 
@@ -250,34 +258,14 @@ def _boundary_flags(vertices):
     return flags
 
 
-def cell_edges(mesh):
-    """Edge vectors x_i - x_0, i = 1..d, of every cell as (d, d, cells):
-    entry [i - 1, k] is component k of x_i - x_0, one contiguous row of
-    cells."""
-    x = np.take(mesh.vertices.T, mesh.cells.T, axis=1)     # (d, d+1, cells)
-    return (x[:, 1:] - x[:, :1]).transpose(1, 0, 2)
-
-
-def cell_measures(mesh):
-    """Unsigned measure (area / volume) of every cell: |det(x_1 - x_0, ...,
-    x_d - x_0)| / d!, written out as the 2D cross product or the 3D triple
-    product."""
-    if mesh.dim == 2:
-        (ax, ay), (bx, by) = cell_edges(mesh)
-        det = ax * by - ay * bx
-    else:
-        a, b, c = cell_edges(mesh)
-        det = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
-               + a[2] * (b[0] * c[1] - b[1] * c[0]))
-    return np.abs(det) / factorial(mesh.dim)
-
-
 def build_initial_mesh(dim, divisions_per_axis):
     """Uniform simplicial mesh of the unit box.
 
     Each of the ``divisions_per_axis**dim`` sub-boxes is split into 2
     triangles (2D) or into the 6 path tetrahedra along the main diagonal
-    (3D), so the cell count is ``2 n^2`` or ``6 n^3``.
+    (3D), so the cell count is ``2 n^2`` or ``6 n^3``.  The cells come in
+    one block per triangle or tetrahedron of the sub-box, and block k is
+    shape k of :data:`SHAPES`.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -336,6 +324,8 @@ def build_initial_mesh(dim, divisions_per_axis):
         cells=np.ascontiguousarray(cells, dtype=_index_dtype(len(vertices), len(cells), dim)),
         boundary_vertex=_boundary_flags(vertices),
         level_index=0,
+        spacing=1.0 / n,
+        shapes=np.repeat(np.arange(len(cells) // n ** dim, dtype=np.int8), n ** dim),
     )
 
 
@@ -374,9 +364,42 @@ def refine(coarse: MeshLevel) -> MeshLevel:
         cells=children,
         boundary_vertex=_boundary_flags(vertices),
         level_index=coarse.level_index + 1,
+        spacing=coarse.spacing / 2,
+        shapes=np.take(SHAPE_CHILDREN[d], coarse.shapes, axis=0).ravel(),
         n_parent_vertices=nv,
         midpoint_parents=np.column_stack([edge_lo, edge_hi]).astype(ids),
     )
+
+
+def _shape_closure(d):
+    """The cells of ``build_initial_mesh(d, 1)``, as integer edge vectors
+    x_i - x_0 in units of the spacing (n_shapes, d, d), closed under
+    refinement, and the (n_shapes, 2^d) shape of child k of each shape.
+    Child k's vertices are the parent's barycentric combinations
+    (:func:`descendant_barycentrics`), integers in units of half the
+    spacing.  The loop also visits the shapes it appends."""
+    seed = build_initial_mesh(d, 1)
+    x = seed.vertices[seed.cells]
+    shapes = [tuple(map(tuple, e)) for e in np.rint(x[:, 1:] - x[:, :1]).astype(int)]
+    children = []
+    for shape in shapes:
+        corners = np.vstack([np.zeros(d, dtype=int), shape])
+        row = []
+        for child in descendant_barycentrics(d, 1):
+            points = np.rint(2 * child @ corners).astype(int)
+            edges = tuple(map(tuple, points[1:] - points[0]))
+            if edges not in shapes:
+                shapes.append(edges)
+            row.append(shapes.index(edges))
+        children.append(row)
+    return np.array(shapes), np.array(children, dtype=np.int8)
+
+
+# SHAPES[d]: integer edge vectors of unit |det|, 6 shapes in 2D and 6 in 3D;
+# SHAPE_CHILDREN[d][s, k]: the shape of child k of a cell of shape s
+SHAPES, SHAPE_CHILDREN = {}, {}
+for _d in _CHILD_TABLE:
+    SHAPES[_d], SHAPE_CHILDREN[_d] = _shape_closure(_d)
 
 
 def interior_prolongation(coarse: MeshLevel, fine: MeshLevel):

@@ -149,7 +149,7 @@ def test_scf_linear_matches_dense_oracle():
     space = LevelSpace.build(m, spec)
     res = scf_solve(space, spec)
     L = space.linear().toarray()
-    M = space.mass_matrix.toarray()
+    M = space.mass.toarray()
     oracle = scipy.linalg.eigh(L, M, eigvals_only=True)[0]
     assert res.pair.lam == pytest.approx(oracle, abs=1e-10)
 
@@ -205,7 +205,7 @@ def test_scf_returns_normalized_signed_pair():
         space = LevelSpace.build(mesh, spec)
         res = scf_solve(space, spec)
         u = res.pair.u.coefficients
-        assert u @ (space.mass_matrix @ u) == pytest.approx(1.0, abs=1e-12)
+        assert u @ (space.mass @ u) == pytest.approx(1.0, abs=1e-12)
         assert u[np.argmax(np.abs(u))] > 0
 
 
@@ -262,9 +262,9 @@ def test_augmented_space_basic_structure():
     t = aug.span
     assert t @ (spaces[1].mass @ t) == pytest.approx(1.0, abs=1e-12)
     # reduced matrices are symmetric and the reduced mass is SPD
-    for X in (aug.linear_matrix, aug.mass_matrix):
+    for X in (aug.linear_matrix, aug.mass):
         assert np.allclose(X, X.T, atol=0)
-    assert np.linalg.eigvalsh(aug.mass_matrix).min() > 0
+    assert np.linalg.eigvalsh(aug.mass).min() > 0
 
 
 def test_augmented_space_degenerate_collapse():
@@ -330,7 +330,7 @@ def test_augmented_matrices_match_the_basis_map_reduction(dim, divisions, n_leve
                 B = sp.hstack([B_H, sp.csr_matrix(t[:, None])]).tocsr()
             assert aug.n_dofs == B.shape[1]
             _assert_matches(aug.linear_matrix, _reduced_by_basis_map(ops.linear(), B))
-            _assert_matches(aug.mass_matrix, _reduced_by_basis_map(ops.mass, B))
+            _assert_matches(aug.mass, _reduced_by_basis_map(ops.mass, B))
             for _ in range(3):
                 c = rng.standard_normal(aug.n_dofs)
                 w = B @ c

@@ -2,7 +2,6 @@ import tracemalloc
 from dataclasses import replace
 from itertools import product
 from math import factorial, pi
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fmgeig import fem
-from fmgeig.errors import AssemblyError
 from fmgeig.fem import (
     _full_values,
     FeFunction,
@@ -27,26 +25,13 @@ from fmgeig.fem import (
     span_potential,
 )
 from fmgeig.linalg import WorkReport
-from fmgeig.mesh import MeshLevel, build_hierarchy, build_initial_mesh, cell_measures, refine
+from fmgeig.mesh import build_hierarchy, build_initial_mesh, refine
 
 
 def _boundary_free(mesh):
     """Copy of the mesh with no boundary vertex: every vertex is a dof, so
     its interior-dof matrices are the full-vertex ones of the mesh."""
     return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
-
-
-# general linear maps: the cells of a mesh's image under T have the Gram
-# entries G_a (T^-1 T^-T) G_b det(T)^2 of the mesh's own G, so an image
-# exercises what a general SPD diffusion matrix would
-_SKEW = {2: np.array([[1.2, 0.4], [-0.3, 0.9]]),
-         3: np.array([[1.1, 0.3, -0.2], [0.1, 0.9, 0.4], [-0.3, 0.2, 1.3]])}
-
-
-def _image(mesh, T):
-    """The mesh with its vertices mapped by the linear map T; boundary
-    flags and the refinement record are kept."""
-    return replace(mesh, vertices=mesh.vertices @ T.T)
 
 
 def test_problem_spec_validation():
@@ -178,74 +163,13 @@ def test_weighted_mass_rejects_another_potential():
 
 def test_assembled_matrices_exactly_symmetric():
     m = build_initial_mesh(2, 5)
-    A = assemble_stiffness(_image(m, _SKEW[2]))
+    A = assemble_stiffness(m)
     rng = np.random.default_rng(3)
     w = FeFunction(0, rng.standard_normal(m.n_interior))
     K = assemble_weighted_mass(m, w)
     for mat in (A, assemble_mass(m), K):
         diff = (mat - mat.T).tocsr()
         assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-
-
-def test_degenerate_cell_reported():
-    m = build_initial_mesh(2, 1)
-    bad_cells = m.cells.copy()
-    bad_cells[1, 1] = bad_cells[1, 0]  # collapse an edge
-    broken = MeshLevel(dim=2, vertices=m.vertices, cells=bad_cells,
-                       boundary_vertex=m.boundary_vertex, level_index=0)
-    with pytest.raises(AssemblyError, match="cell 1"):
-        assemble_stiffness(broken)
-
-
-def _hand_mesh(vertices, cells):
-    vertices = np.array(vertices, dtype=float)
-    return MeshLevel(dim=vertices.shape[1], vertices=vertices, cells=np.array(cells),
-                     boundary_vertex=np.zeros(len(vertices), dtype=bool), level_index=0)
-
-
-def test_sliver_cell_reported_by_index():
-    # cells 0 and 1 have measure 1/2 and cell 2 that times its height: a
-    # cell at or below 1e-14 of the largest measure is degenerate
-    for height, degenerate in ((1e-15, True), (1e-12, False)):
-        m = _hand_mesh([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, height]],
-                       [[0, 1, 2], [1, 3, 2], [0, 1, 4]])
-        if degenerate:
-            with pytest.raises(AssemblyError, match=r"degenerate cell 2\b"):
-                assemble_stiffness(m)
-        else:
-            assert assemble_mass(m).sum() == pytest.approx(1.0 + height / 2, rel=1e-14)
-
-
-def test_mesh_of_rounding_size_slivers_is_rejected():
-    # four vertices on one line up to rounding: the two cells measure
-    # 5.6e-17 and 2.2e-16, far below 1e-14 of the vertices' bounding box
-    # (area 7), though neither is small against the other
-    m = _hand_mesh([[0.1, 0.7], [0.3, 2.1], [0.7, 4.9], [1.1, 7.7]],
-                   [[0, 1, 2], [1, 2, 3]])
-    assert 0 < cell_measures(m).max() < 1e-15
-    with pytest.raises(AssemblyError, match=r"degenerate cell 0\b"):
-        assemble_stiffness(m)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_mesh_on_one_line_is_rejected(dim):
-    # every cell has measure zero, so no cell sets a scale
-    m = _hand_mesh([[t] * dim for t in range(dim + 2)],
-                   [list(range(dim + 1)), list(range(1, dim + 2))])
-    with pytest.raises(AssemblyError, match=r"degenerate cell 0\b"):
-        assemble_mass(m)
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_scaled_down_box_assembles(dim):
-    # the degenerate-cell check is relative, so a box of side 1e-6 is
-    # fine: its stiffness is the unit box's times 1e-6^(d-2), its mass
-    # 1e-6^d times
-    m = build_initial_mesh(dim, 4)
-    tiny = replace(m, vertices=1e-6 * m.vertices)
-    for assemble, power in ((assemble_stiffness, dim - 2), (assemble_mass, dim)):
-        expected = 1e-6 ** power * assemble(m)
-        assert abs(assemble(tiny) - expected).max() <= 1e-14 * abs(expected).max()
 
 
 def test_galerkin_coarsening_exact():
@@ -342,7 +266,8 @@ def _integrate_power(mesh, vertex_values, exponent):
     degree-4 volume rule: exact for exponent <= 4."""
     rule = fem._RULES[mesh.dim]
     vals = vertex_values[mesh.cells] @ rule.points.T
-    return float(np.einsum("c,cq,q->", cell_measures(mesh), vals ** exponent, rule.weights))
+    _, measures = _reference_geometry(mesh)
+    return float(np.einsum("c,cq,q->", measures, vals ** exponent, rule.weights))
 
 
 def test_integrate_power_against_analytic():
@@ -424,7 +349,7 @@ def _test_mesh(dim):
 @pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stiffness_and_mass_match_coo_reference(dim, with_boundary, monkeypatch):
-    m = _image(_test_mesh(dim), _SKEW[dim])
+    m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
     # stream many blocks: 17 rounds down to whole parents, 16 cells
@@ -506,6 +431,7 @@ def test_mutating_a_result_leaves_the_next_assembly_intact(mutate, with_boundary
 def test_reassembly_reuses_cached_measures_and_pattern(monkeypatch):
     # after the first assembly on a mesh, a nonlinear reassembly only
     # refills values: no determinant, inverse, sort-unique or COO->CSR pass
+    # (the measures are one constant per mesh, so only the pattern is kept)
     m = _test_mesh(3)
     w = FeFunction(m.level_index, np.random.default_rng(4).standard_normal(m.n_interior))
     expected = assemble_weighted_mass(m, w).toarray()
@@ -533,16 +459,16 @@ def _forbid(monkeypatch, *targets):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
-    # cell measures and scaled gradients are written out in closed form, so
-    # even the first assembly on a fresh mesh (measures, pattern, kernels)
-    # runs without a batched determinant, inverse or cross product
-    m = _image(_test_mesh(dim), _SKEW[dim])
+    # cell measures and local stiffnesses come from the shape tables, so
+    # even the first assembly on a fresh mesh (pattern, kernels) runs
+    # without a batched determinant, inverse or cross product
+    m = _test_mesh(dim)
     grads, meas = _reference_geometry(m)
     local_a = np.einsum("c,cid,cjd->cij", meas, grads, grads)
     local_m = np.einsum("c,ij->cij", meas, _moment_tensor(dim, 2))
     expected_a = _coo_reference(m, local_a)
     expected_m = _coo_reference(m, local_m)
-    fresh = _image(_test_mesh(dim), _SKEW[dim])
+    fresh = _test_mesh(dim)
     _forbid(monkeypatch, (np.linalg, "det"), (np.linalg, "inv"), (np, "cross"))
     _assert_matches(assemble_stiffness(fresh), expected_a)
     _assert_matches(assemble_mass(fresh), expected_m)
@@ -565,15 +491,12 @@ def test_cached_slot_map_holds_only_upper_entries(dim, with_boundary):
 
 # --- streamed assembly: blocks of cells against the whole-mesh bincount -----
 
-def _whole_mesh_bincount(mesh, pattern, entries, work=None, zero_tol=0.0):
+def _whole_mesh_bincount(mesh, pattern, entries, work=None):
     """The assembly before it streamed: every cell's upper entries at once,
     one bincount into the compact index, then the gather."""
     indptr, indices, slot, gather, n_compact = pattern
     up = entries(0, mesh.n_cells)
     sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
-    if zero_tol and n_compact > 1:
-        stored = np.abs(sums[:-1])
-        sums[:-1][stored <= zero_tol * stored.max()] = 0.0
     n = indptr.size - 1
     A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
     A.eliminate_zeros()
@@ -581,13 +504,11 @@ def _whole_mesh_bincount(mesh, pattern, entries, work=None, zero_tol=0.0):
 
 
 def _every_kind(mesh):
-    """One assembly of every kind on the mesh: stiffness of the mesh and of
-    a general linear image of it, mass, the analytic potential and the
-    square of a P1 weight."""
+    """One assembly of every kind on the mesh: stiffness, mass, the analytic
+    potential and the square of a P1 weight."""
     u = FeFunction(mesh.level_index,
                    np.random.default_rng(8).standard_normal(mesh.n_interior))
     return [assemble_stiffness(mesh),
-            assemble_stiffness(_image(mesh, _SKEW[mesh.dim])),
             assemble_mass(mesh),
             assemble_weighted_mass(mesh, harmonic_potential),
             assemble_weighted_mass(mesh, u)]
@@ -661,7 +582,7 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
         tracemalloc.start()
     try:
         pattern = _transient(lambda: fem._build_pattern(mesh))
-        fem._measures_and_pattern(mesh)
+        fem._pattern(mesh)
         transients = {name: _transient(call) for name, call in kinds.items()}
     finally:
         if not tracing:
@@ -671,39 +592,19 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
         assert transient < 0.5 * entries_bytes, name
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_cell_measures_match_determinant_reference(dim):
-    # the written-out cross / triple product against a batched LU
-    # determinant, with every other cell's orientation reversed; on the
-    # built meshes to 1e-15, on jittered general-position cells to 1e-14
-    m = _test_mesh(dim)
-    cells = m.cells.copy()
-    cells[::2, [0, 1]] = cells[::2, [1, 0]]
-    jitter = np.random.default_rng(6).uniform(-1.0, 1.0, m.vertices.shape)
-    # the longest edge, the diagonal of a refined grid cell
-    size = np.sqrt(dim) / (2 * _TEST_DIVISIONS[dim])
-    for vertices, rtol in ((m.vertices, 1e-15), (m.vertices + 0.2 * size * jitter, 1e-14)):
-        mesh = replace(m, vertices=vertices, cells=cells)
-        coords = vertices[cells]
-        reference = np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / factorial(dim)
-        measures = cell_measures(mesh)
-        assert np.all(reference > 0)
-        assert (np.abs(measures - reference) / reference).max() <= rtol
-
-
-# --- refined meshes: measures, stiffness and edges from the parent cells ----
+# --- refined meshes: edges from the parent cells, entries from the shapes ---
 
 def _closed_form(mesh):
-    """The same mesh without its refinement record, so every kernel takes
-    the closed forms and the sort-unique edges."""
+    """The same mesh without its refinement record, so its pattern takes the
+    sort-unique edges."""
     return replace(mesh, n_parent_vertices=0)
 
 
 @pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
 def test_refined_levels_assemble_bit_identical_to_closed_form(config):
-    # on the benchmark hierarchies (binary-fraction vertices) the children's
-    # measures, mapped Gram entries and derived edges reproduce the closed
-    # forms exactly
+    # on the benchmark hierarchies the edges derived from the parent cells
+    # give the sort-unique pattern exactly, so every kind assembles the
+    # same arrays on both
     h = build_hierarchy(*config)
     for mesh in h.meshes:
         u = FeFunction(mesh.level_index,
@@ -732,78 +633,57 @@ def _sparse_stiffness_reference(mesh, block=1 << 14):
     return A[idx][:, idx]
 
 
-# (dim, divisions, the sides of the box the unit box is scaled to)
-_NON_BINARY = {"2d": (2, 3, (1.0, 0.3)), "3d": (3, 5, (1.0, 1.0, 1.0)),
-               "3d-skew": (3, 7, (1.3, 1.0, 0.9))}
+# (dim, divisions) of unit-box meshes whose spacing is no binary fraction
+_NON_BINARY = {"2d": (2, 3), "3d": (3, 5), "3d-7": (3, 7)}
 
 
-# depth 3 of the skew box (1.05M cells) is left out for its size
+# depth 3 of 7 divisions (1.05M cells) is left out for its size
 @pytest.mark.parametrize("case, depth", [
-    (case, depth) for case in _NON_BINARY for depth in (1, 2, 3) if (case, depth) != ("3d-skew", 3)])
+    (case, depth) for case in _NON_BINARY for depth in (1, 2, 3) if (case, depth) != ("3d-7", 3)])
 def test_refined_stiffness_on_non_binary_meshes(case, depth):
-    # vertices that are not binary fractions: the mapped Gram entries round
-    # differently from the closed form, so the values agree to rounding,
-    # the drop of rounding residue keeps the closed form's nonzeros, and
-    # the derived edges give the closed form's pattern; on the box and on a
-    # general linear image of the refined mesh
-    dim, divisions, sides = _NON_BINARY[case]
-    refined = build_initial_mesh(dim, divisions)
+    # a spacing that is no binary fraction: the table entries times h round
+    # differently from the inverted vertex matrices, so the values agree to
+    # rounding; every entry is an integer multiple of one float, so the
+    # couplings that cancel are exact zeros and the nonzeros are the
+    # reference's above rounding; the derived edges give the sort-unique
+    # pattern
+    dim, divisions = _NON_BINARY[case]
+    mesh = build_initial_mesh(dim, divisions)
     for _ in range(depth):
-        refined = refine(refined)
-    for T, on_box in ((np.diag(sides), True), (_SKEW[dim], False)):
-        mesh = _image(refined, T)
-        closed = _closed_form(mesh)
-        A, C = assemble_stiffness(mesh), assemble_stiffness(closed)
-        derived, reference = (m.__dict__["_fem_pattern"] for m in (mesh, closed))
-        assert np.array_equal(derived.indptr, reference.indptr)
-        assert np.array_equal(derived.indices, reference.indices)
-        assert derived.n_compact == reference.n_compact
-        if on_box:
-            assert A.nnz == C.nnz
-        else:
-            assert A.nnz <= C.nnz
-        R = _sparse_stiffness_reference(mesh)
-        assert abs(A - R).max() <= 1e-14 * abs(R).max()
+        mesh = refine(mesh)
+    closed = _closed_form(mesh)
+    A = assemble_stiffness(mesh)
+    assemble_stiffness(closed)
+    derived, reference = (m.__dict__["_fem_pattern"] for m in (mesh, closed))
+    assert np.array_equal(derived.indptr, reference.indptr)
+    assert np.array_equal(derived.indices, reference.indices)
+    assert derived.n_compact == reference.n_compact
+    R = _sparse_stiffness_reference(mesh)
+    bound = 1e-14 * abs(R).max()
+    assert abs(A - R).max() <= bound
+    assert A.nnz == np.count_nonzero(abs(R.data) > bound)
 
 
-def test_refined_mesh_reads_only_its_parent_cells(monkeypatch):
-    # a fresh refined mesh runs the closed-form geometry on its cells / 8
-    # parent cells only, and sorts at most 13 midpoint pairs per parent
-    mesh = _test_mesh(3)
-    parents = mesh.n_cells // 8
-    seen = {"gradients": [], "measures": [], "unique": []}
+def test_stiffness_and_mass_read_no_vertex_coordinates(monkeypatch):
+    # the stiffness and mass of a copy whose vertices are all NaN equal the
+    # original's bit for bit: they take the spacing and the cell shapes,
+    # never the vertices; a refined mesh's pattern sorts at most 13
+    # midpoint pairs per parent
+    unique, sizes = np.unique, []
 
-    def recorder(name, original, size):
-        def recorded(*args, **kwargs):
-            seen[name].append(size(args[0]))
-            return original(*args, **kwargs)
-        return recorded
+    def recorded(*args, **kwargs):
+        sizes.append(np.size(args[0]))
+        return unique(*args, **kwargs)
 
-    n_cells = attrgetter("n_cells")
-    monkeypatch.setattr(fem, "_scaled_gradients",
-                        recorder("gradients", fem._scaled_gradients, n_cells))
-    monkeypatch.setattr(fem, "cell_measures", recorder("measures", fem.cell_measures, n_cells))
-    monkeypatch.setattr(np, "unique", recorder("unique", np.unique, np.size))
-    # the boundary-free copy builds its own measures and full-vertex pattern
-    for target in (mesh, _boundary_free(mesh)):
-        assemble_stiffness(target)
-    assemble_mass(mesh)
-    assemble_weighted_mass(mesh, harmonic_potential)
-    assert seen["gradients"] == [parents, parents]
-    assert seen["measures"] == [parents, parents]
-    assert seen["unique"] and max(seen["unique"]) <= 13 * parents
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-def test_refining_a_collapsed_cell_is_reported(dim):
-    m = build_initial_mesh(dim, 1)
-    bad_cells = m.cells.copy()
-    bad_cells[1, 1] = bad_cells[1, 0]
-    broken = MeshLevel(dim=dim, vertices=m.vertices, cells=bad_cells,
-                       boundary_vertex=m.boundary_vertex, level_index=0)
-    child = refine(broken)
-    with pytest.raises(AssemblyError, match=f"cell {2 ** dim}"):
-        assemble_stiffness(child)
+    meshes = [_test_mesh(dim) for dim in (2, 3)]
+    monkeypatch.setattr(np, "unique", recorded)
+    for mesh in meshes:
+        blind = replace(mesh, vertices=np.full_like(mesh.vertices, np.nan))
+        for assemble in (assemble_stiffness, assemble_mass):
+            expected, got = assemble(mesh), assemble(blind)
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name))
+    assert sizes and max(sizes) <= 13 * (mesh.n_cells // 8)
 
 
 # --- what the correction levels compute without W_h or Mnl_h ---------------

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from fmgeig.eigsolve import LevelSpace, build_augmented_space
 from fmgeig.errors import MeshBudgetError
 from fmgeig.fem import ProblemSpec
 from fmgeig.mesh import (
+    SHAPE_CHILDREN,
+    SHAPES,
     MeshHierarchy,
     build_hierarchy,
     build_initial_mesh,
-    cell_measures,
     descendant_barycentrics,
     index_dtype,
     interior_prolongation,
@@ -35,6 +37,12 @@ def _box_image(hierarchy, box):
     lo, hi = np.array(box, dtype=float).T
     meshes = [replace(m, vertices=lo + (hi - lo) * m.vertices) for m in hierarchy.meshes]
     return MeshHierarchy(meshes=meshes, first=hierarchy.first)
+
+
+def _cell_measures(mesh):
+    """Every cell's measure from its vertices, by a batched determinant."""
+    coords = mesh.vertices[mesh.cells]
+    return np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / factorial(mesh.dim)
 
 
 def _vertex_prolongation(coarse, fine):
@@ -93,9 +101,9 @@ def test_boundary_flags_match_box_faces():
 def test_cells_tile_the_box():
     for dim, n in ((2, 3), (3, 2)):
         m = build_initial_mesh(dim, n)
-        assert cell_measures(m).sum() == pytest.approx(1.0, rel=1e-12)
+        assert _cell_measures(m).sum() == pytest.approx(1.0, rel=1e-12)
         f = refine(m)
-        assert cell_measures(f).sum() == pytest.approx(1.0, rel=1e-12)
+        assert _cell_measures(f).sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_refine_counts():
@@ -114,8 +122,8 @@ def test_refine_preserves_measure_per_cell():
     for dim in (2, 3):
         m = build_initial_mesh(dim, 2)
         f = refine(m)
-        child_meas = cell_measures(f)
-        parent_meas = cell_measures(m)
+        child_meas = _cell_measures(f)
+        parent_meas = _cell_measures(m)
         per_parent = child_meas.reshape(m.n_cells, -1).sum(axis=1)
         assert np.allclose(per_parent, parent_meas, rtol=1e-12)
 
@@ -135,7 +143,7 @@ def test_refinement_shape_quality_stays_fixed_3d():
     m = build_initial_mesh(3, 1)
     ratios = []
     for _ in range(3):
-        meas = cell_measures(m)
+        meas = _cell_measures(m)
         coords = m.vertices[m.cells]
         diam = np.zeros(m.n_cells)
         for i in range(4):
@@ -162,6 +170,35 @@ def test_hierarchy_stores_int32_cells(config):
     for m in h.meshes:
         assert index_dtype(m) is np.int32
         assert m.cells.dtype == np.int32 and m.midpoint_parents.dtype == np.int32
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_shapes_close_under_refinement(dim):
+    # six integer shapes of unit |det|; the first are the cells of one
+    # sub-box in build_initial_mesh's block order, and the child table maps
+    # every child into the list
+    shapes, children = SHAPES[dim], SHAPE_CHILDREN[dim]
+    assert shapes.shape == (6, dim, dim) and np.issubdtype(shapes.dtype, np.integer)
+    assert np.array_equal(np.abs(np.rint(np.linalg.det(shapes))), np.ones(6))
+    assert children.shape == (6, 2 ** dim)
+    assert children.min() >= 0 and children.max() < 6
+    seed = build_initial_mesh(dim, 1)
+    x = seed.vertices[seed.cells]
+    assert np.array_equal(shapes[:seed.n_cells], x[:, 1:] - x[:, :1])
+    assert np.array_equal(seed.shapes, np.arange(seed.n_cells))
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6), (3, 5, 3), (2, 3, 4)])
+def test_every_cell_is_its_shape_times_the_spacing(config):
+    # the edge vectors x_i - x_0 of every cell are its shape's times the
+    # level's spacing, which starts at 1/n and halves per refinement
+    dim, divisions, _ = config
+    for k, m in enumerate(build_hierarchy(*config).meshes):
+        assert m.shapes.dtype == np.int8 and m.shapes.shape == (m.n_cells,)
+        assert m.spacing == 1.0 / divisions / 2 ** k
+        x = m.vertices[m.cells]
+        edges = x[:, 1:] - x[:, :1]
+        assert np.abs(edges - SHAPES[dim][m.shapes] * m.spacing).max() <= 1e-12 * m.spacing
 
 
 def test_hierarchy_single_level():
