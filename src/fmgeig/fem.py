@@ -17,15 +17,15 @@ Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
 block by block of ``_BLOCK`` cells, the one block constant of the module
 (the span moments use it too): no array of all cells' entries or
 quadrature values is ever built.  Each mesh builds its CSR pattern once,
-on first use, and keeps it on the MeshLevel instance.  The pattern carries
-two maps: a compact index for every upper local entry (the mesh edges, then
-the diagonal, then one dump slot for entries that couple to a boundary
-vertex), and a gather from that compact index to CSR order.  Every assembly
-adds each block's entries into the compact index, in cell order, and
-gathers once; (i, j) and (j, i) read the same sum, so every matrix is
-exactly symmetric.  A mesh made by ``refine`` numbers its edges from its
-parent's cells, which it reads back from its own children
-(:func:`mesh.refined_edges`).
+on first use, and keeps it on the MeshLevel instance.  Every mesh is the
+Kuhn triangulation of its grid, so every cell edge runs from a vertex v to
+the grid point v + delta h, delta one of the 2^d - 1 nonzero 0/1 vectors,
+and the pattern is a fixed stencil.  It carries two maps: a compact index
+for every upper local entry (the edge leaving v in direction k, then the
+diagonal), and a gather from that compact index to CSR order.  Every
+assembly adds each block's entries into the compact index, in cell order,
+and gathers once; (i, j) and (j, i) read the same sum, so every matrix is
+exactly symmetric.  The pattern build sorts only inside each row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SHAPES, MeshLevel, descendant_barycentrics, index_dtype, refined_edges
+from .mesh import SHAPES, MeshLevel, descendant_barycentrics, index_dtype
 
 __all__ = [
     "ProblemSpec",
@@ -56,10 +56,9 @@ __all__ = [
     "l2_norm",
 ]
 
-# fine cells per block of every assembly and of the span moments: a 3D
-# block's quadrature values, upper entries and, for the span moments, point
-# arrays stay near 1.4 MB; whole parents on a refined mesh, whose edges
-# come from its parents' cells
+# fine cells per block of every assembly, of the pattern build and of the
+# span moments: a 3D block's quadrature values, upper entries and, for the
+# span moments, point arrays stay near 1.4 MB
 _BLOCK = 1 << 14
 
 
@@ -170,118 +169,99 @@ class _Pattern(NamedTuple):
     indices: np.ndarray
     slot: np.ndarray       # (cells * (d+1)(d+2)/2,) compact index of each upper entry
     gather: np.ndarray     # (nnz,) compact index of each CSR entry
-    n_compact: int         # edges + diagonal + the dump slot
+    n_compact: int         # n_vertices * 2^d: 2^d - 1 edge directions per vertex, diagonal
+
+
+def _shape_edges(d):
+    """The two ends (local vertex positions), lower end first, and the
+    direction id k of every off-diagonal upper pair of every shape of
+    :data:`mesh.SHAPES`, as (2, n_shapes, d(d+1)/2) and (n_shapes,
+    d(d+1)/2), pairs in ``np.triu_indices(d+1, k=1)`` order.  Every shape
+    is a Kuhn simplex, so each pair joins a grid point x and x + delta h,
+    delta one of the 2^d - 1 nonzero 0/1 vectors, and k = sum_i delta_i 2^i - 1."""
+    corners = np.concatenate([np.zeros_like(SHAPES[d][:, :1]), SHAPES[d]], axis=1)
+    i, j = np.triu_indices(d + 1, k=1)
+    step = corners[:, j] - corners[:, i]                   # (n_shapes, pairs, d)
+    up = (step >= 0).all(axis=2)
+    delta = np.where(up[..., None], step, -step)
+    assert np.isin(delta, (0, 1)).all() and delta.any(axis=2).all(), "a pair is not +-delta"
+    return np.stack([np.where(up, i, j), np.where(up, j, i)]), delta @ (1 << np.arange(d)) - 1
+
+
+_SHAPE_EDGES = {d: _shape_edges(d) for d in SHAPES}
 
 
 def _cell_blocks(mesh):
     """(start, stop) of the blocks of _BLOCK cells that every assembly
-    streams, in cell order; on a refined mesh rounded down to whole parents
-    (at least one), so a block's children read their parents' edges."""
-    group = 2 ** mesh.dim if mesh.n_parent_vertices else 1
-    step = max(_BLOCK // group, 1) * group
-    return [(start, min(start + step, mesh.n_cells)) for start in range(0, mesh.n_cells, step)]
+    streams, in cell order."""
+    return [(start, min(start + _BLOCK, mesh.n_cells)) for start in range(0, mesh.n_cells, _BLOCK)]
 
 
 def _build_pattern(mesh):
     """CSR pattern (indptr, indices) over the interior vertices, the
     compact index of every upper local entry (cell, k), k in
     ``np.triu_indices(d+1)`` order and flattened in that order, and the gather
-    from compact index to CSR order.  The compact index numbers the mesh
-    edges, then the diagonal, then one dump slot for every entry that couples
-    to a boundary vertex; the two CSR entries of an edge gather its one sum.
-    A refined mesh numbers its edges from its parent's, any other mesh by
-    one sort-unique of all its cells' vertex pairs.  Vertex, edge and
-    compact ids are :func:`mesh.index_dtype` integers, and the slot map is
-    filled block by block of cells."""
-    n, d = mesh.n_interior, mesh.dim
+    from compact index to CSR order.  Every cell edge leaves its lower end v
+    in one of the 2^d - 1 grid directions k (:data:`_SHAPE_EDGES`): its
+    compact index is v (2^d - 1) + k, and vertex v's diagonal is
+    n_vertices (2^d - 1) + v; entries that touch a boundary vertex are summed
+    there but never gathered.  One pass over the blocks of cells fills the
+    slot map and each vertex's neighbour in every direction, +k and -k; each
+    row's at most 2^(d+1) - 1 columns are then sorted inside the row, as
+    packed (column, compact index) keys, so no sort spans the mesh.  Vertex
+    and compact ids are :func:`mesh.index_dtype` integers, and
+    :data:`mesh.MAX_VERTICES` keeps the compact index below 2^32."""
+    n_v, d = mesh.n_vertices, mesh.dim
     ids = index_dtype(mesh)
-    dof = np.full(mesh.n_vertices, -1, dtype=ids)
-    dof[mesh.interior_indices] = np.arange(n, dtype=ids)
+    n_dir = 2 ** d - 1
+    ends_of, dir_of = _SHAPE_EDGES[d]
     iu, ju = np.triu_indices(d + 1)
     off = iu != ju
-    if mesh.n_parent_vertices:
-        e_lo, e_hi, cell_edges_of = _edges_from_parent(mesh, dof, n)
-    else:
-        e_lo, e_hi, cell_edges_of = _edges_by_unique(mesh, dof, iu[off], ju[off], n)
-    n_e = e_lo.size
-    indptr, indices, gather = _csr_order(e_lo, e_hi, n, ids)
-    del e_lo, e_hi
-    dump = n_e + n
     slot = np.empty((mesh.n_cells, iu.size), dtype=ids)
+    # the other end of the edge (v, k) at v * n_dir + k, the lower end of the
+    # edge (w, k) that reaches v at n_dir * (n_v + v) + k, and -1 for none
+    ends = np.full(2 * n_dir * n_v, -1, dtype=ids)
     for start, stop in _cell_blocks(mesh):
-        cell_dofs = dof[mesh.cells[start:stop]]
-        slot[start:stop, ~off] = np.where(cell_dofs >= 0, n_e + cell_dofs, dump)
-        slot[start:stop, off] = cell_edges_of(start, stop)
-    return _Pattern(indptr, indices, slot.ravel(), gather, dump + 1)
-
-
-def _csr_order(e_lo, e_hi, n, ids):
-    """indptr, indices and the gather of the CSR pattern of n dofs with the
-    edges (e_lo, e_hi) and the diagonal: the gather reads edge k at compact
-    index k and diagonal i at n_e + i.  One argsort of the row-major keys of
-    both orientations of every edge and of the diagonal."""
-    n_e = e_lo.size
-    lo, hi = e_lo.astype(np.int64), e_hi.astype(np.int64)
-    keys = np.concatenate([lo * n + hi, hi * n + lo, np.arange(n, dtype=np.int64) * (n + 1)])
-    del lo, hi
-    order = np.argsort(keys)
-    keys = keys[order]
-    np.remainder(keys, n, out=keys)
-    indices = keys.astype(ids)
-    del keys
-    edge_ids = np.arange(n_e, dtype=ids)
-    gather = np.concatenate([edge_ids, edge_ids, np.arange(n_e, n_e + n, dtype=ids)])[order]
-    del order
+        cells, shapes = mesh.cells[start:stop], mesh.shapes[start:stop]
+        # np.take: fancy indexing by the int8 shapes is about 3x slower
+        local = np.take(ends_of, shapes, axis=1)
+        local += (d + 1) * np.arange(stop - start)[:, None]
+        lo, hi = np.take(cells, local)
+        k = np.take(dir_of, shapes, axis=0)
+        edge = lo * n_dir + k
+        slot[start:stop, off] = edge
+        slot[start:stop, ~off] = cells + n_dir * n_v
+        ends[edge] = hi
+        ends[(n_v + hi) * n_dir + k] = lo
+    inner = mesh.interior_indices
+    n = inner.size
+    # the dof of every vertex, -1 for a boundary vertex; the extra last
+    # entry is what the -1 of a missing neighbour reads
+    dof = np.full(n_v + 1, -1, dtype=np.int64)
+    dof[inner] = np.arange(n)
+    # each row's keys, column << 32 | compact index: the edges that leave its
+    # vertex, the edges that reach it, then its diagonal; a key without a
+    # column is the int64 maximum, so sorting a row puts those last
+    near = np.take(ends.reshape(2, n_v, n_dir), inner, axis=1)
+    del ends
+    keys = np.empty((n, 2 * n_dir + 1), dtype=np.int64)
+    keys[:, :n_dir] = np.take(dof, near[0])
+    keys[:, n_dir:-1] = np.take(dof, near[1])
+    keys[:, -1] = np.arange(n)
+    absent = keys < 0
+    keys <<= 32
+    k = np.arange(n_dir)
+    keys[:, :n_dir] |= inner[:, None] * n_dir + k
+    keys[:, n_dir:-1] |= near[1] * n_dir + k
+    keys[:, -1] |= inner + n_dir * n_v
+    keys[absent] = np.iinfo(np.int64).max
+    keys.sort(axis=1)
     indptr = np.zeros(n + 1, dtype=ids)
-    np.cumsum(np.bincount(e_lo, minlength=n) + np.bincount(e_hi, minlength=n) + 1,
-              out=indptr[1:])
-    return indptr, indices, gather
-
-
-def _edges_by_unique(mesh, dof, iu, ju, n):
-    """Edges (e_lo, e_hi) between the dofs of every cell's off-diagonal upper
-    entries (iu, ju), and the compact index of each entry, as a function of
-    a block of cells: its edge, or the dump slot n_e + n where one end is
-    not a dof.  One sort-unique of the keys lo * n + hi over all cells,
-    built in place; each large temporary is dropped once the next step has
-    read it."""
-    cell_dofs = dof[mesh.cells]
-    a, b = cell_dofs[:, iu], cell_dofs[:, ju]
-    del cell_dofs
-    keys = np.minimum(a, b).astype(np.int64)
-    np.maximum(a, b, out=b)
-    del a
-    inner = keys >= 0
-    keys *= n
-    keys += b
-    del b
-    edges, edge_of = np.unique(keys[inner], return_inverse=True)
-    del keys
-    edge = np.full(inner.shape, edges.size + n, dtype=dof.dtype)
-    edge[inner] = edge_of
-    e_lo, e_hi = np.divmod(edges, n)
-    return e_lo.astype(dof.dtype), e_hi.astype(dof.dtype), lambda start, stop: edge[start:stop]
-
-
-def _edges_from_parent(mesh, dof, n):
-    """As :func:`_edges_by_unique`, for a mesh made by refine: the edges come
-    from :func:`mesh.refined_edges`, and those with two dof ends keep their
-    order there.  A block of whole parents expands its parents' edges to
-    its children's."""
-    ends, parent_edges, columns = refined_edges(mesh)
-    lo, hi = dof[ends]
-    inner = (lo >= 0) & (hi >= 0)
-    compact = np.cumsum(inner, dtype=dof.dtype)
-    compact -= 1
-    e_lo, e_hi = lo[inner], hi[inner]
-    compact[~inner] = e_lo.size + n
-    children = 2 ** mesh.dim
-
-    def cell_edges_of(start, stop):
-        parents = parent_edges[start // children:stop // children]
-        return compact[parents[:, columns]].reshape(stop - start, -1)
-
-    return e_lo, e_hi, cell_edges_of
+    np.cumsum(2 * n_dir + 1 - absent.sum(axis=1), out=indptr[1:])
+    keys = keys[keys != np.iinfo(np.int64).max]
+    gather = (keys & 0xFFFFFFFF).astype(ids)
+    keys >>= 32
+    return _Pattern(indptr, keys.astype(ids), slot.ravel(), gather, (n_dir + 1) * n_v)
 
 
 def _assemble(mesh, pattern, entries, work=None):
@@ -300,20 +280,20 @@ def _assemble(mesh, pattern, entries, work=None):
         np.add.at(sums, slot[start * width:stop * width], entries(start, stop).ravel())
     n = indptr.size - 1
     # the caller owns the matrix, so the cached index arrays are copied;
-    # zero sums (couplings the stiffness cancels) are dropped at the compact
-    # index first, so only kept entries are gathered.  The dump slot, last,
-    # is never gathered, and every pattern row holds its diagonal, so no
-    # reduceat segment is empty.  np.take gathers faster with int32 indices
-    # but copies them to int64 whole: the per-block cell gathers take, these
-    # whole-pattern gathers index
-    nonzero = sums != 0.0
-    if nonzero[:-1].all():
-        A = sp.csr_matrix((sums[gather], indices.copy(), indptr.copy()), shape=(n, n))
+    # zero sums (couplings the stiffness cancels) are dropped after the
+    # gather.  Slots that touch a boundary vertex are never gathered, and
+    # every pattern row holds its diagonal, so no reduceat segment is empty.
+    # np.take gathers faster with int32 indices but copies them to int64
+    # whole: the per-block cell gathers take, these whole-pattern gathers
+    # index
+    data = sums[gather]
+    keep = data != 0.0
+    if keep.all():
+        A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
     else:
-        keep = nonzero[gather]
         kept = np.zeros_like(indptr)
         np.cumsum(np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype), out=kept[1:])
-        A = sp.csr_matrix((sums[gather[keep]], indices[keep], kept), shape=(n, n))
+        A = sp.csr_matrix((data[keep], indices[keep], kept), shape=(n, n))
     if work is not None:
         work.count_assembly(slot.size)
     return A

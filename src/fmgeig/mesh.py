@@ -32,13 +32,12 @@ __all__ = [
     "SHAPES",
     "SHAPE_CHILDREN",
     "descendant_barycentrics",
-    "parent_cells",
-    "refined_edges",
     "index_dtype",
 ]
 
 BOUNDARY_TOL = 1e-12
-# the largest vertex count build_hierarchy refines to
+# the largest vertex count build_hierarchy refines to; it keeps fem's
+# compact index, below n_vertices * 2^d, under 2^32
 MAX_VERTICES = 30_000_000
 
 # Children of a refined triangle in terms of the local indices
@@ -79,11 +78,9 @@ def descendant_barycentrics(dim, depth):
     ``depth`` refinements down descends from cell ``i // n_types`` of the
     ancestor level as type ``i % n_types``; the first refinement's child
     index is the most significant digit.  All entries are dyadic, so exact.
-    Readers of this child order: :func:`parent_cells`,
-    :func:`refined_edges` and the shape closure (:data:`SHAPE_CHILDREN`)
-    here, and ``fem``, whose refined meshes take their edges from their
-    parent's cells and whose span moments integrate over each coarse
-    cell's descendants.
+    Readers of this child order: the shape closure
+    (:data:`SHAPE_CHILDREN`) here, and ``fem``, whose span moments
+    integrate over each coarse cell's descendants.
     """
     d = dim
     pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
@@ -97,58 +94,12 @@ def descendant_barycentrics(dim, depth):
     return table
 
 
-def _local_sources(d):
-    """(child, position) of the first occurrence of every local index
-    (vertices, then edge midpoints) in the child table."""
-    table = _CHILD_TABLE[d]
-    flat = [int(np.flatnonzero(table.ravel() == v)[0]) for v in range(table.max() + 1)]
-    return np.divmod(np.array(flat), d + 1)
-
-
-def _child_edge_columns(d):
-    """Where every child's off-diagonal upper pair, in
-    ``np.triu_indices(d+1, k=1)`` order, finds its edge among a parent's
-    edge columns: two halves per local
-    edge (column 2 p at its first endpoint, 2 p + 1 at its second), then the
-    midpoint pairs that children join.  Returns the (2^d, d(d+1)/2) column
-    table and those midpoint pairs as local edge indices (n_mid, 2)."""
-    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    iu, ju = np.triu_indices(d + 1, k=1)
-    local = _CHILD_TABLE[d][:, iu], _CHILD_TABLE[d][:, ju]
-    lo, hi = np.minimum(*local), np.maximum(*local)
-    mid_pairs = sorted({(p, q) for p, q in zip(lo.ravel(), hi.ravel()) if p > d})
-    columns = np.empty(lo.shape, dtype=np.int64)
-    for k, m in np.ndindex(lo.shape):
-        p, q = lo[k, m], hi[k, m]
-        if p > d:
-            columns[k, m] = 2 * len(pairs) + mid_pairs.index((p, q))
-        else:
-            # a child edge from a vertex always runs to a midpoint of its own
-            columns[k, m] = 2 * (q - d - 1) + pairs[q - d - 1].index(p)
-    return columns, np.array(mid_pairs) - (d + 1)
-
-
-_LOCAL_SOURCE = {d: _local_sources(d) for d in _CHILD_TABLE}
-_CHILD_EDGES = {d: _child_edge_columns(d) for d in _CHILD_TABLE}
-
-
-def parent_cells(mesh):
-    """Every parent cell of a mesh made by :func:`refine`, read back from its
-    children: (n_cells / 2^d, d+1 + d(d+1)/2) vertex ids, the parent's
-    vertices and then its edge midpoints, in the local order of the child
-    table ((v0, v1, v2, m01, m02, m12) in 2D).  Child k of parent c is cell
-    ``c * 2^d + k`` (see :func:`descendant_barycentrics`), so every column is
-    one column of one child."""
-    d = mesh.dim
-    child, position = _LOCAL_SOURCE[d]
-    return mesh.cells.reshape(-1, 2 ** d, d + 1)[:, child, position]
-
-
 def index_dtype(mesh):
     """int32 when every vertex, edge and CSR entry index of the mesh fits in
     it, else int64: a cell has d(d+1)/2 edges and d+1 vertices, so
     (d+1)^2 per cell bounds the nonzeros of any P1 pattern (two per edge and
-    one per vertex).  :func:`build_initial_mesh` and :func:`refine` store
+    one per vertex), and on a Kuhn grid also ``fem``'s compact index,
+    below n_vertices * 2^d.  :func:`build_initial_mesh` and :func:`refine` store
     cells and midpoint parents in it."""
     return _index_dtype(mesh.n_vertices, mesh.n_cells, mesh.dim)
 
@@ -156,57 +107,6 @@ def index_dtype(mesh):
 def _index_dtype(n_vertices, n_cells, dim):
     bound = max(n_vertices, n_cells * (dim + 1) ** 2)
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-
-
-def refined_edges(mesh):
-    """The edges of a mesh made by :func:`refine`, numbered from its parent's.
-
-    The halves of parent edge e, whose midpoint is vertex
-    ``n_parent_vertices + e``, are edge e (at endpoint
-    ``midpoint_parents[e, 0]``) and edge n_e + e (at the other endpoint).
-    The midpoint pairs that children join follow: in 2D the 3 midlines of
-    each parent triangle, which lie inside it alone, parent by parent; in
-    3D the 13 per parent (12 face midlines, each shared with the parent
-    across the face, and the m02-m13 cut) go through ``np.unique``, in
-    sorted order.  Returns the endpoints of every edge as (2, n_edges)
-    vertex ids, the edges of every parent as (n_parents, n_local) edge ids,
-    and the (2^d, d(d+1)/2) column table through which child k of parent c
-    finds the edge of its off-diagonal upper pair m, pairs in
-    ``np.triu_indices(d+1, k=1)`` order: ``parent_edges[c, columns[k, m]]``.
-    Ids are :func:`index_dtype` integers."""
-    d = mesh.dim
-    ids = index_dtype(mesh)
-    nv, n_v = mesh.n_parent_vertices, mesh.n_vertices
-    n_e = n_v - nv
-    columns, mid_pairs = _CHILD_EDGES[d]
-    local = parent_cells(mesh).astype(ids)
-    mids = local[:, d + 1:]
-    edge = mids - nv
-    n_half = edge.shape[1]
-    parent_edges = np.empty((len(local), 2 * n_half + len(mid_pairs)), dtype=ids)
-    # half of local edge p at its first endpoint: edge[p], or n_e + edge[p]
-    # when that endpoint is the second one of the parent edge; the other
-    # half is the other one
-    at_first = parent_edges[:, 0:2 * n_half:2]
-    at_first[:] = edge
-    first = np.triu_indices(d + 1, k=1)[0]
-    at_first[local[:, first] != mesh.midpoint_parents[edge, 0]] += n_e
-    np.subtract(2 * edge + n_e, at_first, out=parent_edges[:, 1:2 * n_half:2])
-    a, b = mids[:, mid_pairs[:, 0]], mids[:, mid_pairs[:, 1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if d == 2:
-        parent_edges[:, 2 * n_half:] = np.arange(lo.size).reshape(lo.shape) + 2 * n_e
-    else:
-        keys = lo.astype(np.int64) * n_v + hi
-        # the sort-unique is the largest step of a 3D pattern build
-        del a, b, lo, hi
-        pairs, pair_of = np.unique(keys, return_inverse=True)
-        parent_edges[:, 2 * n_half:] = pair_of.reshape(len(local), -1) + 2 * n_e
-        lo, hi = np.divmod(pairs, n_v)
-    mid = np.arange(nv, n_v)
-    ends = np.stack([np.concatenate([mesh.midpoint_parents.T.ravel(), lo.ravel()], dtype=ids),
-                     np.concatenate([mid, mid, hi.ravel()], dtype=ids)])
-    return ends, parent_edges, columns
 
 
 @dataclass(frozen=True)
@@ -217,9 +117,10 @@ class MeshLevel:
     produced by :func:`refine`, the parent's vertices occupy indices
     ``0 .. n_parent_vertices-1`` and ``midpoint_parents[i]`` gives the two
     parent endpoints of new vertex ``n_parent_vertices + i``; their cells
-    keep refine's child order, from which :func:`parent_cells` reads the
-    parent's cells back.  The edge vectors x_i - x_0 of cell c are
-    ``SHAPES[dim][shapes[c]] * spacing``.
+    keep refine's child order (:func:`descendant_barycentrics`).  The edge
+    vectors x_i - x_0 of cell c are ``SHAPES[dim][shapes[c]] * spacing``,
+    so every cell edge joins two grid points that differ by the spacing
+    times a nonzero 0/1 vector, up to sign.
     """
 
     dim: int

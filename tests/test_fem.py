@@ -25,7 +25,7 @@ from fmgeig.fem import (
     span_potential,
 )
 from fmgeig.linalg import WorkReport
-from fmgeig.mesh import build_hierarchy, build_initial_mesh, refine
+from fmgeig.mesh import SHAPES, build_hierarchy, build_initial_mesh, refine
 
 
 def _boundary_free(mesh):
@@ -352,10 +352,10 @@ def test_stiffness_and_mass_match_coo_reference(dim, with_boundary, monkeypatch)
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
-    # stream many blocks: 17 rounds down to whole parents, 16 cells
+    # stream many blocks of 17 cells, which split the children of a parent
     monkeypatch.setattr(fem, "_BLOCK", 17)
     blocks = fem._cell_blocks(m)
-    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {16}
+    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {17}
     grads, meas = _reference_geometry(m)
     local_a = np.einsum("c,cid,cjd->cij", meas, grads, grads)
     _assert_matches(assemble_stiffness(m), _coo_reference(m, local_a))
@@ -369,11 +369,11 @@ def test_weighted_mass_matches_coo_reference(dim, with_boundary, monkeypatch):
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
-    # weights are evaluated block by block of cells; 17 rounds down to whole
-    # parents, 16 cells, and the blocks cover the mesh
+    # weights are evaluated block by block of 17 cells, and the blocks cover
+    # the mesh
     monkeypatch.setattr(fem, "_BLOCK", 17)
     blocks = fem._cell_blocks(m)
-    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {16}
+    assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {17}
     _, meas = _reference_geometry(m)
     # analytic weight |x|^2 = sum_kl (x_k . x_l) lambda_k lambda_l on a cell
     coords = m.vertices[m.cells]
@@ -526,8 +526,8 @@ _STREAM_MESHES = {
 }
 
 
-# 17 is no multiple of 2^d, so refined meshes round it down to whole
-# parents; 41 leaves a ragged last block on every mesh above one block
+# 17 and 41 are no multiple of 2^d, so their blocks split the children of
+# a parent; 41 leaves a ragged last block on every mesh above one block
 @pytest.mark.parametrize("block", [17, 41, None])
 @pytest.mark.parametrize("case", sorted(_STREAM_MESHES))
 def test_streamed_assembly_is_bit_identical_to_whole_mesh_bincount(case, block, monkeypatch):
@@ -540,8 +540,7 @@ def test_streamed_assembly_is_bit_identical_to_whole_mesh_bincount(case, block, 
     blocks = fem._cell_blocks(mesh)
     assert blocks[0][0] == 0 and blocks[-1][1] == mesh.n_cells
     assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
-    if mesh.n_parent_vertices:
-        assert all(start % 2 ** mesh.dim == 0 for start, _ in blocks)
+    assert all(stop - start == fem._BLOCK for start, stop in blocks[:-1])
     if block is None or mesh.n_cells < block:
         assert len(blocks) == 1
     # a one-cell block would turn the per-block matrix products into
@@ -592,29 +591,96 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
         assert transient < 0.5 * entries_bytes, name
 
 
-# --- refined meshes: edges from the parent cells, entries from the shapes ---
+# --- every mesh: the Kuhn stencil against the sort-unique pattern ----------
 
-def _closed_form(mesh):
-    """The same mesh without its refinement record, so its pattern takes the
-    sort-unique edges."""
-    return replace(mesh, n_parent_vertices=0)
+def _reference_pattern(mesh):
+    """(indptr, indices) of the sort-unique pattern: scipy's COO->CSR of
+    every vertex pair of every cell, restricted to the interior dofs."""
+    n_loc = mesh.dim + 1
+    rows = np.repeat(mesh.cells, n_loc, axis=1).ravel()
+    cols = np.tile(mesh.cells, (1, n_loc)).ravel()
+    A = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(mesh.n_vertices, mesh.n_vertices)).tocsr()
+    idx = mesh.interior_indices
+    A = A[idx][:, idx]
+    A.sort_indices()
+    return A.indptr, A.indices
+
+
+def _reference_assembly(mesh, pattern, entries, work=None):
+    """Stands in for fem._assemble and ignores its pattern: the upper
+    entries of all cells summed over the reference pattern by one bincount,
+    in cell order, into each pair's upper CSR entry, which its mirror
+    copies; zero sums dropped."""
+    indptr, indices = _reference_pattern(mesh)
+    n = indptr.size - 1
+    row, col = np.repeat(np.arange(n), np.diff(indptr)), indices.astype(np.int64)
+    key = row * n + col                                    # sorted: row-major CSR
+    dof = np.full(mesh.n_vertices, -1)
+    dof[mesh.interior_indices] = np.arange(n)
+    iu, ju = np.triu_indices(mesh.dim + 1)
+    a, b = dof[mesh.cells[:, iu]], dof[mesh.cells[:, ju]]
+    inner = (a >= 0) & (b >= 0)
+    lo, hi = np.minimum(a, b)[inner], np.maximum(a, b)[inner]
+    sums = np.bincount(np.searchsorted(key, lo * n + hi),
+                       weights=entries(0, mesh.n_cells)[inner], minlength=key.size)
+    data = np.where(row <= col, sums, sums[np.searchsorted(key, col * n + row)])
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
+def _assert_assembles_reference(mesh, monkeypatch):
+    """Every kind of assembly on the mesh gives the reference's arrays bit
+    for bit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "_assemble", _reference_assembly)
+        expected = _every_kind(mesh)
+    for got, reference in zip(_every_kind(mesh), expected):
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(reference, name)), name
 
 
 @pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
-def test_refined_levels_assemble_bit_identical_to_closed_form(config):
-    # on the benchmark hierarchies the edges derived from the parent cells
-    # give the sort-unique pattern exactly, so every kind assembles the
-    # same arrays on both
+def test_refined_levels_assemble_bit_identical_to_closed_form(config, monkeypatch):
+    # on every level of the benchmark hierarchies, level 0 and refined, the
+    # Kuhn stencil gives the sort-unique pattern exactly, so every kind
+    # assembles the reference's arrays; the coarser levels also without a
+    # boundary, where every vertex is a dof
     h = build_hierarchy(*config)
     for mesh in h.meshes:
-        u = FeFunction(mesh.level_index,
-                       np.random.default_rng(mesh.level_index).standard_normal(mesh.n_interior))
-        for assemble in (assemble_stiffness, assemble_mass,
-                         lambda m: assemble_weighted_mass(m, harmonic_potential),
-                         lambda m: assemble_weighted_mass(m, u)):
-            derived, closed = assemble(mesh), assemble(_closed_form(mesh))
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(derived, name), getattr(closed, name))
+        _assert_assembles_reference(mesh, monkeypatch)
+    for mesh in h.meshes[:-1]:
+        _assert_assembles_reference(_boundary_free(mesh), monkeypatch)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pattern_is_the_kuhn_stencil(dim):
+    # every vertex pair of every shape differs by +-delta, delta a nonzero
+    # 0/1 vector, and all 2^d - 1 of them occur; the shape edge table names
+    # each pair's lower end and delta.  So a pattern row holds at most
+    # 2^(d+1) - 1 columns, and exactly that many where all of its vertex's
+    # grid neighbours v +- delta are interior
+    shapes = SHAPES[dim]
+    corners = np.concatenate([np.zeros((len(shapes), 1, dim), dtype=int), shapes], axis=1)
+    i, j = np.triu_indices(dim + 1, k=1)
+    step = corners[:, j] - corners[:, i]
+    delta = np.where((step >= 0).all(axis=2, keepdims=True), step, -step)
+    assert np.isin(delta, (0, 1)).all() and delta.any(axis=2).all()
+    deltas = {tuple(v) for v in delta.reshape(-1, dim)}
+    assert len(deltas) == 2 ** dim - 1
+    ends, k = fem._SHAPE_EDGES[dim]
+    cell = np.arange(len(shapes))[:, None]
+    assert np.array_equal(corners[cell, ends[1]] - corners[cell, ends[0]], delta)
+    assert np.array_equal(k + 1, delta @ (1 << np.arange(dim)))
+    full = 2 ** (dim + 1) - 1
+    for mesh in (build_initial_mesh(dim, 5), refine(refine(build_initial_mesh(dim, 1)))):
+        assemble_mass(mesh)
+        counts = np.diff(mesh.__dict__["_fem_pattern"].indptr)
+        grid = np.rint(mesh.vertices[mesh.interior_indices] / mesh.spacing)
+        deep = ((grid >= 2) & (grid <= round(1 / mesh.spacing) - 2)).all(axis=1)
+        assert deep.any() and not deep.all()
+        assert np.all(counts[deep] == full) and np.all(counts[~deep] < full)
 
 
 def _sparse_stiffness_reference(mesh, block=1 << 14):
@@ -645,19 +711,17 @@ def test_refined_stiffness_on_non_binary_meshes(case, depth):
     # differently from the inverted vertex matrices, so the values agree to
     # rounding; every entry is an integer multiple of one float, so the
     # couplings that cancel are exact zeros and the nonzeros are the
-    # reference's above rounding; the derived edges give the sort-unique
+    # reference's above rounding; the Kuhn stencil gives the sort-unique
     # pattern
     dim, divisions = _NON_BINARY[case]
     mesh = build_initial_mesh(dim, divisions)
     for _ in range(depth):
         mesh = refine(mesh)
-    closed = _closed_form(mesh)
     A = assemble_stiffness(mesh)
-    assemble_stiffness(closed)
-    derived, reference = (m.__dict__["_fem_pattern"] for m in (mesh, closed))
-    assert np.array_equal(derived.indptr, reference.indptr)
-    assert np.array_equal(derived.indices, reference.indices)
-    assert derived.n_compact == reference.n_compact
+    pattern = mesh.__dict__["_fem_pattern"]
+    indptr, indices = _reference_pattern(mesh)
+    assert np.array_equal(pattern.indptr, indptr)
+    assert np.array_equal(pattern.indices, indices)
     R = _sparse_stiffness_reference(mesh)
     bound = 1e-14 * abs(R).max()
     assert abs(A - R).max() <= bound
@@ -667,23 +731,16 @@ def test_refined_stiffness_on_non_binary_meshes(case, depth):
 def test_stiffness_and_mass_read_no_vertex_coordinates(monkeypatch):
     # the stiffness and mass of a copy whose vertices are all NaN equal the
     # original's bit for bit: they take the spacing and the cell shapes,
-    # never the vertices; a refined mesh's pattern sorts at most 13
-    # midpoint pairs per parent
-    unique, sizes = np.unique, []
-
-    def recorded(*args, **kwargs):
-        sizes.append(np.size(args[0]))
-        return unique(*args, **kwargs)
-
+    # never the vertices; the first assembly on each, which builds its
+    # pattern, sorts nothing across the mesh
     meshes = [_test_mesh(dim) for dim in (2, 3)]
-    monkeypatch.setattr(np, "unique", recorded)
+    _forbid(monkeypatch, (np, "unique"), (np, "argsort"), (np, "lexsort"))
     for mesh in meshes:
         blind = replace(mesh, vertices=np.full_like(mesh.vertices, np.nan))
         for assemble in (assemble_stiffness, assemble_mass):
             expected, got = assemble(mesh), assemble(blind)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, name), getattr(expected, name))
-    assert sizes and max(sizes) <= 13 * (mesh.n_cells // 8)
 
 
 # --- what the correction levels compute without W_h or Mnl_h ---------------

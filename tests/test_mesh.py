@@ -225,11 +225,11 @@ def _longest_edge(mesh):
     (3, ((0, 1), (0, 3), (0, 0.5))),
 ])
 @pytest.mark.parametrize("divisions", [1, 2, 3])
-def test_mesh_size_is_the_longest_edge(dim, box, divisions):
-    # the mesh size of level k, the diagonal of a level-0 sub-box over 2^k,
-    # is its longest cell edge: no refinement lengthens an edge beyond the
-    # halved grid's (in 3D the m02-m13 cut is half a face diagonal), also on
-    # the axis-scaled images of the unit box
+def test_longest_edge_halves_per_level(dim, box, divisions):
+    # the longest cell edge of level k is the diagonal of a level-0 sub-box
+    # over 2^k: no refinement lengthens an edge beyond the halved grid's (in
+    # 3D the m02-m13 cut is half a face diagonal), also on the axis-scaled
+    # images of the unit box
     h = _box_image(build_hierarchy(dim, divisions, 3), box)
     lo, hi = np.array(box if box else ((0, 1),) * dim, dtype=float).T
     diagonal = np.linalg.norm((hi - lo) / divisions)
