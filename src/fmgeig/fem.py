@@ -8,24 +8,35 @@ in for matrices a correction level never assembles: the load vector
 a fine function t, contracted from t's moments over the coarse cells.
 
 Meshes come from :func:`mesh.build_initial_mesh` and :func:`mesh.refine`
-alone: every cell is a shape of :data:`mesh.SHAPES` scaled by the spacing
-h, so its measure is h^d / d! and its local stiffness its shape's table
-times h^(d-2).  Only the potential reads vertex positions.
+alone: every mesh is the Kuhn triangulation of its grid, and every cell a
+shape of :data:`mesh.SHAPES` scaled by the spacing h, so its measure is
+h^d / d!.  Only the potential reads vertex positions.
 
-Every kernel builds only the (d+1)(d+2)/2 upper local entries of each cell,
-6 in 2D and 10 in 3D, in ``np.triu_indices(d+1)`` order, and streams them
-block by block of ``_BLOCK`` cells, the one block constant of the module
-(the span moments use it too): no array of all cells' entries or
-quadrature values is ever built.  Each mesh builds its CSR pattern once,
-on first use, and keeps it on the MeshLevel instance.  Every mesh is the
-Kuhn triangulation of its grid, so every cell edge runs from a vertex v to
-the grid point v + delta h, delta one of the 2^d - 1 nonzero 0/1 vectors,
-and the pattern is a fixed stencil.  It carries two maps: a compact index
-for every upper local entry (the edge leaving v in direction k, then the
-diagonal), and a gather from that compact index to CSR order.  Every
-assembly adds each block's entries into the compact index, in cell order,
-and gathers once; (i, j) and (j, i) read the same sum, so every matrix is
-exactly symmetric.  The pattern build sorts only inside each row.
+Each mesh builds its CSR pattern once, on first use, from its integer grid
+(``MeshLevel.grid``), and keeps it on the MeshLevel instance: every cell
+edge runs from a vertex v to the grid point v + delta h, delta one of the
+2^d - 1 nonzero 0/1 vectors, so the pattern is a fixed stencil, found
+through a dense grid-to-vertex map without visiting a cell and sorted only
+inside each row.  It carries a gather from a compact index (the edge
+leaving v in direction k, then the diagonal) to CSR order, and each
+entry's index into the stencil tables.
+
+The stiffness and the mass visit no cell.  Every entry of a row is a sum
+over the cells around its vertex, so it is read from a small integer table
+at the entry's signed direction and at which of the vertex's 2^d grid
+cubes lie in the box; the tables are built at import from the cells of one
+seed star.  A K entry is its cells' integer numerators times h^(d-2) / d!,
+an M entry n copies of one cell's value added one at a time.
+
+The other kernels stream the cells block by block of ``_BLOCK`` cells, the
+one block constant of the module (the span moments use it too), and build
+only the (d+1)(d+2)/2 upper local entries of each cell, 6 in 2D and 10 in
+3D, in ``np.triu_indices(d+1)`` order: no array of all cells' entries or
+quadrature values is ever built.  The weighted mass adds each block's
+entries, in cell order, into the compact index through a per-cell slot
+map, which the first W or Mnl assembly on a mesh builds and keeps, and
+gathers once.  (i, j) and (j, i) read the same sum or the same table
+value, so every matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SHAPES, MeshLevel, descendant_barycentrics, index_dtype
+from .mesh import SHAPES, MeshLevel, build_initial_mesh, descendant_barycentrics, index_dtype
 
 __all__ = [
     "ProblemSpec",
@@ -56,9 +67,9 @@ __all__ = [
     "l2_norm",
 ]
 
-# fine cells per block of every assembly, of the pattern build and of the
-# span moments: a 3D block's quadrature values, upper entries and, for the
-# span moments, point arrays stay near 1.4 MB
+# fine cells per block of every cell-streamed kernel, of the slot map build
+# and of the span moments: a 3D block's quadrature values, upper entries
+# and, for the span moments, point arrays stay near 1.4 MB
 _BLOCK = 1 << 14
 
 
@@ -148,15 +159,26 @@ def _tetrahedron_rule_deg4():
 _RULES = {2: _triangle_rule_deg4(), 3: _tetrahedron_rule_deg4()}
 
 
-def _pattern(mesh):
-    """The mesh's CSR pattern, built on first use and kept in the instance
-    dict of the (frozen) mesh, so it lives exactly as long as the mesh does.
-    Every assembly fetches it before it builds any local entries, so the
-    pattern's one-time temporaries never coexist with them."""
+def _cached(mesh, key, build):
+    """build(mesh), built on first use and kept in the instance dict of the
+    (frozen) mesh, so it lives exactly as long as the mesh does."""
     cache = mesh.__dict__
-    if "_fem_pattern" not in cache:
-        cache["_fem_pattern"] = _build_pattern(mesh)
-    return cache["_fem_pattern"]
+    if key not in cache:
+        cache[key] = build(mesh)
+    return cache[key]
+
+
+def _pattern(mesh):
+    """The mesh's CSR pattern.  Every assembly fetches it before it builds
+    any entries, so the pattern's one-time temporaries never coexist with
+    them."""
+    return _cached(mesh, "_fem_pattern", _build_pattern)
+
+
+def _slots(mesh):
+    """The compact index of every upper local entry of every cell, which
+    only the cell-streamed assemblies (:func:`_assemble`) read."""
+    return _cached(mesh, "_fem_slots", _build_slots)
 
 
 def _measure(mesh):
@@ -167,9 +189,9 @@ def _measure(mesh):
 class _Pattern(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray       # (cells * (d+1)(d+2)/2,) compact index of each upper entry
     gather: np.ndarray     # (nnz,) compact index of each CSR entry
     n_compact: int         # n_vertices * 2^d: 2^d - 1 edge directions per vertex, diagonal
+    stencil: np.ndarray    # (nnz,) int16 signed direction * 4^d + row column: the raveled stencil tables' index
 
 
 def _shape_edges(d):
@@ -191,148 +213,243 @@ def _shape_edges(d):
 _SHAPE_EDGES = {d: _shape_edges(d) for d in SHAPES}
 
 
-def _cell_blocks(mesh):
-    """(start, stop) of the blocks of _BLOCK cells that every assembly
-    streams, in cell order."""
-    return [(start, min(start + _BLOCK, mesh.n_cells)) for start in range(0, mesh.n_cells, _BLOCK)]
-
-
-def _build_pattern(mesh):
-    """CSR pattern (indptr, indices) over the interior vertices, the
-    compact index of every upper local entry (cell, k), k in
-    ``np.triu_indices(d+1)`` order and flattened in that order, and the gather
-    from compact index to CSR order.  Every cell edge leaves its lower end v
-    in one of the 2^d - 1 grid directions k (:data:`_SHAPE_EDGES`): its
-    compact index is v (2^d - 1) + k, and vertex v's diagonal is
-    n_vertices (2^d - 1) + v; entries that touch a boundary vertex are summed
-    there but never gathered.  One pass over the blocks of cells fills the
-    slot map and each vertex's neighbour in every direction, +k and -k; each
-    row's at most 2^(d+1) - 1 columns are then sorted inside the row, as
-    packed (column, compact index) keys, so no sort spans the mesh.  Vertex
-    and compact ids are :func:`mesh.index_dtype` integers, and
-    :data:`mesh.MAX_VERTICES` keeps the compact index below 2^32."""
-    n_v, d = mesh.n_vertices, mesh.dim
-    ids = index_dtype(mesh)
-    n_dir = 2 ** d - 1
-    ends_of, dir_of = _SHAPE_EDGES[d]
-    iu, ju = np.triu_indices(d + 1)
-    off = iu != ju
-    slot = np.empty((mesh.n_cells, iu.size), dtype=ids)
-    # the other end of the edge (v, k) at v * n_dir + k, the lower end of the
-    # edge (w, k) that reaches v at n_dir * (n_v + v) + k, and -1 for none
-    ends = np.full(2 * n_dir * n_v, -1, dtype=ids)
-    for start, stop in _cell_blocks(mesh):
-        cells, shapes = mesh.cells[start:stop], mesh.shapes[start:stop]
-        # np.take: fancy indexing by the int8 shapes is about 3x slower
-        local = np.take(ends_of, shapes, axis=1)
-        local += (d + 1) * np.arange(stop - start)[:, None]
-        lo, hi = np.take(cells, local)
-        k = np.take(dir_of, shapes, axis=0)
-        edge = lo * n_dir + k
-        slot[start:stop, off] = edge
-        slot[start:stop, ~off] = cells + n_dir * n_v
-        ends[edge] = hi
-        ends[(n_v + hi) * n_dir + k] = lo
-    inner = mesh.interior_indices
-    n = inner.size
-    # the dof of every vertex, -1 for a boundary vertex; the extra last
-    # entry is what the -1 of a missing neighbour reads
-    dof = np.full(n_v + 1, -1, dtype=np.int64)
-    dof[inner] = np.arange(n)
-    # each row's keys, column << 32 | compact index: the edges that leave its
-    # vertex, the edges that reach it, then its diagonal; a key without a
-    # column is the int64 maximum, so sorting a row puts those last
-    near = np.take(ends.reshape(2, n_v, n_dir), inner, axis=1)
-    del ends
-    keys = np.empty((n, 2 * n_dir + 1), dtype=np.int64)
-    keys[:, :n_dir] = np.take(dof, near[0])
-    keys[:, n_dir:-1] = np.take(dof, near[1])
-    keys[:, -1] = np.arange(n)
-    absent = keys < 0
-    keys <<= 32
-    k = np.arange(n_dir)
-    keys[:, :n_dir] |= inner[:, None] * n_dir + k
-    keys[:, n_dir:-1] |= near[1] * n_dir + k
-    keys[:, -1] |= inner + n_dir * n_v
-    keys[absent] = np.iinfo(np.int64).max
-    keys.sort(axis=1)
-    indptr = np.zeros(n + 1, dtype=ids)
-    np.cumsum(2 * n_dir + 1 - absent.sum(axis=1), out=indptr[1:])
-    keys = keys[keys != np.iinfo(np.int64).max]
-    gather = (keys & 0xFFFFFFFF).astype(ids)
-    keys >>= 32
-    return _Pattern(indptr, keys.astype(ids), slot.ravel(), gather, (n_dir + 1) * n_v)
-
-
-def _assemble(mesh, pattern, entries, work=None):
-    """CSR matrix from the upper local entries that ``entries(start, stop)``
-    returns for cells start .. stop-1, as (stop - start, (d+1)(d+2)/2) in
-    ``np.triu_indices(d+1)`` order, on a cached pattern.  Block by block
-    (:func:`_cell_blocks`), in cell order, ``np.add.at`` adds the entries
-    into the compact index; it adds in index order, so every sum is the
-    one a single bincount over all cells gives, bit for bit.  A gather then
-    puts the sums in CSR order.  (i, j) and (j, i) gather the same sum, so
-    the result is exactly symmetric."""
-    indptr, indices, slot, gather, n_compact = pattern
-    width = (mesh.dim + 1) * (mesh.dim + 2) // 2
-    sums = np.zeros(n_compact)
-    for start, stop in _cell_blocks(mesh):
-        np.add.at(sums, slot[start * width:stop * width], entries(start, stop).ravel())
-    n = indptr.size - 1
-    # the caller owns the matrix, so the cached index arrays are copied;
-    # zero sums (couplings the stiffness cancels) are dropped after the
-    # gather.  Slots that touch a boundary vertex are never gathered, and
-    # every pattern row holds its diagonal, so no reduceat segment is empty.
-    # np.take gathers faster with int32 indices but copies them to int64
-    # whole: the per-block cell gathers take, these whole-pattern gathers
-    # index
-    data = sums[gather]
-    keep = data != 0.0
-    if keep.all():
-        A = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
-    else:
-        kept = np.zeros_like(indptr)
-        np.cumsum(np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype), out=kept[1:])
-        A = sp.csr_matrix((data[keep], indices[keep], kept), shape=(n, n))
-    if work is not None:
-        work.count_assembly(slot.size)
-    return A
-
-
 def _shape_stiffness(d):
-    """Upper local stiffness entries |K| grad_i . grad_j of every shape of
-    :data:`mesh.SHAPES` at spacing 1, (n_shapes, (d+1)(d+2)/2).  For edge
-    rows E, the barycentric gradients 1..d are the columns of E^-1, an
-    integer matrix since |det E| = 1, and |K| = 1/d!."""
-    inv = np.rint(np.linalg.inv(SHAPES[d]))
+    """Integer numerators d! |K| grad_i . grad_j of the upper local
+    stiffness entries of every shape of :data:`mesh.SHAPES` at spacing 1,
+    (n_shapes, (d+1)(d+2)/2).  For edge rows E, the barycentric gradients
+    1..d are the columns of E^-1, an integer matrix since |det E| = 1, and
+    d! |K| = 1."""
+    inv = np.rint(np.linalg.inv(SHAPES[d])).astype(np.int64)
     grads = np.concatenate([-inv.sum(axis=2, keepdims=True), inv], axis=2)
     iu, ju = np.triu_indices(d + 1)
-    return np.einsum("ski,skj->sij", grads, grads)[:, iu, ju] / factorial(d)
+    return np.einsum("ski,skj->sij", grads, grads)[:, iu, ju]
 
 
 # built at import: the inverse runs once, not in any assembly
 _STIFFNESS = {d: _shape_stiffness(d) for d in SHAPES}
 
 
+def _stencil_tables(d):
+    """The stiffness numerators and the cell counts of every entry of a
+    row, as two integer (2^(d+1) - 1, 4^d) tables, summed over the cells of
+    one seed star: the vertex (1, .., 1) of ``build_initial_mesh(d, 2)``.
+    Row j is the entry's signed direction: j < 2^d - 1 the neighbour
+    v + delta h of direction j, the next 2^d - 1 the neighbours v - delta h,
+    the last the diagonal.  Column c says which of the row vertex's 2^d
+    grid cubes lie in the box: bit i marks the vertex on the face x_i = 0,
+    bit d + i on the face x_i = 1, and the cells of a cube beyond a marked
+    face are left out.  Column 0, every cube inside, is every interior
+    vertex's."""
+    n_dir = 2 ** d - 1
+    seed = build_initial_mesh(d, 2)
+    centre = np.flatnonzero((seed.grid == 1).all(axis=1))[0]
+    bit = 1 << np.arange(d)
+    iu, ju = np.triu_indices(d + 1)
+    upper = {(i, j): e for e, (i, j) in enumerate(zip(iu, ju))}
+    numerators = np.zeros((2 * n_dir + 1, 4 ** d), dtype=np.int64)
+    counts = np.zeros_like(numerators)
+    column = np.arange(4 ** d)
+    for cell, shape in zip(seed.cells, seed.shapes):
+        if centre not in cell:
+            continue
+        a = list(cell).index(centre)
+        # the cube's side of the centre per axis: bit i set for the side above
+        above = (seed.grid[cell].min(axis=0) == 1) @ bit
+        inside = ((column & ~above) | ((column >> d) & above)) & (2 ** d - 1) == 0
+        for b, w in enumerate(cell):
+            delta = seed.grid[w] - seed.grid[centre]
+            if b == a:
+                j = 2 * n_dir
+            elif (delta >= 0).all():
+                j = delta @ bit - 1
+            else:
+                j = n_dir - delta @ bit - 1
+            numerators[j, inside] += _STIFFNESS[d][shape, upper[min(a, b), max(a, b)]]
+            counts[j, inside] += 1
+    return numerators, counts
+
+
+_STENCIL = {d: _stencil_tables(d) for d in SHAPES}
+
+
+def _cell_blocks(mesh):
+    """(start, stop) of the blocks of _BLOCK cells that every cell-streamed
+    kernel visits, in cell order."""
+    return [(start, min(start + _BLOCK, mesh.n_cells)) for start in range(0, mesh.n_cells, _BLOCK)]
+
+
+def _build_pattern(mesh):
+    """CSR pattern (indptr, indices) over the interior vertices, the
+    gather from compact index to CSR order, and each entry's index into the
+    stencil tables, found on the grid without visiting a cell.  A dense map
+    from grid points to vertices, padded by one point on every side, gives
+    each row vertex v its neighbours v +- delta_k h in the 2^d - 1 grid
+    directions k = sum_i delta_i 2^i - 1, as in :data:`_SHAPE_EDGES`; a
+    point outside the box reads -1, so that neighbour is absent, and the
+    absent neighbours along the axes say which faces v is on.  The edge from v to v + delta_k h has compact index
+    v (2^d - 1) + k, and v's diagonal n_vertices (2^d - 1) + v; entries that
+    touch a boundary vertex are never gathered.  Each row's at most
+    2^(d+1) - 1 columns are sorted inside the row, as packed (column,
+    signed direction, compact index) keys, so no sort spans the mesh.
+    Vertex and compact ids are :func:`mesh.index_dtype` integers, and
+    :data:`mesh.MAX_VERTICES` keeps the compact index below 2^32 and the
+    columns below 2^27."""
+    n_v, d = mesh.n_vertices, mesh.dim
+    ids = index_dtype(mesh)
+    n_dir = 2 ** d - 1
+    side = mesh.divisions + 3
+    stride = side ** np.arange(d)
+    at = (mesh.grid + 1) @ stride
+    vertex_at = np.full(side ** d, -1, dtype=ids)
+    vertex_at[at] = np.arange(n_v, dtype=ids)
+    inner = mesh.interior_indices
+    n = inner.size
+    k = np.arange(n_dir)
+    step = ((k[:, None] + 1) >> np.arange(d) & 1) @ stride
+    here = np.take(at, inner)[:, None]
+    near = np.take(vertex_at, here + step), np.take(vertex_at, here - step)
+    del at, vertex_at
+    # the stencil column of each row: the faces it lies on, from its absent
+    # neighbours along the axes, directions 2^i - 1
+    column = np.zeros(n, dtype=np.int16)
+    for i in range(d):
+        column |= (near[1][:, 2 ** i - 1] < 0) << i
+        column |= (near[0][:, 2 ** i - 1] < 0) << d + i
+    # the dof of every vertex, -1 for a boundary vertex; the extra last
+    # entry is what the -1 of a missing neighbour reads
+    dof = np.full(n_v + 1, -1, dtype=np.int64)
+    dof[inner] = np.arange(n)
+    # each row's keys, column << 36 | signed direction << 32 | compact index:
+    # the edges that leave its vertex, the edges that reach it, then its
+    # diagonal; a key without a column is the int64 maximum, so sorting a
+    # row puts those last
+    width = 2 * n_dir + 1
+    keys = np.empty((n, width), dtype=np.int64)
+    keys[:, :n_dir] = np.take(dof, near[0])
+    keys[:, n_dir:-1] = np.take(dof, near[1])
+    keys[:, -1] = np.arange(n)
+    absent = keys < 0
+    keys <<= 36
+    keys |= np.arange(width) << 32
+    keys[:, :n_dir] |= inner[:, None] * n_dir + k
+    keys[:, n_dir:-1] |= near[1] * n_dir + k
+    keys[:, -1] |= inner + n_dir * n_v
+    keys[absent] = np.iinfo(np.int64).max
+    keys.sort(axis=1)
+    counts = width - absent.sum(axis=1)
+    indptr = np.zeros(n + 1, dtype=ids)
+    np.cumsum(counts, out=indptr[1:])
+    keys = keys[keys != np.iinfo(np.int64).max]
+    gather = (keys & 0xFFFFFFFF).astype(ids)
+    keys >>= 32
+    stencil = (keys & 15).astype(np.int16)
+    stencil *= 4 ** d
+    if column.any():
+        stencil += np.repeat(column, counts)
+    keys >>= 4
+    return _Pattern(indptr, keys.astype(ids), gather, (n_dir + 1) * n_v, stencil)
+
+
+def _build_slots(mesh):
+    """The compact index (:func:`_build_pattern`) of every upper local
+    entry (cell, k), k in ``np.triu_indices(d+1)`` order, flattened in that
+    order: every cell edge leaves its lower end v in one of the 2^d - 1
+    grid directions k (:data:`_SHAPE_EDGES`), so its index is
+    v (2^d - 1) + k, and a cell vertex v's diagonal is
+    n_vertices (2^d - 1) + v.  One pass over the blocks of cells."""
+    n_v, d = mesh.n_vertices, mesh.dim
+    n_dir = 2 ** d - 1
+    ends_of, dir_of = _SHAPE_EDGES[d]
+    iu, ju = np.triu_indices(d + 1)
+    off = iu != ju
+    slot = np.empty((mesh.n_cells, iu.size), dtype=index_dtype(mesh))
+    for start, stop in _cell_blocks(mesh):
+        cells, shapes = mesh.cells[start:stop], mesh.shapes[start:stop]
+        # np.take: fancy indexing by the int8 shapes is about 3x slower
+        local = np.take(ends_of[0], shapes, axis=0)
+        local += (d + 1) * np.arange(stop - start)[:, None]
+        slot[start:stop, off] = np.take(cells, local) * n_dir + np.take(dir_of, shapes, axis=0)
+        slot[start:stop, ~off] = cells + n_dir * n_v
+    return slot.ravel()
+
+
+def _csr(pattern, data):
+    """The interior matrix of the pattern with the given entries in CSR
+    order; zero entries (couplings the stiffness cancels) are dropped.  The
+    caller owns the matrix, so the cached index arrays are copied.  Every
+    pattern row holds its diagonal, so no reduceat segment is empty."""
+    indptr, indices = pattern.indptr, pattern.indices
+    n = indptr.size - 1
+    keep = data != 0.0
+    if keep.all():
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+    kept = np.zeros_like(indptr)
+    np.cumsum(np.add.reduceat(keep, indptr[:-1], dtype=indptr.dtype), out=kept[1:])
+    return sp.csr_matrix((data[keep], indices[keep], kept), shape=(n, n))
+
+
+def _assemble(mesh, entries, work=None):
+    """CSR matrix from the upper local entries that ``entries(start, stop)``
+    returns for cells start .. stop-1, as (stop - start, (d+1)(d+2)/2) in
+    ``np.triu_indices(d+1)`` order, on the cached pattern and slot map.
+    Block by block (:func:`_cell_blocks`), in cell order, ``np.add.at``
+    adds the entries into the compact index; it adds in index order, so
+    every sum is the one a single bincount over all cells gives, bit for
+    bit.  A gather then puts the sums in CSR order.  (i, j) and (j, i)
+    gather the same sum, so the result is exactly symmetric.  Counts one
+    work unit per local entry."""
+    pattern = _pattern(mesh)
+    slot = _slots(mesh)
+    width = (mesh.dim + 1) * (mesh.dim + 2) // 2
+    sums = np.zeros(pattern.n_compact)
+    for start, stop in _cell_blocks(mesh):
+        np.add.at(sums, slot[start * width:stop * width], entries(start, stop).ravel())
+    # np.take gathers faster with int32 indices but copies them to int64
+    # whole: the per-block cell gathers take, this whole-pattern gather
+    # indexes
+    A = _csr(pattern, sums[pattern.gather])
+    if work is not None:
+        work.count_assembly(slot.size)
+    return A
+
+
+def _assemble_stencil(mesh, table, work=None):
+    """CSR matrix whose every entry is read from the (2^(d+1) - 1, 4^d)
+    table at its signed direction and its row's column
+    (:func:`_stencil_tables`): no cell is visited.  Counts one work unit
+    per stored entry."""
+    pattern = _pattern(mesh)
+    A = _csr(pattern, np.take(table, pattern.stencil))
+    if work is not None:
+        work.count_assembly(A.nnz)
+    return A
+
+
 def assemble_stiffness(mesh: MeshLevel, work=None):
     """Matrix of (grad w, grad v), the Laplacian; exact for P1 since
-    gradients are cellwise constant.  Each cell's entries are its shape's
-    table times h^(d-2), one gather per block.  Every entry is an integer
-    multiple of one float, so couplings that cancel sum to exact zeros."""
-    pattern = _pattern(mesh)
-    local = _STIFFNESS[mesh.dim] * mesh.spacing ** (mesh.dim - 2)
-    return _assemble(mesh, pattern, lambda start, stop: local[mesh.shapes[start:stop]], work)
+    gradients are cellwise constant.  Each entry is the sum of its cells'
+    integer numerators (:data:`_STIFFNESS`, :func:`_stencil_tables`) times
+    h^(d-2) / d!, rounded once for a binary h; couplings that cancel are
+    exact zeros."""
+    d = mesh.dim
+    return _assemble_stencil(mesh, _STENCIL[d][0] * mesh.spacing ** (d - 2) / factorial(d), work)
 
 
 def assemble_mass(mesh: MeshLevel, work=None):
-    """Matrix of (w, v); exact closed form for P1: |K| (1 + delta_ij) / ((d+1)(d+2))."""
+    """Matrix of (w, v); exact closed form for P1: each cell adds
+    |K| (1 + delta_ij) / ((d+1)(d+2)).  An entry of n cells is n copies of
+    that cell value added one at a time, as a cell-order sum adds them."""
     d = mesh.dim
-    iu, ju = np.triu_indices(d + 1)
-    base = (1.0 + (iu == ju)) / ((d + 1) * (d + 2))
-    pattern = _pattern(mesh)
-    local = _measure(mesh) * base
-    return _assemble(mesh, pattern,
-                     lambda start, stop: np.broadcast_to(local, (stop - start, local.size)), work)
+    counts = _STENCIL[d][1]
+    q = (d + 1) * (d + 2)
+    # sums[0, n], sums[1, n]: n copies of one cell's off-diagonal and
+    # diagonal value, added one at a time
+    sums = np.zeros((2, counts.max() + 1))
+    cell = _measure(mesh) * np.array([[1.0 / q], [2.0 / q]])
+    np.cumsum(np.repeat(cell, counts.max(), axis=1), axis=1, out=sums[:, 1:])
+    table = sums[0][counts]
+    table[-1] = sums[1][counts[-1]]                 # the diagonal row
+    return _assemble_stencil(mesh, table, work)
 
 
 def _weight_at_qpoints(mesh, weight, rule):
@@ -368,7 +485,6 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
     integrate exactly."""
     rule = _RULES[mesh.dim]
     values = _weight_at_qpoints(mesh, weight, rule)
-    pattern = _pattern(mesh)
     measure = _measure(mesh)
     # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per block
     iu, ju = np.triu_indices(mesh.dim + 1)
@@ -379,7 +495,7 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
         vals *= measure
         return vals @ table
 
-    return _assemble(mesh, pattern, entries, work)
+    return _assemble(mesh, entries, work)
 
 
 def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):

@@ -30,9 +30,10 @@ class WorkReport:
 
     ``work_units`` is the single work tally; every traversal of a stored
     nonzero (matvec, transfer, triple product, factor application) and
-    every generated local assembly entry adds to it.  Assembly generates
-    only the (d+1)(d+2)/2 upper entries of each cell's symmetric local
-    matrix, so an assembly on n cells adds 6n in 2D and 10n in 3D.  A
+    every generated local assembly entry adds to it.  A weighted mass (W
+    or Mnl) generates only the (d+1)(d+2)/2 upper entries of each cell's
+    symmetric local matrix, so on n cells it adds 6n in 2D and 10n in 3D.
+    K and M visit no cell: each adds one unit per stored entry.  A
     LevelSpace's potential W is counted by the solve that first needs
     L = K + W.  The load pass of a correction's right side generates d+1
     local entries per cell and adds 3n in 2D and 4n in 3D.  An augmented

@@ -8,8 +8,9 @@ P1 spaces with zero boundary values, over interior dofs.
 
 Every cell is one of six reference shapes (:data:`SHAPES`, the
 Kuhn/Freudenthal simplices; Bey, Computing 55, 1995) scaled by its mesh's
-grid spacing, and each mesh records both, so ``fem`` reads no cell's
-geometry from its vertices.
+grid spacing, and each mesh records both, and every vertex's integer grid
+coordinates, so ``fem`` reads no cell's geometry from its vertices and the
+boundary flags are exact.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "index_dtype",
 ]
 
-BOUNDARY_TOL = 1e-12
 # the largest vertex count build_hierarchy refines to; it keeps fem's
 # compact index, below n_vertices * 2^d, under 2^32
 MAX_VERTICES = 30_000_000
@@ -120,7 +120,10 @@ class MeshLevel:
     keep refine's child order (:func:`descendant_barycentrics`).  The edge
     vectors x_i - x_0 of cell c are ``SHAPES[dim][shapes[c]] * spacing``,
     so every cell edge joins two grid points that differ by the spacing
-    times a nonzero 0/1 vector, up to sign.
+    times a nonzero 0/1 vector, up to sign.  ``grid`` holds every vertex's
+    coordinates in units of the spacing, integers from 0 to
+    :attr:`divisions`; a vertex is on the boundary exactly when one of them
+    is 0 or ``divisions``.
     """
 
     dim: int
@@ -130,6 +133,7 @@ class MeshLevel:
     level_index: int
     spacing: float                # grid spacing h: 1/n on level 0, halved by refine
     shapes: np.ndarray            # (n_cells,) int8 index into SHAPES[dim]
+    grid: np.ndarray              # (n_vertices, dim) int32: vertices / spacing
     n_parent_vertices: int = 0
     midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int32))
 
@@ -142,6 +146,11 @@ class MeshLevel:
         return self.cells.shape[0]
 
     @property
+    def divisions(self):
+        """Grid intervals per axis: 1 / spacing."""
+        return round(1.0 / self.spacing)
+
+    @property
     def interior_indices(self):
         return np.flatnonzero(~self.boundary_vertex)
 
@@ -150,12 +159,13 @@ class MeshLevel:
         return int(np.count_nonzero(~self.boundary_vertex))
 
 
-def _boundary_flags(vertices):
-    """The vertices on a face of the unit box."""
-    flags = np.zeros(vertices.shape[0], dtype=bool)
-    for x in vertices.T:
-        for face in (0.0, 1.0):
-            flags |= np.abs(x - face) <= BOUNDARY_TOL
+def _on_faces(grid, divisions):
+    """The vertices on a face of the unit box, from their grid coordinates,
+    one axis at a time."""
+    flags = np.zeros(grid.shape[0], dtype=bool)
+    for x in grid.T:
+        flags |= x == 0
+        flags |= x == divisions
     return flags
 
 
@@ -174,11 +184,11 @@ def build_initial_mesh(dim, divisions_per_axis):
     if n < 1:
         raise ValueError("divisions_per_axis must be >= 1")
 
-    axis = np.linspace(0.0, 1.0, n + 1)
+    # vertex (iz (n+1) + iy) (n+1) + ix sits at grid point (ix, iy[, iz])
+    axes = np.meshgrid(*[np.arange(n + 1, dtype=np.int32)] * dim, indexing="ij")
+    grid = np.column_stack([a.ravel() for a in axes[::-1]])
+    vertices = np.linspace(0.0, 1.0, n + 1)[grid]
     if dim == 2:
-        X, Y = np.meshgrid(axis, axis, indexing="xy")
-        vertices = np.column_stack([X.ravel(), Y.ravel()])
-
         def vid(ix, iy):
             return iy * (n + 1) + ix
 
@@ -193,14 +203,6 @@ def build_initial_mesh(dim, divisions_per_axis):
             np.column_stack([v00, v11, v01]),
         ])
     else:
-        X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-        # vid(ix, iy, iz) = (iz*(n+1) + iy)*(n+1) + ix
-        vertices = np.column_stack([
-            np.transpose(X, (2, 1, 0)).ravel(),
-            np.transpose(Y, (2, 1, 0)).ravel(),
-            np.transpose(Z, (2, 1, 0)).ravel(),
-        ])
-
         def vid(ix, iy, iz):
             return (iz * (n + 1) + iy) * (n + 1) + ix
 
@@ -223,10 +225,11 @@ def build_initial_mesh(dim, divisions_per_axis):
         dim=dim,
         vertices=vertices,
         cells=np.ascontiguousarray(cells, dtype=_index_dtype(len(vertices), len(cells), dim)),
-        boundary_vertex=_boundary_flags(vertices),
+        boundary_vertex=_on_faces(grid, n),
         level_index=0,
         spacing=1.0 / n,
         shapes=np.repeat(np.arange(len(cells) // n ** dim, dtype=np.int8), n ** dim),
+        grid=grid,
     )
 
 
@@ -250,8 +253,17 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     edge_lo = unique_keys // nv
     edge_hi = unique_keys % nv
 
-    midpoints = 0.5 * (coarse.vertices[edge_lo] + coarse.vertices[edge_hi])
-    vertices = np.vstack([coarse.vertices, midpoints])
+    # the parents, then the midpoints; np.take gathers rows faster than
+    # fancy indexing
+    vertices = np.empty((nv + edge_lo.size, d))
+    vertices[:nv] = coarse.vertices
+    np.add(np.take(coarse.vertices, edge_lo, axis=0), np.take(coarse.vertices, edge_hi, axis=0),
+           out=vertices[nv:])
+    vertices[nv:] *= 0.5
+    grid = np.empty_like(vertices, dtype=np.int32)
+    np.multiply(coarse.grid, 2, out=grid[:nv])
+    np.add(np.take(coarse.grid, edge_lo, axis=0), np.take(coarse.grid, edge_hi, axis=0),
+           out=grid[nv:])
 
     ids = _index_dtype(len(vertices), coarse.n_cells * 2 ** d, d)
     mid = (nv + inverse.reshape(keys.shape)).astype(ids)
@@ -263,10 +275,11 @@ def refine(coarse: MeshLevel) -> MeshLevel:
         dim=d,
         vertices=vertices,
         cells=children,
-        boundary_vertex=_boundary_flags(vertices),
+        boundary_vertex=_on_faces(grid, 2 * coarse.divisions),
         level_index=coarse.level_index + 1,
         spacing=coarse.spacing / 2,
         shapes=np.take(SHAPE_CHILDREN[d], coarse.shapes, axis=0).ravel(),
+        grid=grid,
         n_parent_vertices=nv,
         midpoint_parents=np.column_stack([edge_lo, edge_hi]).astype(ids),
     )

@@ -479,22 +479,28 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
 @pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cached_slot_map_holds_only_upper_entries(dim, with_boundary):
+    # the stencil assemblies build no slot map; the first weighted mass
+    # caches one entry per upper local entry of every cell
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
     assemble_mass(m)
-    pattern = m.__dict__["_fem_pattern"]
-    assert pattern.slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
+    assert "_fem_slots" not in m.__dict__
+    assemble_weighted_mass(m, harmonic_potential)
+    slot = m.__dict__["_fem_slots"]
+    assert slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
     # one gather entry per stored CSR entry
+    pattern = m.__dict__["_fem_pattern"]
     assert pattern.gather.shape == pattern.indices.shape
 
 
 # --- streamed assembly: blocks of cells against the whole-mesh bincount -----
 
-def _whole_mesh_bincount(mesh, pattern, entries, work=None):
+def _whole_mesh_bincount(mesh, entries, work=None):
     """The assembly before it streamed: every cell's upper entries at once,
     one bincount into the compact index, then the gather."""
-    indptr, indices, slot, gather, n_compact = pattern
+    indptr, indices, gather, n_compact, _ = fem._pattern(mesh)
+    slot = fem._slots(mesh)
     up = entries(0, mesh.n_cells)
     sums = np.bincount(slot, weights=up.ravel(), minlength=n_compact)
     n = indptr.size - 1
@@ -581,12 +587,15 @@ def test_assembly_and_pattern_transients_do_not_scale_with_all_entries(monkeypat
         tracemalloc.start()
     try:
         pattern = _transient(lambda: fem._build_pattern(mesh))
+        slots = _transient(lambda: fem._build_slots(mesh))
         fem._pattern(mesh)
+        fem._slots(mesh)
         transients = {name: _transient(call) for name, call in kinds.items()}
     finally:
         if not tracing:
             tracemalloc.stop()
     assert pattern < 1.3 * entries_bytes
+    assert slots < 1.3 * entries_bytes
     for name, transient in transients.items():
         assert transient < 0.5 * entries_bytes, name
 
@@ -607,8 +616,8 @@ def _reference_pattern(mesh):
     return A.indptr, A.indices
 
 
-def _reference_assembly(mesh, pattern, entries, work=None):
-    """Stands in for fem._assemble and ignores its pattern: the upper
+def _reference_assembly(mesh, entries, work=None):
+    """Stands in for fem._assemble, without its pattern: the upper
     entries of all cells summed over the reference pattern by one bincount,
     in cell order, into each pair's upper CSR entry, which its mirror
     copies; zero sums dropped."""
@@ -631,11 +640,25 @@ def _reference_assembly(mesh, pattern, entries, work=None):
 
 
 def _assert_assembles_reference(mesh, monkeypatch):
-    """Every kind of assembly on the mesh gives the reference's arrays bit
-    for bit."""
+    """K, M, W and Mnl on the mesh give, bit for bit, the arrays of the
+    reference pattern: K as its cells' integer numerators d! |K| grad_i .
+    grad_j / h^(d-2), read off the inverted vertex matrices and summed, times
+    h^(d-2) / d!; M as the cell-order sum of every cell's h^d / d!
+    (1 + delta_ij) / ((d+1)(d+2)); W and Mnl as the reference assembly of
+    the kernels' own cell entries."""
+    d, h = mesh.dim, mesh.spacing
+    iu, ju = np.triu_indices(d + 1)
+    grads, meas = _reference_geometry(mesh)
+    local = np.einsum("c,cid,cjd->cij", meas, grads, grads)[:, iu, ju] * factorial(d) / h ** (d - 2)
+    numerators = np.rint(local)
+    assert np.abs(local - numerators).max() < 1e-8
+    K = _reference_assembly(mesh, lambda start, stop: numerators[start:stop])
+    K.data = K.data * h ** (d - 2) / factorial(d)
+    cell = h ** d / factorial(d) * ((1.0 + (iu == ju)) / ((d + 1) * (d + 2)))
+    M = _reference_assembly(mesh, lambda start, stop: np.broadcast_to(cell, (stop - start, cell.size)))
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_assemble", _reference_assembly)
-        expected = _every_kind(mesh)
+        expected = [K, M] + _every_kind(mesh)[2:]
     for got, reference in zip(_every_kind(mesh), expected):
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(reference, name)), name
@@ -643,10 +666,13 @@ def _assert_assembles_reference(mesh, monkeypatch):
 
 @pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
 def test_refined_levels_assemble_bit_identical_to_closed_form(config, monkeypatch):
-    # on every level of the benchmark hierarchies, level 0 and refined, the
-    # Kuhn stencil gives the sort-unique pattern exactly, so every kind
-    # assembles the reference's arrays; the coarser levels also without a
-    # boundary, where every vertex is a dof
+    """On every level of the benchmark hierarchies, level 0 and refined,
+    the stencil K equals the test-local integer numerators' exact sum times
+    h^(d-2) / d!, the stencil M the cell-order sum of its cells' constant
+    entries, and W and Mnl the test-local reference assembly, all over the
+    sort-unique pattern (scipy's COO->CSR of every cell vertex pair); the
+    coarser levels also without a boundary, where every vertex is a dof
+    and the rows on the box faces read the stencils' other columns."""
     h = build_hierarchy(*config)
     for mesh in h.meshes:
         _assert_assembles_reference(mesh, monkeypatch)

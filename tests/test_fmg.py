@@ -1,9 +1,10 @@
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fmgeig import eigsolve
+from fmgeig import eigsolve, fem
 from fmgeig.eigsolve import ScfSettings, scf_solve
 from fmgeig.fem import ProblemSpec, a_norm
 from fmgeig.fmg import (
@@ -187,6 +188,28 @@ def test_full_multigrid_assembles_every_mesh_once(monkeypatch, offset):
                         for name in ("assemble_stiffness", "assemble_mass")})
     expected.update({("potential", h.coarse.level_index), ("potential", h.levels[0].level_index)})
     assert calls - nonlinear == expected
+
+
+def test_correction_levels_build_no_slot_map_and_k_and_m_visit_no_cell(monkeypatch):
+    # K and M are read from the Kuhn stencil tables, so no stiffness or
+    # mass assembly streams the cells, and only level 0, whose SCF
+    # assembles W and Mnl, builds the per-cell slot map
+    blocks = fem._cell_blocks
+
+    def guarded(mesh):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if (frame.f_globals.get("__name__") == fem.__name__
+                    and frame.f_code.co_name in ("assemble_stiffness", "assemble_mass")):
+                raise AssertionError(f"{frame.f_code.co_name} visits the cells")
+            frame = frame.f_back
+        return blocks(mesh)
+
+    monkeypatch.setattr(fem, "_cell_blocks", guarded)
+    h = build_hierarchy(3, 8, 3)
+    full_multigrid(h, ProblemSpec(dim=3, zeta=1.0))
+    assert "_fem_slots" in h.meshes[0].__dict__
+    assert not any("_fem_slots" in mesh.__dict__ for mesh in h.meshes[1:])
 
 
 def test_work_report_shared_and_monotone():

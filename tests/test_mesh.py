@@ -201,6 +201,33 @@ def test_every_cell_is_its_shape_times_the_spacing(config):
         assert np.abs(edges - SHAPES[dim][m.shapes] * m.spacing).max() <= 1e-12 * m.spacing
 
 
+def _float_faces(vertices):
+    """The boundary flags as a float face test, 1e-12 from 0 or 1."""
+    flags = np.zeros(vertices.shape[0], dtype=bool)
+    for x in vertices.T:
+        for face in (0.0, 1.0):
+            flags |= np.abs(x - face) <= 1e-12
+    return flags
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6), (3, 5, 3), (2, 3, 4), (3, 7, 2),
+                                    (2, 5, 5)])
+def test_grid_is_the_vertices_in_units_of_the_spacing(config):
+    # int32 grid coordinates, exactly the vertices over the spacing on a
+    # binary grid and within 1 ulp on the others; the boundary flags they
+    # give match the float face test
+    dim, divisions, _ = config
+    for m in build_hierarchy(*config).meshes:
+        assert m.grid.dtype == np.int32 and m.grid.shape == (m.n_vertices, dim)
+        assert m.grid.min() == 0 and m.grid.max() == m.divisions
+        scaled = m.grid * m.spacing
+        if divisions == 8:
+            assert np.array_equal(scaled, m.vertices)
+        else:
+            assert np.all(np.abs(scaled - m.vertices) <= np.spacing(m.vertices))
+        assert np.array_equal(m.boundary_vertex, _float_faces(m.vertices))
+
+
 def test_hierarchy_single_level():
     h = build_hierarchy(2, 2, 1)
     assert h.n_levels == 1 and len(h.meshes) == 1
