@@ -18,7 +18,6 @@ from .fem import (
     assemble_stiffness,
     assemble_mass,
     assemble_weighted_mass,
-    apply_nonlinear_residual,
     a_norm,
     l2_norm,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_mass",
     "assemble_weighted_mass",
-    "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
     "WorkReport",

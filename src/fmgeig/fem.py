@@ -1,7 +1,7 @@
 """P1 finite element assembly on one mesh level.
 
 Stiffness of the Laplacian, mass, weighted mass for the potential and the
-frozen nonlinearity, the nonlinear residual, and the energy / L2 norms.
+frozen nonlinearity, and the energy / L2 norms.
 All systems are reduced to interior degrees of freedom.  Two kernels stand
 in for matrices a correction level never assembles: the load vector
 (W u + zeta u^3, v), one streamed pass, and the potential's products with
@@ -10,14 +10,14 @@ a fine function t, contracted from t's moments over the coarse cells.
 Meshes come from :func:`mesh.build_initial_mesh` and :func:`mesh.refine`
 alone: every mesh is the Kuhn triangulation of its grid, and every cell a
 shape of :data:`mesh.SHAPES` scaled by the spacing h, so its measure is
-h^d / d!.  Only the potential reads vertex positions.
+h^d / d!.  Only the potential reads positions: grid coordinates times h.
 
 Each mesh builds its CSR pattern once, on first use, from its integer grid
 (``MeshLevel.grid``), and keeps it on the MeshLevel instance: every cell
 edge runs from a vertex v to the grid point v + delta h, delta one of the
 2^d - 1 nonzero 0/1 vectors, so the pattern is a fixed stencil, found
-through a dense grid-to-vertex map without visiting a cell and sorted only
-inside each row.  It carries a gather from a compact index (the edge
+through :func:`mesh.grid_neighbours` without visiting a cell and sorted
+only inside each row.  It carries a gather from a compact index (the edge
 leaving v in direction k, then the diagonal) to CSR order, and each
 entry's index into the stencil tables.
 
@@ -49,7 +49,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import SHAPES, MeshLevel, build_initial_mesh, descendant_barycentrics, index_dtype
+from .mesh import (SHAPE_EDGES, SHAPES, MeshLevel, build_initial_mesh, descendant_barycentrics,
+                   grid_neighbours, index_dtype)
 
 __all__ = [
     "ProblemSpec",
@@ -62,7 +63,6 @@ __all__ = [
     "span_moments",
     "span_potential",
     "nonlinear_load",
-    "apply_nonlinear_residual",
     "a_norm",
     "l2_norm",
 ]
@@ -74,13 +74,10 @@ _BLOCK = 1 << 14
 
 
 def harmonic_potential(points):
-    """W(x) = |x|^2, the trapping potential and the only potential besides
-    W = 0.  Summed one coordinate at a time, so the component-major point
-    arrays of the assembly (a transposed view) are read without a copy."""
-    w = points[..., 0] ** 2
-    for k in range(1, points.shape[-1]):
-        w += points[..., k] ** 2
-    return w
+    """W(x) = |x|^2 at points (..., d), the trapping potential and the
+    only potential besides W = 0.  The assembly evaluates it one axis at a
+    time, from the grid (:func:`_weight_at_qpoints`)."""
+    return np.square(points).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -194,25 +191,6 @@ class _Pattern(NamedTuple):
     stencil: np.ndarray    # (nnz,) int16 signed direction * 4^d + row column: the raveled stencil tables' index
 
 
-def _shape_edges(d):
-    """The two ends (local vertex positions), lower end first, and the
-    direction id k of every off-diagonal upper pair of every shape of
-    :data:`mesh.SHAPES`, as (2, n_shapes, d(d+1)/2) and (n_shapes,
-    d(d+1)/2), pairs in ``np.triu_indices(d+1, k=1)`` order.  Every shape
-    is a Kuhn simplex, so each pair joins a grid point x and x + delta h,
-    delta one of the 2^d - 1 nonzero 0/1 vectors, and k = sum_i delta_i 2^i - 1."""
-    corners = np.concatenate([np.zeros_like(SHAPES[d][:, :1]), SHAPES[d]], axis=1)
-    i, j = np.triu_indices(d + 1, k=1)
-    step = corners[:, j] - corners[:, i]                   # (n_shapes, pairs, d)
-    up = (step >= 0).all(axis=2)
-    delta = np.where(up[..., None], step, -step)
-    assert np.isin(delta, (0, 1)).all() and delta.any(axis=2).all(), "a pair is not +-delta"
-    return np.stack([np.where(up, i, j), np.where(up, j, i)]), delta @ (1 << np.arange(d)) - 1
-
-
-_SHAPE_EDGES = {d: _shape_edges(d) for d in SHAPES}
-
-
 def _shape_stiffness(d):
     """Integer numerators d! |K| grad_i . grad_j of the upper local
     stiffness entries of every shape of :data:`mesh.SHAPES` at spacing 1,
@@ -281,14 +259,14 @@ def _cell_blocks(mesh):
 def _build_pattern(mesh):
     """CSR pattern (indptr, indices) over the interior vertices, the
     gather from compact index to CSR order, and each entry's index into the
-    stencil tables, found on the grid without visiting a cell.  A dense map
-    from grid points to vertices, padded by one point on every side, gives
-    each row vertex v its neighbours v +- delta_k h in the 2^d - 1 grid
-    directions k = sum_i delta_i 2^i - 1, as in :data:`_SHAPE_EDGES`; a
-    point outside the box reads -1, so that neighbour is absent, and the
-    absent neighbours along the axes say which faces v is on.  The edge from v to v + delta_k h has compact index
-    v (2^d - 1) + k, and v's diagonal n_vertices (2^d - 1) + v; entries that
-    touch a boundary vertex are never gathered.  Each row's at most
+    stencil tables, found on the grid without visiting a cell.
+    :func:`mesh.grid_neighbours` gives each row vertex v its neighbours
+    v +- delta_k h in the 2^d - 1 grid directions k; a point outside the
+    box reads -1, so that neighbour is absent, and the absent neighbours
+    along the axes say which faces v is on.  The edge from v to
+    v + delta_k h has compact index v (2^d - 1) + k, and v's diagonal
+    n_vertices (2^d - 1) + v; entries that touch a boundary vertex are
+    never gathered.  Each row's at most
     2^(d+1) - 1 columns are sorted inside the row, as packed (column,
     signed direction, compact index) keys, so no sort spans the mesh.
     Vertex and compact ids are :func:`mesh.index_dtype` integers, and
@@ -297,18 +275,10 @@ def _build_pattern(mesh):
     n_v, d = mesh.n_vertices, mesh.dim
     ids = index_dtype(mesh)
     n_dir = 2 ** d - 1
-    side = mesh.divisions + 3
-    stride = side ** np.arange(d)
-    at = (mesh.grid + 1) @ stride
-    vertex_at = np.full(side ** d, -1, dtype=ids)
-    vertex_at[at] = np.arange(n_v, dtype=ids)
     inner = mesh.interior_indices
     n = inner.size
     k = np.arange(n_dir)
-    step = ((k[:, None] + 1) >> np.arange(d) & 1) @ stride
-    here = np.take(at, inner)[:, None]
-    near = np.take(vertex_at, here + step), np.take(vertex_at, here - step)
-    del at, vertex_at
+    near = grid_neighbours(mesh, inner)
     # the stencil column of each row: the faces it lies on, from its absent
     # neighbours along the axes, directions 2^i - 1
     column = np.zeros(n, dtype=np.int16)
@@ -354,19 +324,19 @@ def _build_slots(mesh):
     """The compact index (:func:`_build_pattern`) of every upper local
     entry (cell, k), k in ``np.triu_indices(d+1)`` order, flattened in that
     order: every cell edge leaves its lower end v in one of the 2^d - 1
-    grid directions k (:data:`_SHAPE_EDGES`), so its index is
+    grid directions k (:data:`mesh.SHAPE_EDGES`), so its index is
     v (2^d - 1) + k, and a cell vertex v's diagonal is
     n_vertices (2^d - 1) + v.  One pass over the blocks of cells."""
     n_v, d = mesh.n_vertices, mesh.dim
     n_dir = 2 ** d - 1
-    ends_of, dir_of = _SHAPE_EDGES[d]
+    lower_of, dir_of = SHAPE_EDGES[d]
     iu, ju = np.triu_indices(d + 1)
     off = iu != ju
     slot = np.empty((mesh.n_cells, iu.size), dtype=index_dtype(mesh))
     for start, stop in _cell_blocks(mesh):
         cells, shapes = mesh.cells[start:stop], mesh.shapes[start:stop]
         # np.take: fancy indexing by the int8 shapes is about 3x slower
-        local = np.take(ends_of[0], shapes, axis=0)
+        local = np.take(lower_of, shapes, axis=0)
         local += (d + 1) * np.arange(stop - start)[:, None]
         slot[start:stop, off] = np.take(cells, local) * n_dir + np.take(dir_of, shapes, axis=0)
         slot[start:stop, ~off] = cells + n_dir * n_v
@@ -455,17 +425,20 @@ def assemble_mass(mesh: MeshLevel, work=None):
 def _weight_at_qpoints(mesh, weight, rule):
     """|x|^2 (weight=harmonic_potential) or u^2 (an FeFunction u on the mesh's
     level) at the quadrature points of a block of cells: a function of
-    (start, stop) that returns a new (stop - start, nq) array.  The points
-    x come from one matrix product, (block * d, d+1) @ (d+1, nq), and reach
-    |x|^2 component-major as a transposed (points, d) view."""
-    d, nq = mesh.dim, len(rule.points)
+    (start, stop) that returns a new (stop - start, nq) array.  |x|^2 is
+    summed one axis at a time, each coordinate x_a = grid_a h at the points
+    one (block, d+1) @ (d+1, nq) product, so no point array is built."""
+    nq = len(rule.points)
     if weight is harmonic_potential:
         bary = rule.points.T
 
         def values(start, stop):
-            coords = np.take(mesh.vertices.T, mesh.cells[start:stop], axis=1)   # (d, block, d+1)
-            phys = coords.reshape(-1, d + 1) @ bary                           # (d * block, nq)
-            return harmonic_potential(phys.reshape(d, -1).T).reshape(stop - start, nq)
+            cells = mesh.cells[start:stop]
+            w = np.zeros((stop - start, nq))
+            for x in mesh.grid.T:
+                xq = (np.take(x, cells) * mesh.spacing) @ bary
+                w += np.square(xq, out=xq)
+            return w
 
         return values
     if not isinstance(weight, FeFunction):
@@ -602,7 +575,7 @@ def span_potential(coarse: MeshLevel, moments: SpanMoments, work=None):
     vertex Gram matrix: the first is sum_ab G_ab s3[a, b, k] added into
     vertex k, the second sum_ab G_ab s2[a, b], over the cells.  No fine
     product is formed.  Counts one work unit per moment entry read."""
-    X = coarse.vertices[coarse.cells]                      # (cells, d+1, d)
+    X = (coarse.grid * coarse.spacing)[coarse.cells]       # (cells, d+1, d)
     G = X @ X.transpose(0, 2, 1)
     local = np.einsum("cab,cabk->ck", G, moments.s3)
     n = coarse.n_interior
@@ -627,19 +600,6 @@ def _full_values(mesh: MeshLevel, interior_coeffs):
 
 def _coeff_array(u):
     return u.coefficients if isinstance(u, FeFunction) else np.asarray(u, dtype=float)
-
-
-def apply_nonlinear_residual(mesh: MeshLevel, spec: ProblemSpec, u, lam):
-    """Dual vector of v -> a(u, v) - lam b(u, v) over interior basis functions,
-    with a(u, v) = (grad u, grad v) + (W u + zeta u^3, v)."""
-    c = _coeff_array(u)
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    if spec.potential is not None:
-        A = A + assemble_weighted_mass(mesh, spec.potential)
-    if spec.zeta != 0.0:
-        A = A + spec.zeta * assemble_weighted_mass(mesh, FeFunction(mesh.level_index, c))
-    return A @ c - lam * (M @ c)
 
 
 def a_norm(u, stiffness):

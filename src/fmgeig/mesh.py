@@ -6,11 +6,12 @@ vertex set is a prefix of the next level's, and assembles the sparse
 coarse-to-fine interpolation operators that realize the nesting of the
 P1 spaces with zero boundary values, over interior dofs.
 
-Every cell is one of six reference shapes (:data:`SHAPES`, the
-Kuhn/Freudenthal simplices; Bey, Computing 55, 1995) scaled by its mesh's
-grid spacing, and each mesh records both, and every vertex's integer grid
-coordinates, so ``fem`` reads no cell's geometry from its vertices and the
-boundary flags are exact.
+Every mesh is the Kuhn/Freudenthal triangulation of its integer grid, its
+only geometry (Bey, Computing 55, 1995): every cell is one of six shapes
+(:data:`SHAPES`) scaled by the grid spacing, and every cell edge joins
+grid neighbours v and v + delta h, delta a nonzero 0/1 vector.  One
+sort-free lookup of those neighbours (:func:`grid_neighbours`) numbers a
+refinement's midpoints and their parents and gives ``fem`` its pattern.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ __all__ = [
     "interior_prolongation",
     "SHAPES",
     "SHAPE_CHILDREN",
+    "SHAPE_EDGES",
     "descendant_barycentrics",
+    "grid_neighbours",
     "index_dtype",
 ]
 
@@ -42,12 +45,7 @@ MAX_VERTICES = 30_000_000
 
 # Children of a refined triangle in terms of the local indices
 # (v0, v1, v2, m01, m02, m12); all four keep the parent's orientation.
-_TRI_CHILDREN = np.array([
-    [0, 3, 4],
-    [3, 1, 5],
-    [4, 5, 2],
-    [3, 5, 4],
-])
+_TRI_CHILDREN = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [3, 5, 4]])
 
 # Children of a refined tetrahedron, local indices
 # (v0, v1, v2, v3, m01, m02, m03, m12, m13, m23).  The interior octahedron
@@ -55,16 +53,8 @@ _TRI_CHILDREN = np.array([
 # tetrahedra below this reproduces the same triangulation pattern on the
 # half-size grid, so shape quality does not degrade under repeated
 # refinement.
-_TET_CHILDREN = np.array([
-    [0, 4, 5, 6],
-    [4, 1, 7, 8],
-    [5, 7, 2, 9],
-    [6, 8, 9, 3],
-    [4, 5, 6, 8],
-    [4, 5, 7, 8],
-    [5, 6, 8, 9],
-    [5, 7, 8, 9],
-])
+_TET_CHILDREN = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
+                          [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
 
 _CHILD_TABLE = {2: _TRI_CHILDREN, 3: _TET_CHILDREN}
 
@@ -78,9 +68,8 @@ def descendant_barycentrics(dim, depth):
     ``depth`` refinements down descends from cell ``i // n_types`` of the
     ancestor level as type ``i % n_types``; the first refinement's child
     index is the most significant digit.  All entries are dyadic, so exact.
-    Readers of this child order: the shape closure
-    (:data:`SHAPE_CHILDREN`) here, and ``fem``, whose span moments
-    integrate over each coarse cell's descendants.
+    The shape closure (:data:`SHAPE_CHILDREN`) and ``fem``'s span moments
+    read this child order.
     """
     d = dim
     pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
@@ -100,7 +89,7 @@ def index_dtype(mesh):
     (d+1)^2 per cell bounds the nonzeros of any P1 pattern (two per edge and
     one per vertex), and on a Kuhn grid also ``fem``'s compact index,
     below n_vertices * 2^d.  :func:`build_initial_mesh` and :func:`refine` store
-    cells and midpoint parents in it."""
+    cells in it."""
     return _index_dtype(mesh.n_vertices, mesh.n_cells, mesh.dim)
 
 
@@ -113,33 +102,28 @@ def _index_dtype(n_vertices, n_cells, dim):
 class MeshLevel:
     """One simplicial mesh in a refinement chain.
 
-    ``level_index`` counts refinements from the initial mesh.  For meshes
-    produced by :func:`refine`, the parent's vertices occupy indices
-    ``0 .. n_parent_vertices-1`` and ``midpoint_parents[i]`` gives the two
-    parent endpoints of new vertex ``n_parent_vertices + i``; their cells
-    keep refine's child order (:func:`descendant_barycentrics`).  The edge
-    vectors x_i - x_0 of cell c are ``SHAPES[dim][shapes[c]] * spacing``,
-    so every cell edge joins two grid points that differ by the spacing
-    times a nonzero 0/1 vector, up to sign.  ``grid`` holds every vertex's
-    coordinates in units of the spacing, integers from 0 to
-    :attr:`divisions`; a vertex is on the boundary exactly when one of them
-    is 0 or ``divisions``.
+    ``level_index`` counts refinements from the initial mesh.  Vertex v
+    sits at ``grid[v] * spacing``, integer coordinates from 0 to
+    :attr:`divisions`, and is on the boundary exactly when one of them is
+    0 or ``divisions``.  For meshes produced by :func:`refine`, the
+    parent's vertices come first, ``n_parent_vertices`` of them, then the
+    edge midpoints, and the cells keep refine's child order
+    (:func:`descendant_barycentrics`).  The edge vectors x_i - x_0 of cell
+    c are ``SHAPES[dim][shapes[c]] * spacing``.
     """
 
     dim: int
-    vertices: np.ndarray          # (n_vertices, dim) float
     cells: np.ndarray             # (n_cells, dim+1) index_dtype, refinement-canonical order
     boundary_vertex: np.ndarray   # (n_vertices,) bool
     level_index: int
     spacing: float                # grid spacing h: 1/n on level 0, halved by refine
     shapes: np.ndarray            # (n_cells,) int8 index into SHAPES[dim]
-    grid: np.ndarray              # (n_vertices, dim) int32: vertices / spacing
+    grid: np.ndarray              # (n_vertices, dim) int32: positions / spacing
     n_parent_vertices: int = 0
-    midpoint_parents: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int32))
 
     @property
     def n_vertices(self):
-        return self.vertices.shape[0]
+        return self.grid.shape[0]
 
     @property
     def n_cells(self):
@@ -187,44 +171,21 @@ def build_initial_mesh(dim, divisions_per_axis):
     # vertex (iz (n+1) + iy) (n+1) + ix sits at grid point (ix, iy[, iz])
     axes = np.meshgrid(*[np.arange(n + 1, dtype=np.int32)] * dim, indexing="ij")
     grid = np.column_stack([a.ravel() for a in axes[::-1]])
-    vertices = np.linspace(0.0, 1.0, n + 1)[grid]
+    # every cell is a path of grid steps from the lower corner of its
+    # sub-box: the two triangles, or one tetrahedron per order of the axes
     if dim == 2:
-        def vid(ix, iy):
-            return iy * (n + 1) + ix
-
-        ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-        ix, iy = ix.ravel(), iy.ravel()
-        v00 = vid(ix, iy)
-        v10 = vid(ix + 1, iy)
-        v01 = vid(ix, iy + 1)
-        v11 = vid(ix + 1, iy + 1)
-        cells = np.concatenate([
-            np.column_stack([v00, v10, v11]),
-            np.column_stack([v00, v11, v01]),
-        ])
+        corners = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+        paths = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
     else:
-        def vid(ix, iy, iz):
-            return (iz * (n + 1) + iy) * (n + 1) + ix
-
-        ix, iy, iz = [a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")]
-        corner = np.column_stack([ix, iy, iz])
-        blocks = []
-        for perm in permutations(range(3)):
-            steps = np.zeros((4, 3), dtype=np.int64)
-            for k, axis in enumerate(perm):
-                steps[k + 1] = steps[k]
-                steps[k + 1, axis] += 1
-            tet = [
-                vid(corner[:, 0] + s[0], corner[:, 1] + s[1], corner[:, 2] + s[2])
-                for s in steps
-            ]
-            blocks.append(np.column_stack(tet))
-        cells = np.concatenate(blocks)
+        corners = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
+        paths = [np.cumsum([(0, 0, 0), *np.eye(3, dtype=int)[list(perm)]], axis=0)
+                 for perm in permutations(range(3))]
+    corner = np.stack(corners, axis=-1).reshape(-1, 1, dim)
+    cells = np.concatenate([(corner + path) @ (n + 1) ** np.arange(dim) for path in paths])
 
     return MeshLevel(
         dim=dim,
-        vertices=vertices,
-        cells=np.ascontiguousarray(cells, dtype=_index_dtype(len(vertices), len(cells), dim)),
+        cells=np.ascontiguousarray(cells, dtype=_index_dtype(len(grid), len(cells), dim)),
         boundary_vertex=_on_faces(grid, n),
         level_index=0,
         spacing=1.0 / n,
@@ -233,47 +194,75 @@ def build_initial_mesh(dim, divisions_per_axis):
     )
 
 
+def grid_neighbours(mesh, rows=None):
+    """The vertices at the grid points g + delta_k h and g - delta_k h of
+    every vertex in ``rows`` (default all), for the 2^d - 1 nonzero 0/1
+    vectors delta_k, k = sum_i delta_i 2^i - 1, as two (rows, 2^d - 1)
+    :func:`index_dtype` arrays; -1 marks a point outside the box.  Every
+    cell edge joins such a pair (:data:`SHAPE_EDGES`).  One dense map from
+    the grid points, padded by one point on every side, to the vertices:
+    no sort."""
+    d = mesh.dim
+    side = mesh.divisions + 3
+    stride = side ** np.arange(d)
+    at = (mesh.grid + 1) @ stride
+    vertex_at = np.full(side ** d, -1, dtype=index_dtype(mesh))
+    vertex_at[at] = np.arange(mesh.n_vertices)
+    step = ((np.arange(1, 2 ** d)[:, None] >> np.arange(d)) & 1) @ stride
+    here = (at if rows is None else np.take(at, rows))[:, None]
+    return np.take(vertex_at, here + step), np.take(vertex_at, here - step)
+
+
+def _edges(mesh):
+    """Every edge of the mesh as its two ends, lower index first, and its
+    compact index: its end lower on the grid times 2^d - 1, plus its
+    direction k (:func:`grid_neighbours`).  The edges come in (lower,
+    higher) index order: each vertex in index order, then its grid
+    neighbours of larger index, sorted inside the row, so no sort spans the
+    mesh.  :func:`refine` numbers the midpoints in this order."""
+    n_dir = 2 ** mesh.dim - 1
+    up, down = grid_neighbours(mesh)
+    v = np.arange(mesh.n_vertices)[:, None]
+    # each row's keys, neighbour << 32 | compact index; a neighbour of
+    # smaller index, or none, is the int64 maximum, which the sort puts last
+    keys = np.hstack([up, down]).astype(np.int64)
+    later = keys > v
+    keys <<= 32
+    keys[:, :n_dir] |= np.arange(v.size * n_dir).reshape(-1, n_dir)
+    keys[:, n_dir:] |= down * n_dir + np.arange(n_dir)
+    keys[~later] = np.iinfo(np.int64).max
+    keys.sort(axis=1)
+    later = keys != np.iinfo(np.int64).max
+    keys = keys[later]
+    return np.broadcast_to(v, later.shape)[later], keys >> 32, keys & 0xFFFFFFFF
+
+
 def refine(coarse: MeshLevel) -> MeshLevel:
     """One regular refinement step: every edge midpoint becomes a vertex,
-    every triangle splits into 4 children, every tetrahedron into 8.
+    every triangle splits into 4 children, every tetrahedron into 8.  Parent
+    vertices keep their indices as a prefix of the child mesh, and the
+    midpoints follow in :func:`_edges` order."""
+    d, nv = coarse.dim, coarse.n_vertices
+    n_dir = 2 ** d - 1
+    edge_lo, edge_hi, compact = _edges(coarse)
+    grid = np.concatenate([2 * coarse.grid, np.take(coarse.grid, edge_lo, axis=0)
+                           + np.take(coarse.grid, edge_hi, axis=0)])
 
-    Parent vertices keep their indices as a prefix of the child mesh.
-    """
-    d = coarse.dim
-    nv = coarse.n_vertices
-    cells = coarse.cells
-
-    pairs = [(i, j) for i in range(d + 1) for j in range(i + 1, d + 1)]
-    a = cells[:, [i for i, _ in pairs]]
-    b = cells[:, [j for _, j in pairs]]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    keys = lo.astype(np.int64) * nv + hi.astype(np.int64)
-    unique_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
-    edge_lo = unique_keys // nv
-    edge_hi = unique_keys % nv
-
-    # the parents, then the midpoints; np.take gathers rows faster than
-    # fancy indexing
-    vertices = np.empty((nv + edge_lo.size, d))
-    vertices[:nv] = coarse.vertices
-    np.add(np.take(coarse.vertices, edge_lo, axis=0), np.take(coarse.vertices, edge_hi, axis=0),
-           out=vertices[nv:])
-    vertices[nv:] *= 0.5
-    grid = np.empty_like(vertices, dtype=np.int32)
-    np.multiply(coarse.grid, 2, out=grid[:nv])
-    np.add(np.take(coarse.grid, edge_lo, axis=0), np.take(coarse.grid, edge_hi, axis=0),
-           out=grid[nv:])
-
-    ids = _index_dtype(len(vertices), coarse.n_cells * 2 ** d, d)
-    mid = (nv + inverse.reshape(keys.shape)).astype(ids)
-    local = np.hstack([cells.astype(ids, copy=False), mid])
-    table = _CHILD_TABLE[d]
-    children = local[:, table.ravel()].reshape(-1, d + 1)
+    # the midpoint of every compact index, read at each cell edge's lower
+    # end and direction
+    ids = _index_dtype(len(grid), coarse.n_cells * 2 ** d, d)
+    midpoint = np.empty(nv * n_dir, dtype=ids)
+    midpoint[compact] = np.arange(nv, len(grid), dtype=ids)
+    lower_end, direction = SHAPE_EDGES[d]
+    lower = np.take(lower_end, coarse.shapes, axis=0)
+    lower += (d + 1) * np.arange(coarse.n_cells)[:, None]
+    mid = np.take(midpoint, np.take(coarse.cells, lower) * n_dir
+                  + np.take(direction, coarse.shapes, axis=0))
+    local = np.hstack([coarse.cells.astype(ids, copy=False), mid])
+    children = local[:, _CHILD_TABLE[d].ravel()].reshape(-1, d + 1)
 
     return MeshLevel(
         dim=d,
-        vertices=vertices,
         cells=children,
         boundary_vertex=_on_faces(grid, 2 * coarse.divisions),
         level_index=coarse.level_index + 1,
@@ -281,7 +270,6 @@ def refine(coarse: MeshLevel) -> MeshLevel:
         shapes=np.take(SHAPE_CHILDREN[d], coarse.shapes, axis=0).ravel(),
         grid=grid,
         n_parent_vertices=nv,
-        midpoint_parents=np.column_stack([edge_lo, edge_hi]).astype(ids),
     )
 
 
@@ -293,8 +281,8 @@ def _shape_closure(d):
     (:func:`descendant_barycentrics`), integers in units of half the
     spacing.  The loop also visits the shapes it appends."""
     seed = build_initial_mesh(d, 1)
-    x = seed.vertices[seed.cells]
-    shapes = [tuple(map(tuple, e)) for e in np.rint(x[:, 1:] - x[:, :1]).astype(int)]
+    x = seed.grid[seed.cells].astype(int)
+    shapes = [tuple(map(tuple, e)) for e in x[:, 1:] - x[:, :1]]
     children = []
     for shape in shapes:
         corners = np.vstack([np.zeros(d, dtype=int), shape])
@@ -309,33 +297,44 @@ def _shape_closure(d):
     return np.array(shapes), np.array(children, dtype=np.int8)
 
 
+def _shape_edges(d):
+    """The lower end (a local vertex position) and the direction k of
+    every edge of every shape, edges in ``np.triu_indices(d+1, k=1)``
+    order, as two (n_shapes, d(d+1)/2) arrays: every edge of a Kuhn simplex
+    runs from a grid point x to x + delta_k h (:func:`grid_neighbours`)."""
+    corners = np.concatenate([np.zeros_like(SHAPES[d][:, :1]), SHAPES[d]], axis=1)
+    i, j = np.triu_indices(d + 1, k=1)
+    step = corners[:, j] - corners[:, i]                   # (n_shapes, edges, d)
+    return np.where((step >= 0).all(axis=2), i, j), np.abs(step) @ (1 << np.arange(d)) - 1
+
+
 # SHAPES[d]: integer edge vectors of unit |det|, 6 shapes in 2D and 6 in 3D;
-# SHAPE_CHILDREN[d][s, k]: the shape of child k of a cell of shape s
-SHAPES, SHAPE_CHILDREN = {}, {}
+# SHAPE_CHILDREN[d][s, k]: the shape of child k of a cell of shape s;
+# SHAPE_EDGES[d]: the lower end and direction of every edge of every shape
+SHAPES, SHAPE_CHILDREN, SHAPE_EDGES = {}, {}, {}
 for _d in _CHILD_TABLE:
     SHAPES[_d], SHAPE_CHILDREN[_d] = _shape_closure(_d)
+    SHAPE_EDGES[_d] = _shape_edges(_d)
 
 
 def interior_prolongation(coarse: MeshLevel, fine: MeshLevel):
     """Sparse interpolation matrix P with P @ c_coarse = c_fine for the same
     P1 function with zero boundary values, over interior dofs: an inherited
     interior vertex gets a single 1, an edge midpoint 1/2 for each interior
-    parent (none for a midpoint of two boundary vertices)."""
+    parent (none for a midpoint of two boundary vertices), its parents
+    read from :func:`_edges` of the coarse mesh."""
     if fine.n_parent_vertices != coarse.n_vertices or fine.level_index != coarse.level_index + 1:
         raise ValueError("fine mesh is not the refinement of the given coarse mesh")
-    if not np.array_equal(fine.vertices[: coarse.n_vertices], coarse.vertices):
-        raise ValueError("vertex prefix mismatch between levels")
-
     nv_c = coarse.n_vertices
+    if not np.array_equal(fine.grid[:nv_c], 2 * coarse.grid):
+        raise ValueError("vertex prefix mismatch between levels")
     dof = np.full(nv_c, -1, dtype=np.int64)
     dof[coarse.interior_indices] = np.arange(coarse.n_interior)
     # the parents of every fine vertex as coarse dofs, -1 for none or a
     # boundary vertex: an inherited vertex is its own first parent, and a
     # midpoint's lower parent comes first, so every row lists its columns
     # in order
-    parents = np.full((2, fine.n_vertices), -1, dtype=np.int64)
-    parents[0, :nv_c] = dof
-    parents[:, nv_c:] = dof[fine.midpoint_parents.T]
+    parents = np.hstack([[dof, np.full(nv_c, -1)], np.take(dof, _edges(coarse)[:2])])
     rows = fine.interior_indices
     cols = np.take(parents, rows, axis=1)
     keep = cols >= 0

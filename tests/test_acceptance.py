@@ -225,9 +225,9 @@ def test_criterion_9_property_suites():
         P = interior_prolongation(*map(boundary_free, h.levels))
         assert np.array_equal(P @ np.ones(h.levels[0].n_vertices),
                               np.ones(h.levels[1].n_vertices))
+        coarse_x, fine_x = (m.grid * m.spacing for m in h.levels)
         for axis in range(dim):
-            assert np.array_equal(P @ h.levels[0].vertices[:, axis],
-                                  h.levels[1].vertices[:, axis])
+            assert np.array_equal(P @ coarse_x[:, axis], fine_x[:, axis])
     # mass matrix sums to the box volume
     for dim in (2, 3):
         M = assemble_mass(boundary_free(build_initial_mesh(dim, 3)))

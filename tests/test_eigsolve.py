@@ -20,11 +20,11 @@ from fmgeig.eigsolve import (
 from fmgeig.fem import (
     FeFunction,
     ProblemSpec,
-    apply_nonlinear_residual,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
     harmonic_potential,
+    nonlinear_load,
 )
 from fmgeig.linalg import MgContext, WorkReport, galerkin_chain, mg_solve
 from fmgeig.mesh import build_hierarchy, build_initial_mesh
@@ -211,12 +211,15 @@ def test_scf_returns_normalized_signed_pair():
 
 def test_scf_residual_small_at_convergence():
     # run to tol 1e-12 on the 4x4 mesh and check the weak residual
+    # K u + (W u + zeta u^3, v) - lambda M u
     mesh = build_initial_mesh(2, 4)
     space = LevelSpace.build(mesh, GPE_2D)
     settings = ScfSettings(tol_lambda=1e-12, tol_u=1e-12, max_iter=300)
     res = scf_solve(space, GPE_2D, settings)
     assert res.converged
-    r = apply_nonlinear_residual(mesh, GPE_2D, res.pair.u.coefficients, res.pair.lam)
+    u, lam = res.pair.u.coefficients, res.pair.lam
+    r = (assemble_stiffness(mesh) @ u + nonlinear_load(mesh, GPE_2D, u)
+         - lam * (assemble_mass(mesh) @ u))
     assert np.abs(r).max() <= 10 * settings.tol_lambda
 
 
@@ -457,7 +460,7 @@ def test_augmented_scf_keeps_the_plain_step():
     # damped step, and the pinned values are those of the plain SCF, bit for bit
     h = build_hierarchy(2, 8, 2)
     level = h.levels[1]
-    x = level.vertices[level.interior_indices]
+    x = level.grid[level.interior_indices] * level.spacing
     u_t = np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1]) * (1 + x[:, 0])
     spaces = [LevelSpace.build(lv, GPE_2D) for lv in h.levels]
     aug = augment(h, spaces, 1, u_t)

@@ -14,7 +14,6 @@ from fmgeig.fem import (
     FeFunction,
     ProblemSpec,
     a_norm,
-    apply_nonlinear_residual,
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
@@ -25,7 +24,12 @@ from fmgeig.fem import (
     span_potential,
 )
 from fmgeig.linalg import WorkReport
-from fmgeig.mesh import SHAPES, build_hierarchy, build_initial_mesh, refine
+from fmgeig.mesh import SHAPE_EDGES, SHAPES, build_hierarchy, build_initial_mesh, refine
+
+
+def _positions(mesh):
+    """Every vertex's position, its grid coordinates times the spacing."""
+    return mesh.grid * mesh.spacing
 
 
 def _boundary_free(mesh):
@@ -70,7 +74,7 @@ def test_stiffness_five_point_stencil():
     # is the classical 5-point stencil, built here from grid adjacency alone.
     m = build_initial_mesh(2, 4)
     A = assemble_stiffness(m).toarray()
-    idx = {tuple(np.round(m.vertices[v] * 4).astype(int)): j
+    idx = {tuple(np.round(_positions(m)[v] * 4).astype(int)): j
            for j, v in enumerate(m.interior_indices)}
     expected = np.zeros((9, 9))
     for (ix, iy), j in idx.items():
@@ -183,27 +187,6 @@ def test_galerkin_coarsening_exact():
         assert np.abs(galerkin - coarse).max() <= 1e-12 * scale
 
 
-def test_residual_zero_function():
-    m = build_initial_mesh(2, 4)
-    spec = ProblemSpec(dim=2, zeta=1.0)
-    r = apply_nonlinear_residual(m, spec, np.zeros(m.n_interior), 3.7)
-    assert np.all(r == 0.0)
-
-
-def test_residual_linear_case_exact():
-    m = build_initial_mesh(2, 4)
-    spec = ProblemSpec(dim=2, zeta=0.0)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(m.n_interior)
-    lam = 11.0
-    A = assemble_stiffness(m)
-    MW = assemble_weighted_mass(m, harmonic_potential)
-    M = assemble_mass(m)
-    expected = (A + MW) @ u - lam * (M @ u)
-    r = apply_nonlinear_residual(m, spec, u, lam)
-    assert np.array_equal(r, expected)
-
-
 def test_a_norm_zero_and_mismatch():
     m = build_initial_mesh(2, 4)
     A = assemble_stiffness(m)
@@ -222,7 +205,8 @@ def test_a_norm_dirichlet_energy_of_sine_interpolant():
     for n in (16, 32, 64):
         m = build_initial_mesh(2, n)
         A = assemble_stiffness(m)
-        vals = np.sin(pi * m.vertices[:, 0]) * np.sin(pi * m.vertices[:, 1])
+        x = _positions(m)
+        vals = np.sin(pi * x[:, 0]) * np.sin(pi * x[:, 1])
         errs.append(abs(a_norm(vals[m.interior_indices], A) ** 2 - target))
     assert errs[-1] / target < 1e-3
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -275,7 +259,7 @@ def test_integrate_power_against_analytic():
     # both exact for P1 with the degree-4 rule, by quadrature and through
     # the quadratic forms u'Mu and u'M_{u^2}u
     m = _boundary_free(build_initial_mesh(2, 3))
-    u = m.vertices[:, 0]
+    u = _positions(m)[:, 0]
     assert _integrate_power(m, u, 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert _integrate_power(m, u, 4) == pytest.approx(1.0 / 5.0, rel=1e-13)
     M = assemble_mass(m)
@@ -298,7 +282,7 @@ def _reference_geometry(mesh, cells=None):
     """Barycentric gradients (nc, d+1, d) and measures by inverting the
     homogeneous vertex matrix of every cell (of `cells`, default all)."""
     cells = mesh.cells if cells is None else cells
-    coords = mesh.vertices[cells]
+    coords = _positions(mesh)[cells]
     B = np.concatenate([np.ones((len(cells), mesh.dim + 1, 1)), coords], axis=2)
     grads = np.transpose(np.linalg.inv(B)[:, 1:, :], (0, 2, 1))
     return grads, np.abs(np.linalg.det(B)) / factorial(mesh.dim)
@@ -376,7 +360,7 @@ def test_weighted_mass_matches_coo_reference(dim, with_boundary, monkeypatch):
     assert len(blocks) > 2 and {stop - start for start, stop in blocks[:-1]} == {17}
     _, meas = _reference_geometry(m)
     # analytic weight |x|^2 = sum_kl (x_k . x_l) lambda_k lambda_l on a cell
-    coords = m.vertices[m.cells]
+    coords = _positions(m)[m.cells]
     gram = np.einsum("ckd,cld->ckl", coords, coords)
     local = np.einsum("c,ckl,klij->cij", meas, gram, _moment_tensor(dim, 4))
     _assert_matches(assemble_weighted_mass(m, harmonic_potential), _coo_reference(m, local))
@@ -695,15 +679,15 @@ def test_pattern_is_the_kuhn_stencil(dim):
     assert np.isin(delta, (0, 1)).all() and delta.any(axis=2).all()
     deltas = {tuple(v) for v in delta.reshape(-1, dim)}
     assert len(deltas) == 2 ** dim - 1
-    ends, k = fem._SHAPE_EDGES[dim]
+    lower, k = SHAPE_EDGES[dim]
     cell = np.arange(len(shapes))[:, None]
-    assert np.array_equal(corners[cell, ends[1]] - corners[cell, ends[0]], delta)
+    assert np.array_equal(corners[cell, i + j - lower] - corners[cell, lower], delta)
     assert np.array_equal(k + 1, delta @ (1 << np.arange(dim)))
     full = 2 ** (dim + 1) - 1
     for mesh in (build_initial_mesh(dim, 5), refine(refine(build_initial_mesh(dim, 1)))):
         assemble_mass(mesh)
         counts = np.diff(mesh.__dict__["_fem_pattern"].indptr)
-        grid = np.rint(mesh.vertices[mesh.interior_indices] / mesh.spacing)
+        grid = mesh.grid[mesh.interior_indices]
         deep = ((grid >= 2) & (grid <= round(1 / mesh.spacing) - 2)).all(axis=1)
         assert deep.any() and not deep.all()
         assert np.all(counts[deep] == full) and np.all(counts[~deep] < full)
@@ -755,18 +739,15 @@ def test_refined_stiffness_on_non_binary_meshes(case, depth):
 
 
 def test_stiffness_and_mass_read_no_vertex_coordinates(monkeypatch):
-    # the stiffness and mass of a copy whose vertices are all NaN equal the
-    # original's bit for bit: they take the spacing and the cell shapes,
-    # never the vertices; the first assembly on each, which builds its
-    # pattern, sorts nothing across the mesh
+    # the mesh holds no positions, only its grid: the stiffness and mass
+    # take the spacing and the cell shapes, and the first assembly on each
+    # mesh, which builds its pattern, sorts nothing across the mesh
     meshes = [_test_mesh(dim) for dim in (2, 3)]
     _forbid(monkeypatch, (np, "unique"), (np, "argsort"), (np, "lexsort"))
     for mesh in meshes:
-        blind = replace(mesh, vertices=np.full_like(mesh.vertices, np.nan))
+        assert not hasattr(mesh, "vertices")
         for assemble in (assemble_stiffness, assemble_mass):
-            expected, got = assemble(mesh), assemble(blind)
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, name), getattr(expected, name))
+            assemble(mesh)
 
 
 # --- what the correction levels compute without W_h or Mnl_h ---------------

@@ -13,7 +13,6 @@ from fmgeig.fem import ProblemSpec
 from fmgeig.mesh import (
     SHAPE_CHILDREN,
     SHAPES,
-    MeshHierarchy,
     build_hierarchy,
     build_initial_mesh,
     descendant_barycentrics,
@@ -28,21 +27,49 @@ def _boundary_free(mesh):
     return replace(mesh, boundary_vertex=np.zeros(mesh.n_vertices, dtype=bool))
 
 
-def _box_image(hierarchy, box):
-    """The hierarchy with every mesh's vertices mapped onto ``box`` by
-    x -> lo + (hi - lo) x per axis (None keeps the unit box); boundary flags
-    and refinement records are kept, so the box faces stay the boundary."""
+def _positions(mesh):
+    """Every vertex's position, its grid coordinates times the spacing."""
+    return mesh.grid * mesh.spacing
+
+
+def _box_image(mesh, box):
+    """The mesh's vertex positions mapped onto ``box`` by
+    x -> lo + (hi - lo) x per axis (None keeps the unit box)."""
     if box is None:
-        return hierarchy
+        return _positions(mesh)
     lo, hi = np.array(box, dtype=float).T
-    meshes = [replace(m, vertices=lo + (hi - lo) * m.vertices) for m in hierarchy.meshes]
-    return MeshHierarchy(meshes=meshes, first=hierarchy.first)
+    return lo + (hi - lo) * _positions(mesh)
 
 
 def _cell_measures(mesh):
     """Every cell's measure from its vertices, by a batched determinant."""
-    coords = mesh.vertices[mesh.cells]
+    coords = _positions(mesh)[mesh.cells]
     return np.abs(np.linalg.det(coords[:, 1:] - coords[:, :1])) / factorial(mesh.dim)
+
+
+def _sort_unique_edges(mesh):
+    """Every edge of the mesh as a (lower, higher) vertex pair, in that
+    order, by np.unique over the vertex pairs of every cell, and the
+    position in that list of each cell's edges, in np.triu_indices(d+1, k=1)
+    order: the midpoint numbering the refinement must reproduce."""
+    nv = mesh.n_vertices
+    i, j = np.triu_indices(mesh.dim + 1, k=1)
+    a, b = mesh.cells[:, i], mesh.cells[:, j]
+    keys, inverse = np.unique(np.minimum(a, b).astype(np.int64) * nv + np.maximum(a, b),
+                              return_inverse=True)
+    return np.column_stack([keys // nv, keys % nv]), inverse.reshape(a.shape)
+
+
+def _reference_refine(coarse):
+    """(cells, grid, boundary flags) of the refinement of ``coarse``, its
+    midpoints numbered by :func:`_sort_unique_edges`."""
+    d = coarse.dim
+    edges, inverse = _sort_unique_edges(coarse)
+    grid = np.vstack([2 * coarse.grid, coarse.grid[edges[:, 0]] + coarse.grid[edges[:, 1]]])
+    local = np.hstack([coarse.cells, coarse.n_vertices + inverse])
+    cells = local[:, mesh_module._CHILD_TABLE[d].ravel()].reshape(-1, d + 1)
+    n = 2 * coarse.divisions
+    return cells, grid, ((grid == 0) | (grid == n)).any(axis=1)
 
 
 def _vertex_prolongation(coarse, fine):
@@ -51,7 +78,7 @@ def _vertex_prolongation(coarse, fine):
     nv_c = coarse.n_vertices
     n_mid = fine.n_vertices - nv_c
     rows = np.concatenate([np.arange(nv_c), np.repeat(np.arange(nv_c, fine.n_vertices), 2)])
-    cols = np.concatenate([np.arange(nv_c), fine.midpoint_parents.ravel()])
+    cols = np.concatenate([np.arange(nv_c), _sort_unique_edges(coarse)[0].ravel()])
     data = np.concatenate([np.ones(nv_c), np.full(2 * n_mid, 0.5)])
     P = sp.csr_matrix((data, (rows, cols)), shape=(fine.n_vertices, nv_c))
     P.sort_indices()
@@ -93,8 +120,8 @@ def test_boundary_flags_match_box_faces():
         m = build_initial_mesh(dim, 3)
         on_face = np.zeros(m.n_vertices, dtype=bool)
         for axis in range(dim):
-            on_face |= np.isclose(m.vertices[:, axis], 0.0, atol=1e-12)
-            on_face |= np.isclose(m.vertices[:, axis], 1.0, atol=1e-12)
+            on_face |= np.isclose(_positions(m)[:, axis], 0.0, atol=1e-12)
+            on_face |= np.isclose(_positions(m)[:, axis], 1.0, atol=1e-12)
         assert np.array_equal(m.boundary_vertex, on_face)
 
 
@@ -132,7 +159,7 @@ def test_refined_cells_nondegenerate_2d_orientation():
     m = build_initial_mesh(2, 2)
     for _ in range(3):
         m = refine(m)
-    coords = m.vertices[m.cells]
+    coords = _positions(m)[m.cells]
     det = np.linalg.det(coords[:, 1:, :] - coords[:, :1, :])
     assert (det > 0).all()
 
@@ -144,7 +171,7 @@ def test_refinement_shape_quality_stays_fixed_3d():
     ratios = []
     for _ in range(3):
         meas = _cell_measures(m)
-        coords = m.vertices[m.cells]
+        coords = _positions(m)[m.cells]
         diam = np.zeros(m.n_cells)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -164,12 +191,12 @@ def test_hierarchy_element_ladder_3d():
 
 @pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6)])
 def test_hierarchy_stores_int32_cells(config):
-    # every index of these meshes fits in int32, so every level's cell and
-    # midpoint tables are int32, half the bytes of int64
+    # every index of these meshes fits in int32, so every level's cell
+    # table is int32, half the bytes of int64
     h = build_hierarchy(*config)
     for m in h.meshes:
         assert index_dtype(m) is np.int32
-        assert m.cells.dtype == np.int32 and m.midpoint_parents.dtype == np.int32
+        assert m.cells.dtype == np.int32
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -183,7 +210,7 @@ def test_shapes_close_under_refinement(dim):
     assert children.shape == (6, 2 ** dim)
     assert children.min() >= 0 and children.max() < 6
     seed = build_initial_mesh(dim, 1)
-    x = seed.vertices[seed.cells]
+    x = seed.grid[seed.cells]
     assert np.array_equal(shapes[:seed.n_cells], x[:, 1:] - x[:, :1])
     assert np.array_equal(seed.shapes, np.arange(seed.n_cells))
 
@@ -196,7 +223,7 @@ def test_every_cell_is_its_shape_times_the_spacing(config):
     for k, m in enumerate(build_hierarchy(*config).meshes):
         assert m.shapes.dtype == np.int8 and m.shapes.shape == (m.n_cells,)
         assert m.spacing == 1.0 / divisions / 2 ** k
-        x = m.vertices[m.cells]
+        x = _positions(m)[m.cells]
         edges = x[:, 1:] - x[:, :1]
         assert np.abs(edges - SHAPES[dim][m.shapes] * m.spacing).max() <= 1e-12 * m.spacing
 
@@ -213,19 +240,13 @@ def _float_faces(vertices):
 @pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6), (3, 5, 3), (2, 3, 4), (3, 7, 2),
                                     (2, 5, 5)])
 def test_grid_is_the_vertices_in_units_of_the_spacing(config):
-    # int32 grid coordinates, exactly the vertices over the spacing on a
-    # binary grid and within 1 ulp on the others; the boundary flags they
-    # give match the float face test
+    # int32 grid coordinates from 0 to the divisions; the boundary flags
+    # they give match the float face test on the positions
     dim, divisions, _ = config
     for m in build_hierarchy(*config).meshes:
         assert m.grid.dtype == np.int32 and m.grid.shape == (m.n_vertices, dim)
         assert m.grid.min() == 0 and m.grid.max() == m.divisions
-        scaled = m.grid * m.spacing
-        if divisions == 8:
-            assert np.array_equal(scaled, m.vertices)
-        else:
-            assert np.all(np.abs(scaled - m.vertices) <= np.spacing(m.vertices))
-        assert np.array_equal(m.boundary_vertex, _float_faces(m.vertices))
+        assert np.array_equal(m.boundary_vertex, _float_faces(_positions(m)))
 
 
 def test_hierarchy_single_level():
@@ -233,9 +254,10 @@ def test_hierarchy_single_level():
     assert h.n_levels == 1 and len(h.meshes) == 1
 
 
-def _longest_edge(mesh):
-    """Brute-force reference: every vertex pair of every cell."""
-    coords = mesh.vertices[mesh.cells]
+def _longest_edge(mesh, x):
+    """Brute-force reference: every vertex pair of every cell, the vertices
+    at positions x."""
+    coords = x[mesh.cells]
     n_loc = mesh.cells.shape[1]
     dmax = 0.0
     for i in range(n_loc):
@@ -257,11 +279,12 @@ def test_longest_edge_halves_per_level(dim, box, divisions):
     # over 2^k: no refinement lengthens an edge beyond the halved grid's (in
     # 3D the m02-m13 cut is half a face diagonal), also on the axis-scaled
     # images of the unit box
-    h = _box_image(build_hierarchy(dim, divisions, 3), box)
+    h = build_hierarchy(dim, divisions, 3)
     lo, hi = np.array(box if box else ((0, 1),) * dim, dtype=float).T
     diagonal = np.linalg.norm((hi - lo) / divisions)
     for k, lv in enumerate(h.levels):
-        assert _longest_edge(lv) == pytest.approx(diagonal / 2 ** k, rel=1e-14)
+        longest = _longest_edge(lv, _box_image(lv, box))
+        assert longest == pytest.approx(diagonal / 2 ** k, rel=1e-14)
 
 
 @pytest.mark.parametrize("dim, box", [
@@ -273,18 +296,19 @@ def test_longest_edge_halves_per_level(dim, box, divisions):
 def test_descendant_table_places_every_fine_cell(dim, box):
     # fine cell i descends from coarse cell i // n as type i % n, and its
     # vertices are that type's barycentrics of the ancestor's vertices
-    h = _box_image(build_hierarchy(dim, 1, 4), box)
+    h = build_hierarchy(dim, 1, 4)
     coarse = h.levels[0]
-    size = np.abs(coarse.vertices).max()
+    x = _box_image(coarse, box)
+    size = np.abs(x).max()
     for depth in (1, 2, 3):
         fine = h.levels[depth]
         table = descendant_barycentrics(dim, depth)
         n = len(table)
         assert n == 2 ** (dim * depth) and fine.n_cells == coarse.n_cells * n
         cell = np.arange(fine.n_cells)
-        ancestor = coarse.vertices[coarse.cells[cell // n]]        # (cells, d+1, d)
+        ancestor = x[coarse.cells[cell // n]]                      # (cells, d+1, d)
         placed = np.matmul(table[cell % n], ancestor)
-        assert np.abs(placed - fine.vertices[fine.cells]).max() <= 1e-15 * size
+        assert np.abs(placed - _box_image(fine, box)[fine.cells]).max() <= 1e-15 * size
     assert np.array_equal(descendant_barycentrics(dim, 0), np.eye(dim + 1)[None])
 
 
@@ -312,7 +336,7 @@ def test_vertex_nestedness():
     h = build_hierarchy(2, 2, 3)
     for k in range(2):
         c, f = h.levels[k], h.levels[k + 1]
-        assert np.array_equal(f.vertices[: c.n_vertices], c.vertices)
+        assert np.array_equal(_positions(f)[: c.n_vertices], _positions(c))
 
 
 def test_interior_dof_ratio_tends_to_one():
@@ -347,8 +371,8 @@ def test_prolongation_reproduces_linears_exactly():
         h = build_hierarchy(dim, 2, 2)
         P = interior_prolongation(*map(_boundary_free, h.levels))
         for axis in range(dim):
-            coarse_vals = h.levels[0].vertices[:, axis]
-            fine_vals = h.levels[1].vertices[:, axis]
+            coarse_vals = _positions(h.levels[0])[:, axis]
+            fine_vals = _positions(h.levels[1])[:, axis]
             assert np.array_equal(P @ coarse_vals, fine_vals)
 
 
@@ -386,7 +410,7 @@ def test_prolongation_level_mismatch_rejected():
     h = build_hierarchy(2, 2, 3)
     with pytest.raises(ValueError, match="not the refinement"):
         interior_prolongation(h.levels[0], h.levels[2])
-    shifted = replace(h.levels[0], vertices=h.levels[0].vertices + 0.5)
+    shifted = replace(h.levels[0], grid=h.levels[0].grid + 1)
     with pytest.raises(ValueError, match="prefix"):
         interior_prolongation(shifted, h.levels[1])
 
@@ -394,7 +418,7 @@ def test_prolongation_level_mismatch_rejected():
 def _locate_and_eval(mesh, coeffs, points):
     """Brute-force P1 evaluation: find the containing cell, use barycentric
     coordinates.  Independent of the prolongation construction."""
-    coords = mesh.vertices[mesh.cells]                                # (cells, d+1, d)
+    coords = _positions(mesh)[mesh.cells]                             # (cells, d+1, d)
     A = np.concatenate([np.ones((mesh.n_cells, 1, mesh.dim + 1)),
                         coords.transpose(0, 2, 1)], axis=1)
     rhs = np.vstack([np.ones(len(points)), np.asarray(points).T])     # (d+1, points)
@@ -416,14 +440,14 @@ def test_nestedness_by_pointwise_evaluation(vals):
     f = refine(m)
     P = interior_prolongation(_boundary_free(m), _boundary_free(f))
     c = np.array(vals)
-    direct = _locate_and_eval(m, c, f.vertices)
+    direct = _locate_and_eval(m, c, _positions(f))
     assert np.allclose(P @ c, direct, atol=1e-12)
     for dim, n in ((2, 4), (3, 3)):
         m = build_initial_mesh(dim, n)
         f = refine(m)
         c = np.zeros(m.n_vertices)
         c[m.interior_indices] = vals[:m.n_interior]
-        direct = _locate_and_eval(m, c, f.vertices)
+        direct = _locate_and_eval(m, c, _positions(f))
         fine = interior_prolongation(m, f) @ c[m.interior_indices]
         assert np.allclose(fine, direct[f.interior_indices], atol=1e-12)
         assert np.allclose(direct[f.boundary_vertex], 0.0, atol=1e-12)
@@ -449,18 +473,50 @@ def test_interior_prolongation_shape():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_interior_prolongation_matches_the_sliced_vertex_prolongation(dim, divisions,
                                                                      offset, box):
-    # built from the refinement, the interior map holds exactly the arrays
-    # of the full-vertex map restricted to interior rows and columns; it
-    # reads no coordinates, so an anisotropic image of the meshes gives the
-    # same map
+    # built from the grid, the interior map holds exactly the arrays of the
+    # sort-unique full-vertex map restricted to interior rows and columns;
+    # the full map carries every vertex position to its fine one, also on
+    # an anisotropic image of the box
     if box is not None:
         box = ((0, 2), (-1, 0.5), (0, 0.25))[:dim]
-    h = _box_image(build_hierarchy(dim, divisions, 2, coarse_offset=offset), box)
+    h = build_hierarchy(dim, divisions, 2, coarse_offset=offset)
     for k in range(-offset, h.n_levels - 1):
         coarse, fine = h.meshes[offset + k], h.meshes[offset + k + 1]
         ref = _vertex_prolongation(coarse, fine)
+        x = _box_image(fine, box)
+        assert np.abs(ref @ _box_image(coarse, box) - x).max() <= 1e-15 * np.abs(x).max()
         ref = ref[fine.interior_indices][:, coarse.interior_indices].tocsr()
         P = h.interior_prolongation(k)
+        for got, want in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _forbid(monkeypatch, *targets):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called while building the hierarchy")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, forbidden)
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6), (3, 5, 3), (2, 3, 4), (3, 7, 2),
+                                    (2, 5, 5), (2, 1, 4), (3, 1, 4)])
+def test_refinement_is_sort_free_and_matches_the_sort_unique_reference(config, monkeypatch):
+    # the hierarchy and its interior prolongations are built with no sort
+    # across the mesh, and every refinement gives, array for array, the
+    # cells, grid and boundary flags of the sort-unique midpoint numbering,
+    # and the interior prolongation of the sort-unique full-vertex map
+    with monkeypatch.context() as patch:
+        _forbid(patch, (np, "unique"), (np, "argsort"), (np, "lexsort"))
+        h = build_hierarchy(*config)
+        prolongations = [h.interior_prolongation(k) for k in range(h.n_levels - 1)]
+    for coarse, fine, P in zip(h.meshes, h.meshes[1:], prolongations):
+        cells, grid, boundary = _reference_refine(coarse)
+        assert fine.cells.dtype == index_dtype(fine) and np.array_equal(fine.cells, cells)
+        assert fine.grid.dtype == np.int32 and np.array_equal(fine.grid, grid)
+        assert np.array_equal(fine.boundary_vertex, boundary)
+        ref = _vertex_prolongation(coarse, fine)
+        ref = ref[fine.interior_indices][:, coarse.interior_indices].tocsr()
         for got, want in ((P.indptr, ref.indptr), (P.indices, ref.indices), (P.data, ref.data)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
