@@ -45,7 +45,12 @@ MAX_VERTICES = 30_000_000
 
 # Children of a refined triangle in terms of the local indices
 # (v0, v1, v2, m01, m02, m12); all four keep the parent's orientation.
-_TRI_CHILDREN = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [3, 5, 4]])
+_TRI_CHILDREN = np.array([
+    [0, 3, 4],
+    [3, 1, 5],
+    [4, 5, 2],
+    [3, 5, 4],
+])
 
 # Children of a refined tetrahedron, local indices
 # (v0, v1, v2, v3, m01, m02, m03, m12, m13, m23).  The interior octahedron
@@ -53,8 +58,16 @@ _TRI_CHILDREN = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2], [3, 5, 4]])
 # tetrahedra below this reproduces the same triangulation pattern on the
 # half-size grid, so shape quality does not degrade under repeated
 # refinement.
-_TET_CHILDREN = np.array([[0, 4, 5, 6], [4, 1, 7, 8], [5, 7, 2, 9], [6, 8, 9, 3],
-                          [4, 5, 6, 8], [4, 5, 7, 8], [5, 6, 8, 9], [5, 7, 8, 9]])
+_TET_CHILDREN = np.array([
+    [0, 4, 5, 6],
+    [4, 1, 7, 8],
+    [5, 7, 2, 9],
+    [6, 8, 9, 3],
+    [4, 5, 6, 8],
+    [4, 5, 7, 8],
+    [5, 6, 8, 9],
+    [5, 7, 8, 9],
+])
 
 _CHILD_TABLE = {2: _TRI_CHILDREN, 3: _TET_CHILDREN}
 
