@@ -5,18 +5,21 @@ current iterate, solves the linearized generalized eigenproblem for its
 smallest pair, and repeats; on a mesh level its steps are Anderson-mixed
 under an energy line search.  The augmented space is the correction
 space V_H, a LevelSpace, bordered by the span of one fine function t: a
-small dense pencil, which LAPACK solves.  Nothing is assembled for it:
-its V_H blocks are V_H's own matrices, and its borders are the fine
-matvecs K_h t and M_h t plus the potential's part.  That part and the
-t-dependent parts of its nonlinear matrix contract the moments of t
-against the coarse barycentrics, integrated once per space.  A LevelSpace
-assembles K and M when built, and the potential W only when a solve first
-needs its linear part L = K + W.  On a mesh level the inner eigensolve is
-LOBPCG, with no shifts, preconditioned by one V-cycle of the level's own
-multigrid context: the Galerkin chain of the linear part L, built once,
-whose top and coarse diagonals each sweep updates in place to the pencil
-L + zeta Mnl (a level without coarser levels keeps a sparse LU solve of
-the pencil).
+small dense pencil.  Nothing is assembled for it: its V_H blocks are V_H's
+own matrices, and its borders are the fine matvecs K_h t and M_h t plus
+the potential's part.  That part and the t-dependent parts of its
+nonlinear matrix contract the moments of t against the coarse
+barycentrics, integrated once per space, and the scatter index of those
+parts is built with the space.  A LevelSpace assembles K and M when
+built, and the potential W only when a solve first needs its linear part
+L = K + W.  Every pencil, dense or sparse, goes through one LOBPCG
+(:func:`smallest_eigpair`), with no shifts and warm-started from the SCF
+iterate.  On a mesh level it is preconditioned by one V-cycle of the
+level's own multigrid context: the Galerkin chain of the linear part L,
+built once, whose top and coarse diagonals each sweep updates in place to
+the pencil L + zeta Mnl (a level without coarser levels keeps a sparse LU
+solve of the pencil).  A dense augmented pencil is preconditioned by a
+direct solve with the Cholesky factor of its matrix.
 """
 
 from __future__ import annotations
@@ -118,31 +121,41 @@ def apply_sign_convention(x):
 
 
 def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None):
-    """Algebraically smallest eigenpair of A x = lambda M x (A symmetric,
-    M SPD), returned as (lambda, x) with x' M x = 1 and the largest-magnitude
-    entry of x positive.
+    """Smallest eigenpair of A x = lambda M x (A and M SPD), returned as
+    (lambda, x) with x' M x = 1 and the largest-magnitude entry of x
+    positive.
 
-    Dense pencils (the augmented spaces) are solved by LAPACK through
-    scipy.linalg.eigh, counted as A.size + M.size work units; the remaining
-    arguments do not apply to them.  Sparse pencils (A SPD) run LOBPCG with
-    block size 1 (Knyazev, SISC 23, 2001) from x0 (default all ones),
-    counting every product in `work`.  Each step takes the smallest Ritz
-    pair of span{x, T r, p}, with r = A x - rho M x, p the previous step and
-    T one V-cycle of `mg`, a multigrid context on A (by default a one-level
-    one, whose V-cycle is a sparse LU solve).  It stops once
-    ||r|| <= tol ||A x||, or once r fails to halve inside its rounding floor
-    eps ||A||_inf ||x||.
+    Every pencil runs LOBPCG with block size 1 (Knyazev, SISC 23, 2001)
+    from x0 (default all ones).  Each step takes the smallest Ritz pair of
+    span{x, T r, p}, with r = A x - rho M x, p the previous step and T the
+    preconditioner.  For a sparse pencil T is one V-cycle of `mg`, a
+    multigrid context on A (by default a one-level one, whose V-cycle is a
+    sparse LU solve), and every product counts in `work`.  For a dense
+    pencil (the augmented spaces) T is a direct solve with the Cholesky
+    factor of A, which raises SolverError if A is not positive definite;
+    `mg` does not apply, and the call counts A.size + M.size work units
+    once, its steps nothing.  It stops once ||r|| <= tol ||A x||, or once r
+    fails to halve inside its rounding floor eps ||A||_inf ||x||.
     """
     if M.shape != A.shape:
         raise ValueError("pencil matrices must have equal shape")
-    if not sp.issparse(A):
+    if sp.issparse(A):
+        if mg is None:
+            mg = MgContext([A.tocsr()], [], work=work if work is not None else WorkReport())
+
+        def precondition(r):
+            return v_cycle(mg, mg.n_levels - 1, r)
+    else:
         if work is not None:
             work.add(A.size + M.size)
-        lam, vecs = scipy.linalg.eigh(A, M, subset_by_index=[0, 0])
-        return float(lam[0]), apply_sign_convention(vecs[:, 0])
-    if mg is None:
-        mg = MgContext([A.tocsr()], [], work=work if work is not None else WorkReport())
-    top = mg.n_levels - 1
+        work = None                             # the steps count nothing
+        try:
+            factor = scipy.linalg.cho_factor(A, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"dense pencil matrix is not positive definite: {exc}") from None
+
+        def precondition(r):
+            return scipy.linalg.cho_solve(factor, r, check_finite=False)
 
     x = np.array(x0, dtype=float) if x0 is not None else np.ones(A.shape[0])
     Mx = counted_matvec(M, x, work)
@@ -166,15 +179,18 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
             return rho, apply_sign_convention(x)
         if res > 0.5 * prev_res:
             if floor == np.inf:
-                # ||A||_inf from the stored entries: an SPD pencil has no
-                # empty row, so every reduceat segment is one row
-                floor = _EPS * float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
-                if work is not None:
-                    work.add(A.nnz)
+                # ||A||_inf; of a sparse A from the stored entries: an SPD
+                # pencil has no empty row, so every reduceat segment is one row
+                if sp.issparse(A):
+                    floor = _EPS * float(np.add.reduceat(np.abs(A.data), A.indptr[:-1]).max())
+                    if work is not None:
+                        work.add(A.nnz)
+                else:
+                    floor = _EPS * float(np.abs(A).sum(axis=1).max())
             if res <= floor * np.linalg.norm(x):
                 return rho, apply_sign_convention(x)
         prev_res = res
-        w = v_cycle(mg, top, r)
+        w = precondition(r)
         Mw = counted_matvec(M, w, work)
         nrm = np.sqrt(max(w @ Mw, 0.0))
         if nrm == 0.0 or not np.isfinite(nrm):
@@ -188,7 +204,8 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
         for k in (3, 2) if have_p else (2,):
             S, AS, MS = basis[0, :k], basis[1, :k], basis[2, :k]
             try:
-                c = scipy.linalg.eigh(S @ AS.T, S @ MS.T, subset_by_index=[0, 0])[1][:, 0]
+                c = scipy.linalg.eigh(S @ AS.T, S @ MS.T, subset_by_index=[0, 0],
+                                      check_finite=False)[1][:, 0]
                 break
             except np.linalg.LinAlgError:
                 continue
@@ -330,6 +347,12 @@ class AugmentedSpace:
     mass: np.ndarray
     initial_coeffs: np.ndarray
     moments: SpanMoments | None       # None when span is None
+    # the t-dependent part of every nonlinear matrix, built with the space
+    # (None when span is None): the dof of every coarse cell vertex, n_H + 1
+    # for a boundary vertex, and the flat (n_H + 2)^2 index that scatters
+    # the cells' block, border and border-transpose entries
+    cell_dofs: np.ndarray | None = None
+    scatter: np.ndarray | None = None
 
     @property
     def n_dofs(self):
@@ -346,7 +369,6 @@ class AugmentedSpace:
         Mnl_H(u_H) + 2 s S3.U + s^2 S2, the border S3:UU + 2 s S2.U + s^2 S1
         and the corner UU:S2 + 2 s U.S1 + s^2 S0, summed over coarse cells.
         Counts the coarse assembly and one unit per moment entry read."""
-        mesh = self.coarse.mesh
         n = self.coarse.n_dofs
         c = np.asarray(coeffs, dtype=float)
         red = self.coarse.nonlinear_matrix(c[:n], work=work).toarray()
@@ -354,24 +376,17 @@ class AugmentedSpace:
             return red
         s3, s2, s1, s0 = self.moments
         s = c[n]
-        U = np.zeros(mesh.n_vertices)
-        U[mesh.interior_indices] = c[:n]
-        U = U[mesh.cells]
+        U = np.zeros(n + 2)
+        U[:n] = c[:n]
+        U = U[self.cell_dofs]
         s3u = np.einsum("cabk,ck->cab", s3, U)
         s2u = np.einsum("cab,cb->ca", s2, U)
         block = 2 * s * s3u + s * s * s2
         border = np.einsum("cab,cb->ca", s3u, U) + 2 * s * s2u + s * s * s1
         corner = np.vdot(s2u, U) + 2 * s * np.vdot(s1, U) + s * s * s0.sum()
-        # interior dof of every cell vertex; n + 1 is a dump row and column
-        # for the boundary vertices, and n the row and column of t
-        dof = np.full(mesh.n_vertices, n + 1)
-        dof[mesh.interior_indices] = np.arange(n)
-        dof = dof[mesh.cells]
-        m = n + 2
-        index = np.concatenate([(dof[:, :, None] * m + dof[:, None, :]).ravel(),
-                                (dof * m + n).ravel(), (n * m + dof).ravel()])
         values = np.concatenate([block.ravel(), border.ravel(), border.ravel()])
-        out = np.bincount(index, values, minlength=m * m).reshape(m, m)[:n + 1, :n + 1]
+        m = n + 2
+        out = np.bincount(self.scatter, values, minlength=m * m).reshape(m, m)[:n + 1, :n + 1]
         out[:n, :n] += red
         out[n, n] += corner
         if work is not None:
@@ -411,10 +426,12 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     M_H = coarse.mass.toarray()
     Mt = counted_matvec(M, t, work)
     rhs = counted_matvec(B.T, Mt, work)
-    c_proj = scipy.linalg.solve(M_H, rhs, assume_a="pos")
+    c_proj = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M_H, check_finite=False), rhs,
+                                    check_finite=False)
     resid = t - B @ c_proj
     resid_b = float(np.sqrt(max(resid @ (M @ resid), 0.0)))
 
+    cell_dofs = scatter = None
     if resid_b <= SPAN_TOL:
         span, initial, moments = None, c_proj, None
         L_red, M_red = L_H, M_H
@@ -433,6 +450,15 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
             corner += W_corner
         L_red = _bordered(L_H, border, corner)
         M_red = _bordered(M_H, rhs, t @ Mt)
+        # n the row and column of t, n + 1 a dump row and column for the
+        # boundary vertices
+        mesh, n = coarse.mesh, coarse.n_dofs
+        dof = np.full(mesh.n_vertices, n + 1)
+        dof[mesh.interior_indices] = np.arange(n)
+        cell_dofs = dof[mesh.cells]
+        m = n + 2
+        scatter = np.concatenate([(cell_dofs[:, :, None] * m + cell_dofs[:, None, :]).ravel(),
+                                  (cell_dofs * m + n).ravel(), (n * m + cell_dofs).ravel()])
     return AugmentedSpace(
         coarse=coarse,
         prolongation=B,
@@ -442,6 +468,8 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
         mass=M_red,
         initial_coeffs=initial,
         moments=moments,
+        cell_dofs=cell_dofs,
+        scatter=scatter,
     )
 
 
@@ -479,8 +507,9 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     min(FORCING_CAP, FORCING * r)) with r the previous sweep's residual
     (FORCING_CAP before the first sweep), and a sweep that meets the
     stopping rule below the full tolerance is followed by one at eig_tol,
-    with the mixing history cleared.  The dense augmented pencils are
-    solved exactly, at eig_tol.  `history` holds one ScfSweep per sweep.
+    with the mixing history cleared.  The dense augmented pencils run the
+    same LOBPCG, Cholesky-preconditioned, at eig_tol from the iterate.
+    `history` holds one ScfSweep per sweep.
     Hitting max_iter returns converged=False (the augmented solves are
     capped at 3 sweeps by design); an energy that rises on three
     consecutive sweeps raises SolverError.
@@ -510,7 +539,7 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
         the top matrix of the space's multigrid context."""
         if not level:
             A_lin = L if Mnl is None else L + zeta * Mnl
-            return (*smallest_eigpair(A_lin, M, work=work), eig_tol)
+            return (*smallest_eigpair(A_lin, M, tol=eig_tol, x0=warm, work=work), eig_tol)
         tol = eig_tol if forcing_tol is None else max(eig_tol, forcing_tol)
         mg = space.multigrid(Mnl, work)
         lam, x = smallest_eigpair(mg.matrices[-1], M, tol=tol, x0=warm, mg=mg, work=work)

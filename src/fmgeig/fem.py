@@ -4,8 +4,9 @@ Stiffness of the Laplacian, mass, weighted mass for the potential and the
 frozen nonlinearity, and the energy / L2 norms.
 All systems are reduced to interior degrees of freedom.  Two kernels stand
 in for matrices a correction level never assembles: the load vector
-(W u + zeta u^3, v), one streamed pass, and the potential's products with
-a fine function t, contracted from t's moments over the coarse cells.
+(W u + zeta u^3, v), W u from the stencil tables and zeta u^3 in one
+streamed pass, and the potential's products with a fine function t,
+contracted from t's moments over the coarse cells.
 
 Meshes come from :func:`mesh.build_initial_mesh` and :func:`mesh.refine`
 alone: every mesh is the Kuhn triangulation of its grid, and every cell a
@@ -21,22 +22,28 @@ only inside each row.  It carries a gather from a compact index (the edge
 leaving v in direction k, then the diagonal) to CSR order, and each
 entry's index into the stencil tables.
 
-The stiffness and the mass visit no cell.  Every entry of a row is a sum
-over the cells around its vertex, so it is read from a small integer table
-at the entry's signed direction and at which of the vertex's 2^d grid
-cubes lie in the box; the tables are built at import from the cells of one
-seed star.  A K entry is its cells' integer numerators times h^(d-2) / d!,
-an M entry n copies of one cell's value added one at a time.
+The stiffness, the mass and the potential W = |x|^2 visit no cell (Bey,
+Computing 55, 1995).  Every entry of a row is a sum over the cells around
+its vertex, so it is read from small tables at the entry's signed
+direction and at which of the vertex's 2^d grid cubes lie in the box; the
+tables are built at import, exactly, from the cells of one seed star.  A
+K entry is its cells' integer numerators times h^(d-2) / d!, an M entry n
+copies of one cell's value added one at a time, and a W entry
+|m|^2 M_ij plus the moments of |x - m|^2 and x - m about its edge
+midpoint m, times h^(d+2) (the first moments vanish off the box faces,
+where the grid is centrally symmetric about m).  W u is formed from the
+same tables, row block by row block, without W.
 
-The other kernels stream the cells block by block of ``_BLOCK`` cells, the
-one block constant of the module (the span moments use it too), and build
-only the (d+1)(d+2)/2 upper local entries of each cell, 6 in 2D and 10 in
-3D, in ``np.triu_indices(d+1)`` order: no array of all cells' entries or
-quadrature values is ever built.  The weighted mass adds each block's
+The kernels that integrate a finite element function (the nonlinear
+matrix Mnl, the load's zeta u^3, the span moments) stream the cells block
+by block of ``_BLOCK`` cells, the one block constant of the module, and
+build only the (d+1)(d+2)/2 upper local entries of each cell, 6 in 2D and
+10 in 3D, in ``np.triu_indices(d+1)`` order: no array of all cells'
+entries or quadrature values is ever built.  Mnl adds each block's
 entries, in cell order, into the compact index through a per-cell slot
-map, which the first W or Mnl assembly on a mesh builds and keeps, and
-gathers once.  (i, j) and (j, i) read the same sum or the same table
-value, so every matrix is exactly symmetric.
+map, which the first Mnl assembly on a mesh builds and keeps, and gathers
+once.  (i, j) and (j, i) read the same sum or the same table values, so
+every matrix is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (SHAPE_EDGES, SHAPES, MeshLevel, build_initial_mesh, descendant_barycentrics,
+from .mesh import (SHAPES, MeshLevel, build_initial_mesh, cell_edges, descendant_barycentrics,
                    grid_neighbours, index_dtype)
 
 __all__ = [
@@ -69,14 +76,16 @@ __all__ = [
 
 # fine cells per block of every cell-streamed kernel, of the slot map build
 # and of the span moments: a 3D block's quadrature values, upper entries
-# and, for the span moments, point arrays stay near 1.4 MB
+# and, for the span moments, point arrays stay near 1.4 MB; the potential's
+# kernels take _BLOCK / 2^d pattern rows per block
 _BLOCK = 1 << 14
 
 
 def harmonic_potential(points):
     """W(x) = |x|^2 at points (..., d), the trapping potential and the
-    only potential besides W = 0.  The assembly evaluates it one axis at a
-    time, from the grid (:func:`_weight_at_qpoints`)."""
+    only potential besides W = 0.  The assembly never evaluates it: W and
+    W u are read from the grid's stencil tables (:func:`_potential_entries`,
+    :func:`_apply_potential`)."""
     return np.square(points).sum(axis=-1)
 
 
@@ -174,7 +183,7 @@ def _pattern(mesh):
 
 def _slots(mesh):
     """The compact index of every upper local entry of every cell, which
-    only the cell-streamed assemblies (:func:`_assemble`) read."""
+    only the cell-streamed assembly of Mnl (:func:`_assemble`) reads."""
     return _cached(mesh, "_fem_slots", _build_slots)
 
 
@@ -208,16 +217,24 @@ _STIFFNESS = {d: _shape_stiffness(d) for d in SHAPES}
 
 
 def _stencil_tables(d):
-    """The stiffness numerators and the cell counts of every entry of a
-    row, as two integer (2^(d+1) - 1, 4^d) tables, summed over the cells of
-    one seed star: the vertex (1, .., 1) of ``build_initial_mesh(d, 2)``.
+    """The tables of every entry of a row, each (2^(d+1) - 1, 4^d) and
+    summed over the cells of one seed star: the vertex (1, .., 1) of
+    ``build_initial_mesh(d, 2)``, at spacing 1.  They are the stiffness
+    numerators, the cell counts and, about the entry's edge midpoint m
+    (the vertex itself on the diagonal), the moments of the potential:
+    the first moments int (x - m) phi_i phi_j, one table per axis, and
+    the second moment int |x - m|^2 phi_i phi_j.  The moments are summed
+    as integers, 2 (d+3)! and 4 (d+4)! times their values by
+    int_K l^alpha = alpha! / (|alpha| + d)! on a cell of measure 1 / d!,
+    and divided once, so every float is its exact value rounded.
     Row j is the entry's signed direction: j < 2^d - 1 the neighbour
     v + delta h of direction j, the next 2^d - 1 the neighbours v - delta h,
     the last the diagonal.  Column c says which of the row vertex's 2^d
     grid cubes lie in the box: bit i marks the vertex on the face x_i = 0,
     bit d + i on the face x_i = 1, and the cells of a cube beyond a marked
     face are left out.  Column 0, every cube inside, is every interior
-    vertex's."""
+    vertex's; the grid is centrally symmetric about every edge midpoint, so
+    its first moments are 0."""
     n_dir = 2 ** d - 1
     seed = build_initial_mesh(d, 2)
     centre = np.flatnonzero((seed.grid == 1).all(axis=1))[0]
@@ -226,13 +243,16 @@ def _stencil_tables(d):
     upper = {(i, j): e for e, (i, j) in enumerate(zip(iu, ju))}
     numerators = np.zeros((2 * n_dir + 1, 4 ** d), dtype=np.int64)
     counts = np.zeros_like(numerators)
+    first = np.zeros((d,) + numerators.shape, dtype=np.int64)
+    second = np.zeros_like(numerators)
     column = np.arange(4 ** d)
     for cell, shape in zip(seed.cells, seed.shapes):
         if centre not in cell:
             continue
         a = list(cell).index(centre)
+        corners = seed.grid[cell].astype(np.int64)
         # the cube's side of the centre per axis: bit i set for the side above
-        above = (seed.grid[cell].min(axis=0) == 1) @ bit
+        above = (corners.min(axis=0) == 1) @ bit
         inside = ((column & ~above) | ((column >> d) & above)) & (2 ** d - 1) == 0
         for b, w in enumerate(cell):
             delta = seed.grid[w] - seed.grid[centre]
@@ -244,7 +264,15 @@ def _stencil_tables(d):
                 j = n_dir - delta @ bit - 1
             numerators[j, inside] += _STIFFNESS[d][shape, upper[min(a, b), max(a, b)]]
             counts[j, inside] += 1
-    return numerators, counts
+            # 2 (x_k - m) for the cell's vertices x_k, and alpha! of the
+            # monomials l_k l_a l_b and l_k l_l l_a l_b
+            y = 2 * corners - corners[a] - corners[b]
+            n = np.bincount([a, b], minlength=d + 1)
+            f3 = int(np.prod([factorial(c) for c in n])) * (n + 1)
+            f4 = f3[:, None] * (n + 1 + np.eye(d + 1, dtype=np.int64))
+            first[:, j, inside] += (f3 @ y)[:, None]
+            second[j, inside] += (f4 * (y @ y.T)).sum()
+    return numerators, counts, first / (2 * factorial(d + 3)), second / (4 * factorial(d + 4))
 
 
 _STENCIL = {d: _stencil_tables(d) for d in SHAPES}
@@ -323,23 +351,17 @@ def _build_pattern(mesh):
 def _build_slots(mesh):
     """The compact index (:func:`_build_pattern`) of every upper local
     entry (cell, k), k in ``np.triu_indices(d+1)`` order, flattened in that
-    order: every cell edge leaves its lower end v in one of the 2^d - 1
-    grid directions k (:data:`mesh.SHAPE_EDGES`), so its index is
-    v (2^d - 1) + k, and a cell vertex v's diagonal is
+    order: an edge's is :func:`mesh.cell_edges`, v (2^d - 1) + k for its
+    lower end v and direction k, and a cell vertex v's diagonal is
     n_vertices (2^d - 1) + v.  One pass over the blocks of cells."""
     n_v, d = mesh.n_vertices, mesh.dim
-    n_dir = 2 ** d - 1
-    lower_of, dir_of = SHAPE_EDGES[d]
     iu, ju = np.triu_indices(d + 1)
     off = iu != ju
     slot = np.empty((mesh.n_cells, iu.size), dtype=index_dtype(mesh))
     for start, stop in _cell_blocks(mesh):
-        cells, shapes = mesh.cells[start:stop], mesh.shapes[start:stop]
-        # np.take: fancy indexing by the int8 shapes is about 3x slower
-        local = np.take(lower_of, shapes, axis=0)
-        local += (d + 1) * np.arange(stop - start)[:, None]
-        slot[start:stop, off] = np.take(cells, local) * n_dir + np.take(dir_of, shapes, axis=0)
-        slot[start:stop, ~off] = cells + n_dir * n_v
+        cells = mesh.cells[start:stop]
+        slot[start:stop, off] = cell_edges(cells, mesh.shapes[start:stop])
+        slot[start:stop, ~off] = cells + (2 ** d - 1) * n_v
     return slot.ravel()
 
 
@@ -405,10 +427,10 @@ def assemble_stiffness(mesh: MeshLevel, work=None):
     return _assemble_stencil(mesh, _STENCIL[d][0] * mesh.spacing ** (d - 2) / factorial(d), work)
 
 
-def assemble_mass(mesh: MeshLevel, work=None):
-    """Matrix of (w, v); exact closed form for P1: each cell adds
-    |K| (1 + delta_ij) / ((d+1)(d+2)).  An entry of n cells is n copies of
-    that cell value added one at a time, as a cell-order sum adds them."""
+def _mass_table(mesh):
+    """The mass's stencil table (:func:`_stencil_tables`): each cell adds
+    |K| (1 + delta_ij) / ((d+1)(d+2)), and an entry of n cells is n copies
+    of that cell value added one at a time, as a cell-order sum adds them."""
     d = mesh.dim
     counts = _STENCIL[d][1]
     q = (d + 1) * (d + 2)
@@ -419,28 +441,118 @@ def assemble_mass(mesh: MeshLevel, work=None):
     np.cumsum(np.repeat(cell, counts.max(), axis=1), axis=1, out=sums[:, 1:])
     table = sums[0][counts]
     table[-1] = sums[1][counts[-1]]                 # the diagonal row
-    return _assemble_stencil(mesh, table, work)
+    return table
 
 
-def _weight_at_qpoints(mesh, weight, rule):
-    """|x|^2 (weight=harmonic_potential) or u^2 (an FeFunction u on the mesh's
-    level) at the quadrature points of a block of cells: a function of
-    (start, stop) that returns a new (stop - start, nq) array.  |x|^2 is
-    summed one axis at a time, each coordinate x_a = grid_a h at the points
-    one (block, d+1) @ (d+1, nq) product, so no point array is built."""
-    nq = len(rule.points)
-    if weight is harmonic_potential:
-        bary = rule.points.T
+def assemble_mass(mesh: MeshLevel, work=None):
+    """Matrix of (w, v); exact closed form for P1 (:func:`_mass_table`)."""
+    return _assemble_stencil(mesh, _mass_table(mesh), work)
 
-        def values(start, stop):
-            cells = mesh.cells[start:stop]
-            w = np.zeros((stop - start, nq))
-            for x in mesh.grid.T:
-                xq = (np.take(x, cells) * mesh.spacing) @ bary
-                w += np.square(xq, out=xq)
-            return w
 
-        return values
+def _row_blocks(mesh, pattern):
+    """(start, stop, lo, hi) of the blocks of _BLOCK / 2^d pattern rows
+    that the potential's kernels visit, lo:hi the rows' CSR entries, and
+    whether any row lies on a box face, where the stencil column is not 0."""
+    n = mesh.n_interior
+    step = max(_BLOCK >> mesh.dim, 1)
+    indptr = pattern.indptr
+    faces = bool((np.take(pattern.stencil, indptr[:-1]) % 4 ** mesh.dim).any())
+    return faces, [(start, min(start + step, n), indptr[start], indptr[min(start + step, n)])
+                   for start in range(0, n, step)]
+
+
+def _potential_entries(mesh, pattern):
+    """The entries of W = |x|^2 in the pattern's CSR order.  About the
+    midpoint m = g h / 2 of an entry's edge, g the sum of its two vertices'
+    grid points (twice the vertex on the diagonal), |x|^2 = |m|^2 +
+    2 m . (x - m) + |x - m|^2, so W_ij = |m|^2 M_ij + h^(d+2) (S + g . F)
+    with S and F the second and first moment tables at the entry's stencil
+    index (:func:`_stencil_tables`); F is 0 on every row off the box faces.
+    (i, j) and (j, i) share g and read equal table values, so W is exactly
+    symmetric.  Row block by row block (:func:`_row_blocks`), so no
+    temporary spans all entries."""
+    d, h = mesh.dim, mesh.spacing
+    _, _, first, second = _STENCIL[d]
+    indptr = pattern.indptr
+    inner = mesh.interior_indices
+    grid = np.ascontiguousarray(mesh.grid.T)
+    entries = np.empty(pattern.indices.size)
+    mass = _mass_table(mesh)
+    faces, blocks = _row_blocks(mesh, pattern)
+    for start, stop, lo, hi in blocks:
+        rows = np.repeat(inner[start:stop], np.diff(indptr[start:stop + 1]))
+        cols = np.take(inner, pattern.indices[lo:hi])
+        st = pattern.stencil[lo:hi].astype(np.intp)
+        moment = np.take(second, st)
+        g2 = np.zeros(hi - lo)
+        for x, f in zip(grid, first):
+            g = np.take(x, rows)
+            g += np.take(x, cols)
+            if faces:
+                moment += g * np.take(f, st)
+            g2 += np.square(g, dtype=float)
+        g2 *= h * h / 4
+        block = entries[lo:hi]
+        # mode="clip" (every index is in range) writes to out unbuffered
+        np.take(mass, st, out=block, mode="clip")
+        block *= g2
+        moment *= h ** (d + 2)
+        block += moment
+    return entries
+
+
+def _apply_potential(mesh, u):
+    """W u for W = |x|^2 from the stencil tables, with no W built: with
+    x_i the vertices, r_i^2 = |x_i|^2 and M, S and F_a the mass and moment
+    stencils (:func:`_potential_entries`),
+    W u = (R M u + 2 sum_a X_a M X_a u + M R u) / 4
+          + h^(d+2) (S u + sum_a (G_a F_a u + F_a G_a u)),
+    with R, X_a and G_a = X_a / h diagonal; the F part only where a row lies
+    on a box face.  Row block by row block (:func:`_row_blocks`): each
+    block's stencils are one transient CSR matrix on the pattern's index
+    arrays, refilled per table."""
+    d, h = mesh.dim, mesh.spacing
+    _, _, first, second = _STENCIL[d]
+    pattern = _pattern(mesh)
+    indptr = pattern.indptr
+    n = mesh.n_interior
+    g = mesh.grid[mesh.interior_indices]
+    x = g * h
+    r2 = np.einsum("ia,ia->i", x, x)
+    U = np.empty((n, d + 2))
+    U[:, 0] = u
+    np.multiply(x, u[:, None], out=U[:, 1:-1])
+    np.multiply(r2, u, out=U[:, -1])
+    scale = h ** (d + 2)
+    mass, second = _mass_table(mesh), second * scale
+    faces, blocks = _row_blocks(mesh, pattern)
+    first = first * scale if faces else ()
+    G = g * u[:, None] if faces else None
+    out = np.empty(n)
+    for start, stop, lo, hi in blocks:
+        st = pattern.stencil[lo:hi].astype(np.intp)
+        A = sp.csr_matrix((np.take(mass, st), pattern.indices[lo:hi],
+                           indptr[start:stop + 1] - lo), shape=(stop - start, n))
+        Y = A @ U
+        block = r2[start:stop] * Y[:, 0]
+        block += 2 * np.einsum("ia,ia->i", x[start:stop], Y[:, 1:-1])
+        block += Y[:, -1]
+        block *= 0.25
+        # mode="clip" (every index is in range) writes to out unbuffered
+        np.take(second, st, out=A.data, mode="clip")
+        block += A @ u
+        for a, f in enumerate(first):
+            np.take(f, st, out=A.data, mode="clip")
+            block += g[start:stop, a] * (A @ u)
+            block += A @ G[:, a]
+        out[start:stop] = block
+    return out
+
+
+def _square_at_qpoints(mesh, weight, rule):
+    """u^2 for an FeFunction u on the mesh's level at the quadrature points
+    of a block of cells: a function of (start, stop) that returns a new
+    (stop - start, nq) array."""
     if not isinstance(weight, FeFunction):
         raise TypeError(
             f"weight must be harmonic_potential or an FeFunction, got {type(weight).__name__}")
@@ -453,11 +565,19 @@ def _weight_at_qpoints(mesh, weight, rule):
 
 def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
     """Matrix of (W w, v) for W = |x|^2 (weight=harmonic_potential), or of
-    the frozen nonlinearity (u^2 w, v) for an FeFunction u.  Both integrands
-    are degree-4 polynomials on each cell, which the degree-4 rules
-    integrate exactly."""
+    the frozen nonlinearity (u^2 w, v) for an FeFunction u.  W is read from
+    the stencil tables (:func:`_potential_entries`), visits no cell and
+    counts one work unit per stored entry, like K and M.  The nonlinearity
+    streams the cells: u^2 w v is a degree-4 polynomial on each cell, which
+    the degree-4 rule integrates exactly."""
+    if weight is harmonic_potential:
+        pattern = _pattern(mesh)
+        W = _csr(pattern, _potential_entries(mesh, pattern))
+        if work is not None:
+            work.count_assembly(W.nnz)
+        return W
     rule = _RULES[mesh.dim]
-    values = _weight_at_qpoints(mesh, weight, rule)
+    values = _square_at_qpoints(mesh, weight, rule)
     measure = _measure(mesh)
     # (nq, upper entries) table of w_q phi_i(q) phi_j(q); one matrix product per block
     iu, ju = np.triu_indices(mesh.dim + 1)
@@ -474,33 +594,39 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
 def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):
     """Dual vector of v -> (W u + zeta u^3, v) over the interior basis
     functions, for interior coefficients u: W_h u + zeta Mnl(u) u up to
-    rounding, with neither matrix built.  Both integrands are degree-4
-    polynomials on each cell, which the degree-4 rule integrates exactly.
-    One pass over the blocks of cells; each block's (cells, d+1) local
-    vectors go into the vertices by one bincount.  Counts one work unit per
-    local entry, d+1 per cell; with W = 0 and zeta = 0 it is zero and
-    counts nothing."""
-    if spec.potential is None and spec.zeta == 0.0:
-        return np.zeros(mesh.n_interior)
+    rounding, with neither matrix built.  W u comes from the stencil
+    tables (:func:`_apply_potential`) and counts two work units per stored
+    entry of W's pattern, as W's assembly and one product with it would.
+    zeta u^3 is a degree-4 polynomial on each cell, which the degree-4
+    rule integrates exactly: one pass over the blocks of cells, each
+    block's (cells, d+1) local vectors added into the vertices by one
+    bincount, counting one work unit per local entry, d+1 per cell.  With
+    W = 0 and zeta = 0 it is zero and counts nothing."""
+    c = _coeff_array(u)
+    if spec.potential is None:
+        load = np.zeros(mesh.n_interior)
+    else:
+        load = _apply_potential(mesh, c)
+        if work is not None:
+            work.add(2 * _pattern(mesh).indices.size)
+    if spec.zeta == 0.0:
+        return load
+    full = _full_values(mesh, c)
     rule = _RULES[mesh.dim]
-    full = _full_values(mesh, _coeff_array(u))
-    potential = None if spec.potential is None else _weight_at_qpoints(mesh, spec.potential, rule)
-    measure = _measure(mesh)
     table = rule.weights[:, None] * rule.points           # (nq, d+1): w_q phi_i(q)
+    scale = spec.zeta * _measure(mesh)
     out = np.zeros(mesh.n_vertices)
     for start, stop in _cell_blocks(mesh):
         cells = mesh.cells[start:stop]
         uq = np.take(full, cells) @ rule.points.T          # (block, nq)
-        # (W + zeta u^2) u at the points, times the cell measure
-        f = np.zeros_like(uq) if potential is None else potential(start, stop)
-        if spec.zeta != 0.0:
-            f += spec.zeta * np.square(uq)
+        f = np.square(uq)
         f *= uq
-        f *= measure
+        f *= scale
         out += np.bincount(cells.ravel(), (f @ table).ravel(), minlength=mesh.n_vertices)
     if work is not None:
         work.add(mesh.n_cells * (mesh.dim + 1))
-    return out[mesh.interior_indices]
+    load += out[mesh.interior_indices]
+    return load
 
 
 class SpanMoments(NamedTuple):

@@ -34,6 +34,7 @@ __all__ = [
     "SHAPES",
     "SHAPE_CHILDREN",
     "SHAPE_EDGES",
+    "cell_edges",
     "descendant_barycentrics",
     "grid_neighbours",
     "index_dtype",
@@ -266,11 +267,7 @@ def refine(coarse: MeshLevel) -> MeshLevel:
     ids = _index_dtype(len(grid), coarse.n_cells * 2 ** d, d)
     midpoint = np.empty(nv * n_dir, dtype=ids)
     midpoint[compact] = np.arange(nv, len(grid), dtype=ids)
-    lower_end, direction = SHAPE_EDGES[d]
-    lower = np.take(lower_end, coarse.shapes, axis=0)
-    lower += (d + 1) * np.arange(coarse.n_cells)[:, None]
-    mid = np.take(midpoint, np.take(coarse.cells, lower) * n_dir
-                  + np.take(direction, coarse.shapes, axis=0))
+    mid = np.take(midpoint, cell_edges(coarse.cells, coarse.shapes))
     local = np.hstack([coarse.cells.astype(ids, copy=False), mid])
     children = local[:, _CHILD_TABLE[d].ravel()].reshape(-1, d + 1)
 
@@ -328,6 +325,20 @@ SHAPES, SHAPE_CHILDREN, SHAPE_EDGES = {}, {}, {}
 for _d in _CHILD_TABLE:
     SHAPES[_d], SHAPE_CHILDREN[_d] = _shape_closure(_d)
     SHAPE_EDGES[_d] = _shape_edges(_d)
+
+
+def cell_edges(cells, shapes):
+    """The compact index of every edge of the given cells, (cells,
+    d(d+1)/2) in ``np.triu_indices(d+1, k=1)`` order: the edge's lower end
+    on the grid times 2^d - 1, plus its direction k (:data:`SHAPE_EDGES`,
+    :func:`grid_neighbours`).  :func:`refine` reads its midpoints at it,
+    and ``fem`` its per-cell slot map."""
+    d = cells.shape[1] - 1
+    lower_end, direction = SHAPE_EDGES[d]
+    # np.take: fancy indexing by the int8 shapes is about 3x slower
+    lower = np.take(lower_end, shapes, axis=0)
+    lower += (d + 1) * np.arange(len(cells))[:, None]
+    return np.take(cells, lower) * (2 ** d - 1) + np.take(direction, shapes, axis=0)
 
 
 def interior_prolongation(coarse: MeshLevel, fine: MeshLevel):

@@ -246,7 +246,9 @@ def test_criterion_9_property_suites():
         M = assemble_mass(h2.levels[1])
         u = res.pair.u.coefficients
         assert abs(u @ (M @ u) - 1.0) <= 1e-12
-    # 50 seeded random pencils against the dense full-spectrum oracle
+    # 50 seeded random pencils against the dense full-spectrum oracle; A
+    # is indefinite, so the pencil solved is A + c M with c = 1 + ||A||_F / n,
+    # SPD since M >= n I, and lambda - c is compared with the unshifted oracle
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -255,9 +257,10 @@ def test_criterion_9_property_suites():
         A = 0.5 * (A + A.T)
         Q = rng.standard_normal((n, n))
         M = Q @ Q.T + n * np.eye(n)
-        lam, _ = smallest_eigpair(A, M, tol=1e-10)
+        c = 1.0 + np.linalg.norm(A) / n
+        lam, _ = smallest_eigpair(A + c * M, M, tol=1e-10)
         oracle = scipy.linalg.eigh(A, M, eigvals_only=True)[0]
-        worst = max(worst, abs(lam - oracle))
+        worst = max(worst, abs(lam - c - oracle))
     assert worst <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

@@ -57,20 +57,33 @@ def test_smallest_eigpair_identity_pencil():
 
 
 def test_smallest_eigpair_matches_dense_oracle():
-    # dense full-spectrum oracle built first; the dense pencil (LAPACK) and a
-    # sparse SPD pencil (LOBPCG) must match to 1e-8
+    # dense full-spectrum oracle built first; a dense pencil and a sparse
+    # SPD pencil (LOBPCG, Cholesky- or V-cycle-preconditioned) must match to
+    # 1e-8.  The dense A is indefinite, so it is solved shifted: A + c M
+    # with c = 1 + ||A||_F / n is SPD since M >= n I, and lambda - c is
+    # compared with the unshifted oracle
     for seed in range(8):
         A, M = random_pencil(seed, 20)
+        c = 1.0 + np.linalg.norm(A) / 20
         for A_k, sparse in ((A, False), (A @ A.T + np.eye(20), True)):
             target = scipy.linalg.eigh(A_k, M, eigvals_only=True)[0]
             if sparse:
                 lam, x = smallest_eigpair(sp.csr_matrix(A_k), sp.csr_matrix(M), tol=1e-10)
             else:
-                lam, x = smallest_eigpair(A_k, M, tol=1e-10)
+                lam, x = smallest_eigpair(A_k + c * M, M, tol=1e-10)
+                lam -= c
             assert lam == pytest.approx(target, abs=1e-8)
             assert x @ (M @ x) == pytest.approx(1.0, abs=1e-10)
             res = np.linalg.norm(A_k @ x - lam * (M @ x))
-            assert res <= 1e-10 * np.linalg.norm(A_k @ x)
+            assert res <= 1e-10 * np.linalg.norm((A_k if sparse else A_k + c * M) @ x)
+
+
+def test_smallest_eigpair_rejects_an_indefinite_dense_pencil():
+    # the dense preconditioner is a Cholesky factor of A
+    A, M = random_pencil(1, 12)
+    assert scipy.linalg.eigvalsh(A)[0] < 0
+    with pytest.raises(SolverError, match="positive definite"):
+        smallest_eigpair(A, M)
 
 
 def test_smallest_eigpair_sparse_input():
@@ -92,8 +105,7 @@ def test_smallest_eigpair_sparse_input():
 
 
 def test_smallest_eigpair_nonconvergence_raises():
-    # LAPACK does not iterate; the sparse LOBPCG reports its best residual
-    # when it runs out of steps
+    # LOBPCG reports its best residual when it runs out of steps
     A, M = random_pencil(3, 25)
     with pytest.raises(SolverError) as err:
         smallest_eigpair(sp.csr_matrix(A @ A.T), sp.csr_matrix(M), tol=1e-14, max_iter=1)
@@ -467,15 +479,15 @@ def test_augmented_scf_keeps_the_plain_step():
     assert aug.span is not None
     res = scf_solve(aug, GPE_2D, ScfSettings(max_iter=3), initial=aug.initial_coeffs)
     assert res.iterations == 3 and not res.converged
-    assert res.pair.lam == 22.759942149863097
+    assert res.pair.lam == 22.759942149862574
     assert [(s.delta_lambda, s.delta_u) for s in res.history] == [
-        (0.5185516695211376, 0.12375769593401352),
-        (0.003343284337628205, 0.010960949342498118),
-        (7.974957609491184e-05, 0.001071293197570646),
+        (0.5185516695209849, 0.12375769593417331),
+        (0.0033432843377845245, 0.010960949342683698),
+        (7.974957661360804e-05, 0.0010712931975884912),
     ]
     u = res.pair.u.coefficients
     assert u.size == level.n_interior
-    assert float(u @ np.arange(1, u.size + 1)) == 22869.140131249595
+    assert float(u @ np.arange(1, u.size + 1)) == 22869.14013125205
 
 
 def test_scf_builds_one_multigrid_context_per_space(monkeypatch):

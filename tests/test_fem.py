@@ -463,14 +463,15 @@ def test_first_assembly_needs_no_det_inverse_or_cross(dim, monkeypatch):
 @pytest.mark.parametrize("with_boundary", [True, False])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cached_slot_map_holds_only_upper_entries(dim, with_boundary):
-    # the stencil assemblies build no slot map; the first weighted mass
-    # caches one entry per upper local entry of every cell
+    # the stencil assemblies (K, M and W) build no slot map; the first
+    # nonlinear matrix caches one entry per upper local entry of every cell
     m = _test_mesh(dim)
     if not with_boundary:
         m = _boundary_free(m)
     assemble_mass(m)
-    assert "_fem_slots" not in m.__dict__
     assemble_weighted_mass(m, harmonic_potential)
+    assert "_fem_slots" not in m.__dict__
+    assemble_weighted_mass(m, FeFunction(m.level_index, np.ones(m.n_interior)))
     slot = m.__dict__["_fem_slots"]
     assert slot.shape == (m.n_cells * (dim + 1) * (dim + 2) // 2,)
     # one gather entry per stored CSR entry
@@ -624,12 +625,13 @@ def _reference_assembly(mesh, entries, work=None):
 
 
 def _assert_assembles_reference(mesh, monkeypatch):
-    """K, M, W and Mnl on the mesh give, bit for bit, the arrays of the
+    """K, M and Mnl on the mesh give, bit for bit, the arrays of the
     reference pattern: K as its cells' integer numerators d! |K| grad_i .
     grad_j / h^(d-2), read off the inverted vertex matrices and summed, times
     h^(d-2) / d!; M as the cell-order sum of every cell's h^d / d!
-    (1 + delta_ij) / ((d+1)(d+2)); W and Mnl as the reference assembly of
-    the kernels' own cell entries."""
+    (1 + delta_ij) / ((d+1)(d+2)); Mnl as the reference assembly of the
+    kernel's own cell entries.  (W, a stencil, is checked against the
+    quadrature in :func:`test_potential_stencil_matches_the_quadrature`.)"""
     d, h = mesh.dim, mesh.spacing
     iu, ju = np.triu_indices(d + 1)
     grads, meas = _reference_geometry(mesh)
@@ -642,8 +644,9 @@ def _assert_assembles_reference(mesh, monkeypatch):
     M = _reference_assembly(mesh, lambda start, stop: np.broadcast_to(cell, (stop - start, cell.size)))
     with monkeypatch.context() as patch:
         patch.setattr(fem, "_assemble", _reference_assembly)
-        expected = [K, M] + _every_kind(mesh)[2:]
-    for got, reference in zip(_every_kind(mesh), expected):
+        expected = [K, M] + _every_kind(mesh)[3:]
+    got = _every_kind(mesh)
+    for got, reference in zip(got[:2] + got[3:], expected):
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, name), getattr(reference, name)), name
 
@@ -653,7 +656,7 @@ def test_refined_levels_assemble_bit_identical_to_closed_form(config, monkeypatc
     """On every level of the benchmark hierarchies, level 0 and refined,
     the stencil K equals the test-local integer numerators' exact sum times
     h^(d-2) / d!, the stencil M the cell-order sum of its cells' constant
-    entries, and W and Mnl the test-local reference assembly, all over the
+    entries, and Mnl the test-local reference assembly, all over the
     sort-unique pattern (scipy's COO->CSR of every cell vertex pair); the
     coarser levels also without a boundary, where every vertex is a dof
     and the rows on the box faces read the stencils' other columns."""
@@ -756,24 +759,72 @@ def test_stiffness_and_mass_read_no_vertex_coordinates(monkeypatch):
 @pytest.mark.parametrize("potential", [harmonic_potential, None])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_nonlinear_load_matches_the_assembled_matrices(dim, potential, zeta, monkeypatch):
-    # one streamed pass over ragged blocks gives W_h u + zeta Mnl(u) u up to
-    # rounding, and counts one work unit per local entry
-    mesh = _test_mesh(dim)
-    monkeypatch.setattr(fem, "_BLOCK", 41)
+    # W u from the stencil tables and zeta u^3 from one streamed pass over
+    # ragged blocks give W_h u + zeta Mnl(u) u up to rounding; W u counts two
+    # work units per stored entry of W, zeta u^3 one per local entry.  The
+    # boundary-free copy has rows on the box faces, where W u reads the
+    # first moments too
     spec = ProblemSpec(dim=dim, potential=potential, zeta=zeta)
-    u = np.random.default_rng(12).standard_normal(mesh.n_interior)
-    expected = np.zeros(mesh.n_interior)
-    if potential is not None:
-        expected += assemble_weighted_mass(mesh, potential) @ u
-    if zeta:
-        expected += zeta * (assemble_weighted_mass(mesh, FeFunction(mesh.level_index, u)) @ u)
-    work = WorkReport()
-    load = nonlinear_load(mesh, spec, u, work)
-    if potential is None and not zeta:
-        assert np.all(load == 0.0) and work.work_units == 0
-        return
-    assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
-    assert work.work_units == mesh.n_cells * (dim + 1)
+    monkeypatch.setattr(fem, "_BLOCK", 41)
+    for mesh in (_test_mesh(dim), _boundary_free(_test_mesh(dim))):
+        u = np.random.default_rng(12).standard_normal(mesh.n_interior)
+        expected = np.zeros(mesh.n_interior)
+        units = 0
+        if potential is not None:
+            W = assemble_weighted_mass(mesh, potential)
+            expected += W @ u
+            units += 2 * W.nnz
+        if zeta:
+            expected += zeta * (assemble_weighted_mass(mesh, FeFunction(mesh.level_index, u)) @ u)
+            units += mesh.n_cells * (dim + 1)
+        work = WorkReport()
+        load = nonlinear_load(mesh, spec, u, work)
+        if potential is None and not zeta:
+            assert np.all(load == 0.0) and work.work_units == 0
+            continue
+        assert np.abs(load - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert work.work_units == units
+
+
+def _quadrature_potential(mesh):
+    """W = |x|^2 as the cells assembled it before it became a stencil:
+    |x|^2 at the degree-4 rule's points of every cell, summed one axis at a
+    time, times each point's weight and phi_i phi_j, into the reference
+    pattern."""
+    rule = fem._RULES[mesh.dim]
+    iu, ju = np.triu_indices(mesh.dim + 1)
+    table = rule.weights[:, None] * rule.points[:, iu] * rule.points[:, ju]
+    w = np.zeros((mesh.n_cells, len(rule.points)))
+    for x in _positions(mesh).T:
+        w += np.square(x[mesh.cells] @ rule.points.T)
+    w *= mesh.spacing ** mesh.dim / factorial(mesh.dim)
+    local = w @ table
+    return _reference_assembly(mesh, lambda start, stop: local[start:stop])
+
+
+@pytest.mark.parametrize("config", [(3, 8, 3), (2, 8, 6), (3, 5, 3), (2, 3, 4), (3, 7, 2),
+                                    (2, 5, 5)])
+def test_potential_stencil_matches_the_quadrature(config, monkeypatch):
+    """On every level of the hierarchy, and on boundary-free copies of the
+    coarser ones, the stencil W is within 2e-15 of its largest entry of the
+    quadrature W on the same pattern, exactly symmetric, visits no cell and
+    counts one work unit per stored entry."""
+    h = build_hierarchy(*config)
+    meshes = h.meshes + [_boundary_free(mesh) for mesh in h.meshes[:-1]]
+    references = [_quadrature_potential(mesh) for mesh in meshes]
+
+    def forbidden(mesh):
+        raise AssertionError("the potential visits the cells")
+
+    monkeypatch.setattr(fem, "_cell_blocks", forbidden)
+    for mesh, reference in zip(meshes, references):
+        work = WorkReport()
+        W = assemble_weighted_mass(mesh, harmonic_potential, work)
+        assert np.array_equal(W.indptr, reference.indptr)
+        assert np.array_equal(W.indices, reference.indices)
+        assert np.abs(W.data - reference.data).max() <= 2e-15 * np.abs(reference.data).max()
+        assert (W != W.T).nnz == 0
+        assert work.work_units == W.nnz
 
 
 @pytest.mark.parametrize("depth", [1, 2])

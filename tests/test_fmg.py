@@ -212,6 +212,47 @@ def test_correction_levels_build_no_slot_map_and_k_and_m_visit_no_cell(monkeypat
     assert not any("_fem_slots" in mesh.__dict__ for mesh in h.meshes[1:])
 
 
+def test_ladder_runs_no_dense_eigensolve_and_no_potential_at_quadrature_points(monkeypatch):
+    # the augmented pencils run LOBPCG, whose only LAPACK eigh is the 3x3
+    # Rayleigh-Ritz step; W and the load's W u are read from the stencil
+    # tables, so no cell-streamed kernel reads a vertex position: |x|^2 at
+    # a cell's quadrature points would read the grid inside the block loop
+    eigh, blocks = eigsolve.scipy.linalg.eigh, fem._cell_blocks
+
+    def small_eigh(a, b=None, **kwargs):
+        if a.shape[0] > 3:
+            raise AssertionError(f"dense {a.shape} eigensolve")
+        return eigh(a, b, **kwargs)
+
+    class Blind:
+        """The grid's shape (the vertex count) without its positions."""
+
+        def __init__(self, shape):
+            self.shape = shape
+
+        def __getattr__(self, name):
+            raise AssertionError("a cell-streamed kernel reads the grid")
+
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("a cell-streamed kernel reads the grid")
+
+    def blinded(mesh):
+        grid = mesh.grid
+        for block in blocks(mesh):
+            object.__setattr__(mesh, "grid", Blind(grid.shape))
+            try:
+                yield block
+            finally:
+                object.__setattr__(mesh, "grid", grid)
+
+    monkeypatch.setattr(eigsolve.scipy.linalg, "eigh", small_eigh)
+    monkeypatch.setattr(fem, "_cell_blocks", blinded)
+    h = build_hierarchy(3, 8, 3)
+    res = full_multigrid(h, ProblemSpec(dim=3, zeta=1.0))
+    assert abs(res.pair.lam - 33.819099396964) <= 1e-12 * res.pair.lam
+    assert all(isinstance(mesh.grid, np.ndarray) for mesh in h.meshes)
+
+
 def test_work_report_shared_and_monotone():
     h = build_hierarchy(2, 8, 3)
     res = full_multigrid(h, GPE)

@@ -200,7 +200,7 @@ def test_contraction_study_gamma_column():
     }
     for name, values in pinned.items():
         assert rep.column(name) == pytest.approx(values, rel=1e-12, nan_ok=True), name
-    assert rep.column("work_units") == [39013, 73697, 180058]
+    assert rep.column("work_units") == [38534, 76611, 193020]
     # one V-cycle contraction per level above the first
     thetas = measure_mg_contraction(8, 3)
     assert rep.meta["vcycle_theta"] == [thetas[1], thetas[2]]
