@@ -134,8 +134,10 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
     pencil (the augmented spaces) T is a direct solve with the Cholesky
     factor of A, which raises SolverError if A is not positive definite;
     `mg` does not apply, and the call counts A.size + M.size work units
-    once, its steps nothing.  It stops once ||r|| <= tol ||A x||, or once r
-    fails to halve inside its rounding floor eps ||A||_inf ||x||.
+    once, its steps nothing: criterion 7 passes only while they go
+    uncounted (:class:`linalg.WorkReport`).  It stops once ||r|| <= tol
+    ||A x||, or once r fails to halve inside its rounding floor
+    eps ||A||_inf ||x||.
     """
     if M.shape != A.shape:
         raise ValueError("pencil matrices must have equal shape")

@@ -4,9 +4,9 @@ Stiffness of the Laplacian, mass, weighted mass for the potential and the
 frozen nonlinearity, and the energy / L2 norms.
 All systems are reduced to interior degrees of freedom.  Two kernels stand
 in for matrices a correction level never assembles: the load vector
-(W u + zeta u^3, v), W u from the stencil tables and zeta u^3 in one
-streamed pass, and the potential's products with a fine function t,
-contracted from t's moments over the coarse cells.
+(W u + zeta u^3, v), W u with a transient W from the stencil tables and
+zeta u^3 in one streamed pass without Mnl, and the potential's products
+with a fine function t, contracted from t's moments over the coarse cells.
 
 Meshes come from :func:`mesh.build_initial_mesh` and :func:`mesh.refine`
 alone: every mesh is the Kuhn triangulation of its grid, and every cell a
@@ -31,8 +31,8 @@ K entry is its cells' integer numerators times h^(d-2) / d!, an M entry n
 copies of one cell's value added one at a time, and a W entry
 |m|^2 M_ij plus the moments of |x - m|^2 and x - m about its edge
 midpoint m, times h^(d+2) (the first moments vanish off the box faces,
-where the grid is centrally symmetric about m).  W u is formed from the
-same tables, row block by row block, without W.
+where the grid is centrally symmetric about m).  The load pass forms W u
+as a product with a transient W read from the same tables.
 
 The kernels that integrate a finite element function (the nonlinear
 matrix Mnl, the load's zeta u^3, the span moments) stream the cells block
@@ -77,15 +77,14 @@ __all__ = [
 # fine cells per block of every cell-streamed kernel, of the slot map build
 # and of the span moments: a 3D block's quadrature values, upper entries
 # and, for the span moments, point arrays stay near 1.4 MB; the potential's
-# kernels take _BLOCK / 2^d pattern rows per block
+# entries take _BLOCK / 2^d pattern rows per block
 _BLOCK = 1 << 14
 
 
 def harmonic_potential(points):
     """W(x) = |x|^2 at points (..., d), the trapping potential and the
-    only potential besides W = 0.  The assembly never evaluates it: W and
-    W u are read from the grid's stencil tables (:func:`_potential_entries`,
-    :func:`_apply_potential`)."""
+    only potential besides W = 0.  The assembly never evaluates it: W is
+    read from the grid's stencil tables (:func:`_potential_entries`)."""
     return np.square(points).sum(axis=-1)
 
 
@@ -278,6 +277,17 @@ def _stencil_tables(d):
 _STENCIL = {d: _stencil_tables(d) for d in SHAPES}
 
 
+def _squared_length(d):
+    """|delta|^2 for the signed direction delta of each row of the stencil
+    tables (:func:`_stencil_tables`): the 2^d - 1 directions delta_k, then
+    -delta_k, then 0 for the diagonal."""
+    ones = [bin(k).count("1") for k in range(1, 2 ** d)]
+    return np.array(ones + ones + [0], dtype=float)
+
+
+_SQUARED_LENGTH = {d: _squared_length(d) for d in SHAPES}
+
+
 def _cell_blocks(mesh):
     """(start, stop) of the blocks of _BLOCK cells that every cell-streamed
     kernel visits, in cell order."""
@@ -449,104 +459,55 @@ def assemble_mass(mesh: MeshLevel, work=None):
     return _assemble_stencil(mesh, _mass_table(mesh), work)
 
 
-def _row_blocks(mesh, pattern):
-    """(start, stop, lo, hi) of the blocks of _BLOCK / 2^d pattern rows
-    that the potential's kernels visit, lo:hi the rows' CSR entries, and
-    whether any row lies on a box face, where the stencil column is not 0."""
-    n = mesh.n_interior
-    step = max(_BLOCK >> mesh.dim, 1)
-    indptr = pattern.indptr
-    faces = bool((np.take(pattern.stencil, indptr[:-1]) % 4 ** mesh.dim).any())
-    return faces, [(start, min(start + step, n), indptr[start], indptr[min(start + step, n)])
-                   for start in range(0, n, step)]
-
-
 def _potential_entries(mesh, pattern):
     """The entries of W = |x|^2 in the pattern's CSR order.  About the
-    midpoint m = g h / 2 of an entry's edge, g the sum of its two vertices'
-    grid points (twice the vertex on the diagonal), |x|^2 = |m|^2 +
-    2 m . (x - m) + |x - m|^2, so W_ij = |m|^2 M_ij + h^(d+2) (S + g . F)
-    with S and F the second and first moment tables at the entry's stencil
-    index (:func:`_stencil_tables`); F is 0 on every row off the box faces.
-    (i, j) and (j, i) share g and read equal table values, so W is exactly
-    symmetric.  Row block by row block (:func:`_row_blocks`), so no
-    temporary spans all entries."""
+    midpoint m = g h / 2 of an entry's edge, g = g_i + g_j the sum of its
+    two vertices' grid points, |x|^2 = |m|^2 + 2 m . (x - m) + |x - m|^2,
+    so W_ij = |m|^2 M_ij + h^(d+2) (S + g . F) with S and F the second and
+    first moment tables at the entry's stencil index
+    (:func:`_stencil_tables`).  |g|^2 = 2 |g_i|^2 + 2 |g_j|^2 - |g_j - g_i|^2
+    is an exact integer, the last term the squared length of the entry's
+    signed direction (:data:`_SQUARED_LENGTH`), and g . F is formed only
+    on the rows at the box faces: F is 0 on every other row.  (i, j) and
+    (j, i) share g and read equal table values, so W is exactly symmetric.
+    Block by block of _BLOCK / 2^d rows, so no temporary spans all
+    entries."""
     d, h = mesh.dim, mesh.spacing
     _, _, first, second = _STENCIL[d]
     indptr = pattern.indptr
-    inner = mesh.interior_indices
-    grid = np.ascontiguousarray(mesh.grid.T)
+    grid = mesh.grid[mesh.interior_indices].astype(float)
+    twice = 2 * np.einsum("ia,ia->i", grid, grid)
+    length = _SQUARED_LENGTH[d]
     entries = np.empty(pattern.indices.size)
     mass = _mass_table(mesh)
-    faces, blocks = _row_blocks(mesh, pattern)
-    for start, stop, lo, hi in blocks:
-        rows = np.repeat(inner[start:stop], np.diff(indptr[start:stop + 1]))
-        cols = np.take(inner, pattern.indices[lo:hi])
+    n, step = mesh.n_interior, max(_BLOCK >> d, 1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo, hi = indptr[start], indptr[stop]
+        counts = np.diff(indptr[start:stop + 1])
+        cols = pattern.indices[lo:hi]
+        # the stencil index is the signed direction times 4^d plus the column
         st = pattern.stencil[lo:hi].astype(np.intp)
-        moment = np.take(second, st)
-        g2 = np.zeros(hi - lo)
-        for x, f in zip(grid, first):
-            g = np.take(x, rows)
-            g += np.take(x, cols)
-            if faces:
-                moment += g * np.take(f, st)
-            g2 += np.square(g, dtype=float)
-        g2 *= h * h / 4
+        m2 = np.repeat(twice[start:stop], counts)
+        m2 += np.take(twice, cols)
+        m2 -= np.take(length, st >> 2 * d)
+        m2 *= h * h / 4
         block = entries[lo:hi]
         # mode="clip" (every index is in range) writes to out unbuffered
         np.take(mass, st, out=block, mode="clip")
-        block *= g2
+        block *= m2
+        moment = np.take(second, st)
+        face = np.flatnonzero(st & (4 ** d - 1))
+        if face.size:
+            rows = np.repeat(np.arange(start, stop), counts)[face]
+            g = grid[rows] + grid[cols[face]]
+            mf = moment[face]
+            for a, f in enumerate(first):
+                mf += g[:, a] * np.take(f, st[face])
+            moment[face] = mf
         moment *= h ** (d + 2)
         block += moment
     return entries
-
-
-def _apply_potential(mesh, u):
-    """W u for W = |x|^2 from the stencil tables, with no W built: with
-    x_i the vertices, r_i^2 = |x_i|^2 and M, S and F_a the mass and moment
-    stencils (:func:`_potential_entries`),
-    W u = (R M u + 2 sum_a X_a M X_a u + M R u) / 4
-          + h^(d+2) (S u + sum_a (G_a F_a u + F_a G_a u)),
-    with R, X_a and G_a = X_a / h diagonal; the F part only where a row lies
-    on a box face.  Row block by row block (:func:`_row_blocks`): each
-    block's stencils are one transient CSR matrix on the pattern's index
-    arrays, refilled per table."""
-    d, h = mesh.dim, mesh.spacing
-    _, _, first, second = _STENCIL[d]
-    pattern = _pattern(mesh)
-    indptr = pattern.indptr
-    n = mesh.n_interior
-    g = mesh.grid[mesh.interior_indices]
-    x = g * h
-    r2 = np.einsum("ia,ia->i", x, x)
-    U = np.empty((n, d + 2))
-    U[:, 0] = u
-    np.multiply(x, u[:, None], out=U[:, 1:-1])
-    np.multiply(r2, u, out=U[:, -1])
-    scale = h ** (d + 2)
-    mass, second = _mass_table(mesh), second * scale
-    faces, blocks = _row_blocks(mesh, pattern)
-    first = first * scale if faces else ()
-    G = g * u[:, None] if faces else None
-    out = np.empty(n)
-    for start, stop, lo, hi in blocks:
-        st = pattern.stencil[lo:hi].astype(np.intp)
-        A = sp.csr_matrix((np.take(mass, st), pattern.indices[lo:hi],
-                           indptr[start:stop + 1] - lo), shape=(stop - start, n))
-        Y = A @ U
-        block = r2[start:stop] * Y[:, 0]
-        block += 2 * np.einsum("ia,ia->i", x[start:stop], Y[:, 1:-1])
-        block += Y[:, -1]
-        block *= 0.25
-        # mode="clip" (every index is in range) writes to out unbuffered
-        np.take(second, st, out=A.data, mode="clip")
-        block += A @ u
-        for a, f in enumerate(first):
-            np.take(f, st, out=A.data, mode="clip")
-            block += g[start:stop, a] * (A @ u)
-            block += A @ G[:, a]
-        out[start:stop] = block
-    return out
 
 
 def _square_at_qpoints(mesh, weight, rule):
@@ -594,9 +555,9 @@ def assemble_weighted_mass(mesh: MeshLevel, weight, work=None):
 def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):
     """Dual vector of v -> (W u + zeta u^3, v) over the interior basis
     functions, for interior coefficients u: W_h u + zeta Mnl(u) u up to
-    rounding, with neither matrix built.  W u comes from the stencil
-    tables (:func:`_apply_potential`) and counts two work units per stored
-    entry of W's pattern, as W's assembly and one product with it would.
+    rounding.  W u is a product with a transient W from the stencil tables
+    (:func:`_potential_entries`) and counts two work units per stored entry,
+    one for W's assembly and one for the product.  Mnl is never built.
     zeta u^3 is a degree-4 polynomial on each cell, which the degree-4
     rule integrates exactly: one pass over the blocks of cells, each
     block's (cells, d+1) local vectors added into the vertices by one
@@ -606,9 +567,10 @@ def nonlinear_load(mesh: MeshLevel, spec: ProblemSpec, u, work=None):
     if spec.potential is None:
         load = np.zeros(mesh.n_interior)
     else:
-        load = _apply_potential(mesh, c)
+        pattern = _pattern(mesh)
+        load = _csr(pattern, _potential_entries(mesh, pattern)) @ c
         if work is not None:
-            work.add(2 * _pattern(mesh).indices.size)
+            work.add(2 * pattern.indices.size)
     if spec.zeta == 0.0:
         return load
     full = _full_values(mesh, c)

@@ -36,8 +36,9 @@ class WorkReport:
     K, M and the potential W visit no cell: each adds one unit per stored
     entry.  A LevelSpace's potential W is counted by the solve that first
     needs L = K + W.  The load pass of a correction's right side adds two
-    units per stored entry of W's pattern for W u, as W's assembly and one
-    product with it would, and for zeta u^3 d+1 local entries per cell,
+    units per stored entry of W for W u, one for the transient W's
+    assembly and one for the product with it, and for zeta u^3 d+1 local
+    entries per cell,
     3n in 2D and 4n in 3D.  An augmented space assembles nothing when it
     is built: it adds its border matvecs, one unit per unique moment entry
     of every fine cell, 20n in 2D and 35n in 3D, and with the potential one
@@ -47,7 +48,11 @@ class WorkReport:
     + 1 per coarse cell.  Each dense eigensolve of an augmented pencil
     adds the pencil's entries, A.size + M.size, once, as the LAPACK solve
     it replaced did; its LOBPCG steps (a Cholesky factor of A, then two
-    triangular solves and two dense products per step) add nothing.  A
+    triangular solves and two dense products per step) add nothing.
+    Criterion 7 (work per dof over the last three levels) passes only
+    while they go uncounted: counting about 3 A.size per step spreads it
+    to 2.19, against its bound of 1.5.  The tally understates the dense
+    solves.  A
     mesh level's multigrid context counts its Galerkin chain once, when it
     is built; each SCF sweep's in-place update of it to the sweep's pencil
     adds one Mnl matvec, one restriction per coarser level and the stored

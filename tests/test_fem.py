@@ -753,17 +753,17 @@ def test_stiffness_and_mass_read_no_vertex_coordinates(monkeypatch):
             assemble(mesh)
 
 
-# --- what the correction levels compute without W_h or Mnl_h ---------------
+# --- what the correction levels compute without keeping W_h or Mnl_h -------
 
 @pytest.mark.parametrize("zeta", [0.0, 1.0])
 @pytest.mark.parametrize("potential", [harmonic_potential, None])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_nonlinear_load_matches_the_assembled_matrices(dim, potential, zeta, monkeypatch):
-    # W u from the stencil tables and zeta u^3 from one streamed pass over
-    # ragged blocks give W_h u + zeta Mnl(u) u up to rounding; W u counts two
-    # work units per stored entry of W, zeta u^3 one per local entry.  The
-    # boundary-free copy has rows on the box faces, where W u reads the
-    # first moments too
+    # W u from a transient stencil W and zeta u^3 from one streamed pass
+    # over ragged blocks give W_h u + zeta Mnl(u) u up to rounding; W u
+    # counts two work units per stored entry of W, zeta u^3 one per local
+    # entry.  The boundary-free copy has rows on the box faces, where W
+    # reads the first moments too
     spec = ProblemSpec(dim=dim, potential=potential, zeta=zeta)
     monkeypatch.setattr(fem, "_BLOCK", 41)
     for mesh in (_test_mesh(dim), _boundary_free(_test_mesh(dim))):
