@@ -17,9 +17,12 @@ L = K + W.  Every pencil, dense or sparse, goes through one LOBPCG
 iterate.  On a mesh level it is preconditioned by one V-cycle of the
 level's own multigrid context: the Galerkin chain of the linear part L,
 built once, whose top and coarse diagonals each sweep updates in place to
-the pencil L + zeta Mnl (a level without coarser levels keeps a sparse LU
-solve of the pencil).  A dense augmented pencil is preconditioned by a
-direct solve with the Cholesky factor of its matrix.
+the pencil L + zeta Mnl.  A level without coarser levels, and a dense
+augmented pencil, are preconditioned by a direct solve with a lagged
+factor, refactored from the pencil only when a LOBPCG step stalls: an LU
+that starts as L's, and a Cholesky factor of the solve's first pencil.
+Every SCF's inner tolerance follows one inexact-Newton forcing schedule.
+V_H's mass is Cholesky-factored once per space.
 """
 
 from __future__ import annotations
@@ -120,6 +123,25 @@ def apply_sign_convention(x):
     return -x if x[i] < 0 else x
 
 
+class _CholeskyFactor:
+    """A dense SPD matrix's Cholesky factor, None until :meth:`refactor`:
+    the preconditioner of :func:`smallest_eigpair` for dense pencils, which
+    may be of another pencil than the one it preconditions."""
+
+    factor = None
+
+    def refactor(self, A):
+        """Factor A in place of the held matrix; SolverError if A is not
+        positive definite."""
+        try:
+            self.factor = scipy.linalg.cho_factor(A, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"dense pencil matrix is not positive definite: {exc}") from None
+
+    def solve(self, r):
+        return scipy.linalg.cho_solve(self.factor, r, check_finite=False)
+
+
 def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None):
     """Smallest eigenpair of A x = lambda M x (A and M SPD), returned as
     (lambda, x) with x' M x = 1 and the largest-magnitude entry of x
@@ -129,15 +151,23 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
     from x0 (default all ones).  Each step takes the smallest Ritz pair of
     span{x, T r, p}, with r = A x - rho M x, p the previous step and T the
     preconditioner.  For a sparse pencil T is one V-cycle of `mg`, a
-    multigrid context on A (by default a one-level one, whose V-cycle is a
-    sparse LU solve), and every product counts in `work`.  For a dense
-    pencil (the augmented spaces) T is a direct solve with the Cholesky
-    factor of A, which raises SolverError if A is not positive definite;
-    `mg` does not apply, and the call counts A.size + M.size work units
+    multigrid context whose top matrix is A (by default a one-level one),
+    and every product counts in `work`; a one-level context's V-cycle is a
+    sparse LU solve.  For a dense pencil (the augmented spaces) T is a
+    solve with a Cholesky factor: `mg`, the factor an earlier call left,
+    or else one of A.  Factoring a matrix that is not positive definite
+    raises SolverError.  A dense call counts A.size + M.size work units
     once, its steps nothing: criterion 7 passes only while they go
-    uncounted (:class:`linalg.WorkReport`).  It stops once ||r|| <= tol
-    ||A x||, or once r fails to halve inside its rounding floor
-    eps ||A||_inf ||x||.
+    uncounted (:class:`linalg.WorkReport`).
+
+    LOBPCG needs an SPD T, not the inverse of this A, so a direct T may
+    lag: a factor held from before the call may be of an earlier pencil.
+    The first time a step fails to halve the residual above its rounding
+    floor, such a factor is refactored from A, once and in place, so later
+    calls reuse it (Knoll & Keyes, J. Comput. Phys. 193, 2004); a factor
+    made in the call and a multi-level V-cycle are left as they are.  It
+    stops once ||r|| <= tol ||A x||, or once r fails to halve inside its
+    rounding floor eps ||A||_inf ||x||.
     """
     if M.shape != A.shape:
         raise ValueError("pencil matrices must have equal shape")
@@ -147,17 +177,23 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
 
         def precondition(r):
             return v_cycle(mg, mg.n_levels - 1, r)
+
+        # a one-level context's V-cycle is an LU solve; a factor it already
+        # holds may be of another pencil, and one refactor makes it A's
+        lagged = mg.n_levels == 1 and mg.factored
+        refactor = mg.refactor_coarse
     else:
         if work is not None:
             work.add(A.size + M.size)
         work = None                             # the steps count nothing
-        try:
-            factor = scipy.linalg.cho_factor(A, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"dense pencil matrix is not positive definite: {exc}") from None
+        mg = mg if mg is not None else _CholeskyFactor()
+        lagged = mg.factor is not None
+        if not lagged:
+            mg.refactor(A)
+        precondition = mg.solve
 
-        def precondition(r):
-            return scipy.linalg.cho_solve(factor, r, check_finite=False)
+        def refactor():
+            mg.refactor(A)
 
     x = np.array(x0, dtype=float) if x0 is not None else np.ones(A.shape[0])
     Mx = counted_matvec(M, x, work)
@@ -191,6 +227,9 @@ def smallest_eigpair(A, M, tol=1e-10, max_iter=200, x0=None, mg=None, work=None)
                     floor = _EPS * float(np.abs(A).sum(axis=1).max())
             if res <= floor * np.linalg.norm(x):
                 return rho, apply_sign_convention(x)
+            if lagged:
+                refactor()
+                lagged = False
         prev_res = res
         w = precondition(r)
         Mw = counted_matvec(M, w, work)
@@ -239,10 +278,12 @@ class LevelSpace:
     mass: sp.csr_matrix
     prolongations: list | None = None   # interior chain below this level, for MG
     # caches, never copied by dataclasses.replace: L = K + W, the multigrid
-    # context and, per coarse level, its diagonal slots, diag(L_k) and P_k 1
+    # context and, per coarse level, its diagonal slots, diag(L_k) and P_k 1,
+    # and the Cholesky factor of the dense M
     _linear: sp.csr_matrix = field(default=None, init=False, repr=False)
     _mg: MgContext = field(default=None, init=False, repr=False)
     _lumping: list = field(default=None, init=False, repr=False)
+    _mass_factor: tuple = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, mesh, spec, work=None, prolongations=None):
@@ -263,6 +304,14 @@ class LevelSpace:
                 self._linear = (self.stiffness + W).tocsr()
         return self._linear
 
+    def mass_factor(self):
+        """The Cholesky factor of the dense M, kept from the first call: the
+        projection onto this space of every augmented space bordered from
+        it."""
+        if self._mass_factor is None:
+            self._mass_factor = scipy.linalg.cho_factor(self.mass.toarray(), check_finite=False)
+        return self._mass_factor
+
     def to_fine(self, coeffs):
         return coeffs
 
@@ -278,14 +327,17 @@ class LevelSpace:
         Given a sweep's nonlinear matrix Mnl the context is updated in place
         to the pencil L + zeta Mnl: its top matrix becomes the pencil, each
         coarser level's diagonal diag(L_k) + zeta d_k, and the coarse LU is
-        dropped.  d is the row-sum-lumped Galerkin product of Mnl: d =
+        dropped.  A one-level context only replaces its matrix: it keeps
+        the LU it holds, at first L's, until a stalled LOBPCG step
+        refactors it (:func:`smallest_eigpair`).  d is the row-sum-lumped
+        Galerkin product of Mnl: d =
         P'(Mnl P 1) on the level below the top, d_k = P_k'(d_{k+1} * P_k 1)
         below that.  A nonnegative matrix is bounded by its row-sum
         diagonal, so each coarse matrix is at least the Galerkin P'(L +
         zeta Mnl)P, and within a factor dim + 2 of it (P1 lumping).  With
         Mnl=None the context holds L's chain again.  An update counts one
-        Mnl matvec, one restriction per level and the coarse matrix's
-        entries for its new LU; it forms no sparse product.
+        Mnl matvec, one restriction per level and, with coarser levels, the
+        coarse matrix's entries for its new LU; it forms no sparse product.
         """
         work = work if work is not None else WorkReport()
         L = self.linear(work)
@@ -322,7 +374,8 @@ class LevelSpace:
                 v = counted_matvec(nonlinear, ones, work) if d is None else d * ones
                 d = counted_matvec(mg.prolongations[k].T, v, work)
                 mg.matrices[k].data[slots] = diag + zeta * d
-        mg.refactor_coarse()
+        if mg.n_levels > 1:
+            mg.refactor_coarse()
         return mg
 
 
@@ -373,9 +426,9 @@ class AugmentedSpace:
         Counts the coarse assembly and one unit per moment entry read."""
         n = self.coarse.n_dofs
         c = np.asarray(coeffs, dtype=float)
-        red = self.coarse.nonlinear_matrix(c[:n], work=work).toarray()
+        red = self.coarse.nonlinear_matrix(c[:n], work=work)
         if self.span is None:
-            return red
+            return red.toarray()
         s3, s2, s1, s0 = self.moments
         s = c[n]
         U = np.zeros(n + 2)
@@ -383,13 +436,16 @@ class AugmentedSpace:
         U = U[self.cell_dofs]
         s3u = np.einsum("cabk,ck->cab", s3, U)
         s2u = np.einsum("cab,cb->ca", s2, U)
-        block = 2 * s * s3u + s * s * s2
         border = np.einsum("cab,cb->ca", s3u, U) + 2 * s * s2u + s * s * s1
         corner = np.vdot(s2u, U) + 2 * s * np.vdot(s1, U) + s * s * s0.sum()
+        block = s3u                   # 2 s S3.U + s^2 S2, in place
+        block *= 2 * s
+        block += s * s * s2
         values = np.concatenate([block.ravel(), border.ravel(), border.ravel()])
         m = n + 2
         out = np.bincount(self.scatter, values, minlength=m * m).reshape(m, m)[:n + 1, :n + 1]
-        out[:n, :n] += red
+        # Mnl_H's stored entries, added where it has them
+        out[np.repeat(np.arange(n), np.diff(red.indptr)), red.indices] += red.data
         out[n, n] += corner
         if work is not None:
             work.add(s3.size + s2.size + s1.size + s0.size)
@@ -407,8 +463,9 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     otherwise); `prolongation` is the interior map B between the two.  If
     u_tilde lies in V_H to within SPAN_TOL in the L2 norm the span is
     dropped and the space is V_H itself.  Of the fine level it reads only
-    K_h and M_h; the first call assembles V_H's L = K + W, counted in
-    `work`.
+    K_h and M_h; the first call on `coarse` assembles V_H's L = K + W,
+    counted in `work`, and Cholesky-factors M_H, which every later call
+    reuses (:meth:`LevelSpace.mass_factor`).
     """
     fine = ops.mesh
     depth = fine.level_index - coarse.mesh.level_index
@@ -428,8 +485,7 @@ def build_augmented_space(coarse, prolongation, ops, u_tilde, work=None):
     M_H = coarse.mass.toarray()
     Mt = counted_matvec(M, t, work)
     rhs = counted_matvec(B.T, Mt, work)
-    c_proj = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M_H, check_finite=False), rhs,
-                                    check_finite=False)
+    c_proj = scipy.linalg.cho_solve(coarse.mass_factor(), rhs, check_finite=False)
     resid = t - B @ c_proj
     resid_b = float(np.sqrt(max(resid @ (M @ resid), 0.0)))
 
@@ -501,17 +557,20 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     The stopping rule reads the plain residual ||x - w||_M of the sweep,
     not the accepted (mixed or damped) step: the SCF stops once the
     eigenvalue change is below tol_lambda and the residual below tol_u on
-    a sweep whose inner eigensolve ran at the full eig_tol.  On a mesh
-    level the inner eigensolve is iterative (LOBPCG preconditioned by one
-    V-cycle of the space's own multigrid context, which each sweep updates
-    in place to its pencil, see LevelSpace.multigrid) and the SCF is
-    inexact: each sweep's eigensolve tolerance is max(eig_tol,
-    min(FORCING_CAP, FORCING * r)) with r the previous sweep's residual
-    (FORCING_CAP before the first sweep), and a sweep that meets the
-    stopping rule below the full tolerance is followed by one at eig_tol,
-    with the mixing history cleared.  The dense augmented pencils run the
-    same LOBPCG, Cholesky-preconditioned, at eig_tol from the iterate.
-    `history` holds one ScfSweep per sweep.
+    a sweep whose inner eigensolve ran at the full eig_tol.  The inner
+    eigensolve is LOBPCG from the iterate, and every SCF is inexact: each
+    sweep's eigensolve tolerance is max(eig_tol, min(FORCING_CAP, FORCING
+    * r)) with r the previous sweep's residual (FORCING_CAP before the
+    first sweep), and a sweep that meets the stopping rule below the full
+    tolerance is followed by one at eig_tol, with the mixing history
+    cleared.  On a mesh level LOBPCG is preconditioned by one V-cycle of
+    the space's own multigrid context, which each sweep updates in place
+    to its pencil (LevelSpace.multigrid); with no coarser levels that is
+    an LU solve with a lagged factor.  A dense augmented pencil is
+    preconditioned by the Cholesky factor of the solve's first pencil,
+    reused by the later sweeps; a stalled LOBPCG step refactors either
+    from its own pencil once (:func:`smallest_eigpair`), and later sweeps
+    reuse that factor.  `history` holds one ScfSweep per sweep.
     Hitting max_iter returns converged=False (the augmented solves are
     capped at 3 sweeps by design); an energy that rises on three
     consecutive sweeps raises SolverError.
@@ -535,16 +594,22 @@ def scf_solve(space, spec: ProblemSpec, settings: ScfSettings | None = None,
     floor = 3e-14 * np.sqrt(M.shape[0])
     eig_tol = float(min(1e-10, max(0.01 * settings.tol_lambda, floor)))
 
+    # an augmented space's preconditioner: the first sweep factors its
+    # pencil, and the later sweeps reuse the factor
+    factor = None if level else _CholeskyFactor()
+
     def eigensolve(Mnl, warm, forcing_tol=None):
         """(lambda, x, tolerance used) of the pencil L + zeta Mnl, or of L
-        for Mnl=None; forcing_tol applies on mesh levels, whose pencil is
-        the top matrix of the space's multigrid context."""
-        if not level:
-            A_lin = L if Mnl is None else L + zeta * Mnl
-            return (*smallest_eigpair(A_lin, M, tol=eig_tol, x0=warm, work=work), eig_tol)
+        for Mnl=None; on a mesh level the pencil is the top matrix of the
+        space's multigrid context."""
         tol = eig_tol if forcing_tol is None else max(eig_tol, forcing_tol)
-        mg = space.multigrid(Mnl, work)
-        lam, x = smallest_eigpair(mg.matrices[-1], M, tol=tol, x0=warm, mg=mg, work=work)
+        if level:
+            precond = space.multigrid(Mnl, work)
+            A = precond.matrices[-1]
+        else:
+            A = L if Mnl is None else L + zeta * Mnl
+            precond = factor
+        lam, x = smallest_eigpair(A, M, tol=tol, x0=warm, mg=precond, work=work)
         return lam, x, tol
 
     def make_pair(lam, coeffs):

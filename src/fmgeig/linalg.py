@@ -47,16 +47,19 @@ class WorkReport:
     and one unit per moment entry it contracts, (d+1)^3 + (d+1)^2 + (d+1)
     + 1 per coarse cell.  Each dense eigensolve of an augmented pencil
     adds the pencil's entries, A.size + M.size, once, as the LAPACK solve
-    it replaced did; its LOBPCG steps (a Cholesky factor of A, then two
-    triangular solves and two dense products per step) add nothing.
-    Criterion 7 (work per dof over the last three levels) passes only
-    while they go uncounted: counting about 3 A.size per step spreads it
-    to 2.19, against its bound of 1.5.  The tally understates the dense
-    solves.  A
+    it replaced did; its LOBPCG steps (two triangular solves with a
+    Cholesky factor and two dense products per step) add nothing, and
+    neither does a factor: the correction's first pencil, V_H's mass
+    (once per space) or a refactor after a stalled step.  Criterion 7
+    (work per dof over the last three levels) passes only while they go
+    uncounted: counting about 3 A.size per step spreads it to 2.19,
+    against its bound of 1.5.  The tally understates the dense solves.  A
     mesh level's multigrid context counts its Galerkin chain once, when it
     is built; each SCF sweep's in-place update of it to the sweep's pencil
     adds one Mnl matvec, one restriction per coarser level and the stored
-    entries of the coarse matrix it refactors.  The remaining fields count
+    entries of the coarse matrix it refactors.  A one-level context is
+    not refactored per sweep: it adds the pencil's stored entries only
+    when a stalled LOBPCG step refactors it.  The remaining fields count
     events.
     """
 
@@ -123,7 +126,9 @@ def cg_smooth(A, b, x0, steps, work=None, r0=None):
 class MgContext:
     """Per-level SPD matrices, interior transfer operators, smoother settings,
     and the shared work counter.  Level 0 is the coarsest and is solved
-    directly through a cached factorization."""
+    directly through a cached factorization.  The factor may lag level 0's
+    matrix: a one-level context keeps it while its matrix changes (see
+    eigsolve.LevelSpace.multigrid)."""
 
     matrices: list
     prolongations: list
@@ -147,6 +152,12 @@ class MgContext:
         next coarse solve factors it again.  Counts its stored entries."""
         self._coarse_lu = None
         self.work.add(self.matrices[0].nnz)
+
+    @property
+    def factored(self):
+        """Whether a coarse factor is held; the next coarse solve makes one
+        otherwise."""
+        return self._coarse_lu is not None
 
     def coarse_solve(self, b):
         if self._coarse_lu is None:

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fmgeig import eigsolve, fem
+from fmgeig import eigsolve, fem, linalg
 from fmgeig.eigsolve import ScfSettings, scf_solve
 from fmgeig.fem import ProblemSpec, a_norm
 from fmgeig.fmg import (
@@ -249,8 +249,35 @@ def test_ladder_runs_no_dense_eigensolve_and_no_potential_at_quadrature_points(m
     monkeypatch.setattr(fem, "_cell_blocks", blinded)
     h = build_hierarchy(3, 8, 3)
     res = full_multigrid(h, ProblemSpec(dim=3, zeta=1.0))
-    assert abs(res.pair.lam - 33.819099396964) <= 1e-12 * res.pair.lam
+    assert abs(res.pair.lam - 33.819099419347445) <= 1e-12 * res.pair.lam
     assert all(isinstance(mesh.grid, np.ndarray) for mesh in h.meshes)
+
+
+def test_ladder_factors_no_pencil_per_sweep(monkeypatch):
+    # LOBPCG needs an SPD preconditioner, not this sweep's inverse: level 0
+    # keeps the LU of L (the other LU is the ladder's stiffness chain), each
+    # correction factors its first augmented pencil only, and V_H's mass is
+    # factored once for both corrections
+    splu, cho_factor = linalg.spla.splu, eigsolve.scipy.linalg.cho_factor
+    lus, choleskys = [], []
+
+    def counting_splu(A, *args, **kwargs):
+        lus.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    def counting_cho_factor(A, *args, **kwargs):
+        choleskys.append(A.shape)
+        return cho_factor(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(eigsolve.scipy.linalg, "cho_factor", counting_cho_factor)
+    res = full_multigrid(build_hierarchy(3, 8, 3), ProblemSpec(dim=3, zeta=1.0))
+    corrections = sum(len(t.records) for t in res.traces)
+    n = res.level_spaces[0].n_dofs
+    assert corrections == 2 and len(lus) <= 2
+    assert choleskys.count((n, n)) == 1
+    assert choleskys.count((n + 1, n + 1)) <= corrections
+    assert len(choleskys) <= corrections + 1
 
 
 def test_work_report_shared_and_monotone():
